@@ -20,8 +20,7 @@ from .engine import (
     SecularTable,
     expand_table,
     table_residuals,
-    eval_vpoly_hs,
-    gauge_reduce_nilpotent,
+    governing_residual,
 )
 from .renorm import (
     renormalized_amplitudes,
@@ -141,68 +140,18 @@ def check_no_secular(ren: RenExpansion, label="", seed=None) -> CheckReport:
 
 def chain_derivative(hs: HarmonicSeries, rg: RGSystem) -> HarmonicSeries:
     """d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}."""
-    ctx = hs.ctx
-    out = HarmonicSeries.zero(ctx)
-    entries = {}
-    for m, p in hs.entries.items():
-        q = p.diff_t()
-        if m:
-            q = q + p.scale(GaussianRational(0, m))
-        for name, f in zip(ctx.amplitudes, rg.fields):
-            dp = p.diff(name)
-            if not dp.is_zero():
-                q = q + dp * f
-        if not q.is_zero():
-            entries[m] = q
-    return HarmonicSeries(ctx, entries)
+    out = hs.time_derivative()
+    for name, f in zip(hs.ctx.amplitudes, rg.fields):
+        d = hs.map_entries(lambda p: p.diff(name))  # zero entries drop out here
+        out = out + d.map_entries(lambda p: p * f)
+    return out
 
 
 def renormalized_residuals(table: SecularTable) -> list:
     """Residual of the renormalized expansion driven by the RG equation."""
-    spec = table.spec
-    ctx = table.ctx
-    K = ctx.order
     rg = derive_rg(table)
-    ren = renormalized_expansion(table)
-    comps = ren.components
-    eps = ctx.var("eps")
-    if spec.klass == "semisimple":
-        out = []
-        cache = {}
-        for j, vp in enumerate(spec.v_polys):
-            w = eval_vpoly_hs(vp, comps, ctx, K - 1, cache) if K else HarmonicSeries.zero(ctx)
-            rhs = w.map_entries(lambda p: p * eps)
-            lin = comps[j].map_entries(
-                lambda p, c=GaussianRational(0, spec.modes[j]): p.scale(c)
-            )
-            out.append(chain_derivative(comps[j], rg) - lin - rhs)
-        return out
-    if spec.klass == "nilpotent":
-        v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in spec.v_polys]
-        n = spec.block_size
-        out = []
-        cache = {}
-        for j in range(n):
-            w = eval_vpoly_hs(v_polys[j], comps, ctx, K - 1, cache) if K else HarmonicSeries.zero(ctx)
-            rhs = w.map_entries(lambda p: p * eps)
-            above = comps[j + 1] if j + 1 < n else HarmonicSeries.zero(ctx)
-            out.append(chain_derivative(comps[j], rg) - above - rhs)
-        return out
-    if spec.klass == "scalar":
-        N = spec.n_states
-        slots = [comps[0]]
-        for _ in range(N - 1):
-            slots.append(chain_derivative(slots[-1], rg))
-        cache = {}
-        w = eval_vpoly_hs(spec.v_polys[0], slots, ctx, K - 1, cache) if K else HarmonicSeries.zero(ctx)
-        rhs = w.map_entries(lambda p: p * eps)
-        op = slots[0]
-        for m_r, n_r in spec.factors:
-            c = GaussianRational(0, m_r)
-            for _ in range(n_r):
-                op = chain_derivative(op, rg) - op.map_entries(lambda p: p.scale(c))
-        return [op - rhs]
-    raise SpecError(f"no renormalized residual for class {spec.klass!r}")
+    comps = renormalized_expansion(table).components
+    return governing_residual(table.spec, comps, lambda hs: chain_derivative(hs, rg))
 
 
 def check_residual(table: SecularTable, seed=None) -> CheckReport:

@@ -185,7 +185,12 @@ def _parse_pairs(src: str):
     pairs = []
     for chunk in src.split(","):
         a, _, b = chunk.partition(":")
-        pairs.append((int(a) - 1, int(b) - 1))
+        try:
+            pairs.append((int(a) - 1, int(b) - 1))
+        except ValueError:
+            raise SpecError(
+                f"--polar expects P:Q[,P:Q] with integer indices, got {chunk!r}"
+            ) from None
     return pairs
 
 

@@ -14,11 +14,17 @@ harmonic coefficients satisfy the class's normalization:
 The result is a SecularTable: per component (or per derivative slot for the
 scalar class) a HarmonicSeries of secular coefficients, with resonance
 metadata and the minimal eps-order per harmonic.
+
+The three engines share one order-by-order driver, `_expand`; each class
+supplies only its setup and a `solve` step built on `_invert`, which inverts
+the shifted time-derivative operator harmonic by harmonic.
+`governing_residual` substitutes series back into the class's equation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .gaussrat import GaussianRational
 from .poly import (
@@ -50,9 +56,6 @@ class SecularTable:
 
     def entry(self, j: int, m: int) -> MultiPoly:
         return self.components[j].get(m)
-
-    def min_order(self, j: int, m: int):
-        return self.components[j].get(m).min_eps_order()
 
     def min_orders(self) -> dict:
         out = {}
@@ -133,41 +136,60 @@ def _forcing_layers(v_polys, comps, ctx, k) -> list:
     ]
 
 
-# --------------------------------------------------------------------------
-# Semisimple class
-# --------------------------------------------------------------------------
+def _invert(rhs: MultiPoly, m: int, factors) -> MultiPoly:
+    """Polynomial P with  prod_r (d/dt + i(m - m_r))^{n_r} P = rhs.
 
-def expand_semisimple(spec: ODESystemSpec, label="") -> SecularTable:
-    if spec.klass != "semisimple":
-        raise SpecError("expand_semisimple needs a semisimple spec")
-    ctx = make_context(spec)
-    n = len(spec.modes)
-    comps = [
-        HarmonicSeries.single(spec.modes[j], ctx.var(spec.amplitude_names[j]))
-        for j in range(n)
-    ]
+    Resonant factors (m_r == m) are inverted by antidiff_t, which fixes the
+    normalization; the others exactly by resolve_shift.
+    """
+    res_mult = 0
+    for m_r, n_r in factors:
+        if m == m_r:
+            res_mult = n_r
+            continue
+        c = GaussianRational(0, m - m_r)
+        for _ in range(n_r):
+            rhs = resolve_shift(c, rhs)
+    for _ in range(res_mult):
+        rhs = rhs.antidiff_t()
+    return rhs
+
+
+def _invert_series(layer: HarmonicSeries, factors, epsk: MultiPoly) -> HarmonicSeries:
+    return HarmonicSeries(
+        layer.ctx, {m: _invert(p, m, factors) * epsk for m, p in layer.entries.items()}
+    )
+
+
+def _derivative_chain(hs: HarmonicSeries, n: int, ddt=HarmonicSeries.time_derivative) -> list:
+    """[hs, ddt(hs), ..., ddt^(n-1)(hs)]."""
+    out = [hs]
+    while len(out) < n:
+        out.append(ddt(out[-1]))
+    return out
+
+
+def _free_solution(ctx: PolyContext, names) -> MultiPoly:
+    """g = sum_k A_k t^{k-1}/(k-1)!, the general solution of d^n g/dt^n = 0."""
+    g = ctx.zero()
+    for k, name in enumerate(names):
+        g = g + (ctx.var(name) * ctx.var("t", k)).scale(Fraction(1, factorial(k)))
+    return g
+
+
+def _expand(spec, label, comps, v_polys, solve, resonant, gauge_mode=0) -> SecularTable:
+    """The order-by-order recursion shared by the three classes.
+
+    At order k, `solve` maps the eps^(k-1) layer of V on the table so far,
+    and eps^k, to the eps^k increment of every component.
+    """
+    ctx = comps[0].ctx
     eps = ctx.var("eps")
     for k in range(1, spec.order + 1):
-        layers = _forcing_layers(spec.v_polys, comps, ctx, k)
-        epsk = eps ** k
-        for j in range(n):
-            mj = spec.modes[j]
-            add = {}
-            for m, rhs in layers[j].entries.items():
-                if m == mj:
-                    p = rhs.antidiff_t()
-                else:
-                    p = resolve_shift(GaussianRational(0, m - mj), rhs)
-                if not p.is_zero():
-                    add[m] = p * epsk
-            comps[j] = comps[j] + HarmonicSeries(ctx, add)
-    resonant = [(j, spec.modes[j]) for j in range(n)]
-    return SecularTable(spec, ctx, comps, resonant, label=label)
+        step = solve(_forcing_layers(v_polys, comps, ctx, k), eps ** k)
+        comps = [c + d for c, d in zip(comps, step)]
+    return SecularTable(spec, ctx, comps, resonant, label=label, gauge_mode=gauge_mode)
 
-
-# --------------------------------------------------------------------------
-# Nilpotent class
-# --------------------------------------------------------------------------
 
 def gauge_reduce_nilpotent(vp: VPoly, m: int) -> VPoly:
     """E^{-m} V(eps, E, y -> E^m y): removes the i*m*Id part of the block."""
@@ -179,18 +201,17 @@ def gauge_reduce_nilpotent(vp: VPoly, m: int) -> VPoly:
     return VPoly(vp.nstates, vp.nparams, out)
 
 
-def unperturbed_chain(ctx: PolyContext, names) -> list:
-    """The polynomial chain d^{j-1}g/dt^{j-1}, g = sum_k A_k t^{k-1}/(k-1)!."""
-    n = len(names)
-    out = []
-    for j in range(1, n + 1):
-        p = ctx.zero()
-        fact = 1
-        for k in range(j, n + 1):
-            p = p + (ctx.var(names[k - 1]) * ctx.var("t", k - j)).scale(Fraction(1, fact))
-            fact *= (k - j + 1)
-        out.append(p)
-    return out
+def expand_semisimple(spec: ODESystemSpec, label="") -> SecularTable:
+    if spec.klass != "semisimple":
+        raise SpecError("expand_semisimple needs a semisimple spec")
+    ctx = make_context(spec)
+    modes = spec.modes
+    comps = [HarmonicSeries.single(m, ctx.var(a)) for m, a in zip(modes, spec.amplitude_names)]
+
+    def solve(layers, epsk):
+        return [_invert_series(lay, ((m, 1),), epsk) for lay, m in zip(layers, modes)]
+
+    return _expand(spec, label, comps, spec.v_polys, solve, list(enumerate(modes)))
 
 
 def expand_nilpotent(spec: ODESystemSpec, label="") -> SecularTable:
@@ -199,84 +220,41 @@ def expand_nilpotent(spec: ODESystemSpec, label="") -> SecularTable:
     ctx = make_context(spec)
     n = spec.block_size
     v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in spec.v_polys]
-    chain = unperturbed_chain(ctx, spec.amplitude_names)
-    comps = [HarmonicSeries.single(0, chain[j]) for j in range(n)]
-    eps = ctx.var("eps")
-    for k in range(1, spec.order + 1):
-        layers = _forcing_layers(v_polys, comps, ctx, k)
-        harmonics = sorted({m for lay in layers for m in lay.entries})
-        epsk = eps ** k
-        new = [dict() for _ in range(n)]
-        for m in harmonics:
-            below = ctx.zero()  # P_{j+1,m} for the component just solved
+    g = HarmonicSeries.single(0, _free_solution(ctx, spec.amplitude_names))
+
+    def solve(layers, epsk):
+        # back-substitution up the chain: P_j' + i*m*P_j = layer_j + P_{j+1}
+        new = [{} for _ in range(n)]
+        for m in sorted({m for lay in layers for m in lay.entries}):
+            below = ctx.zero()
             for j in range(n - 1, -1, -1):
-                rhs = layers[j].get(m) + below
-                if m:
-                    p = resolve_shift(GaussianRational(0, m), rhs)
-                else:
-                    p = rhs.antidiff_t()
-                below = p
-                if not p.is_zero():
-                    new[j][m] = p * epsk
-        for j in range(n):
-            comps[j] = comps[j] + HarmonicSeries(ctx, new[j])
+                below = _invert(layers[j].get(m) + below, m, ((0, 1),))
+                if not below.is_zero():
+                    new[j][m] = below * epsk
+        return [HarmonicSeries(ctx, d) for d in new]
+
     resonant = [(j, 0) for j in range(n)]
-    return SecularTable(
-        spec, ctx, comps, resonant, label=label, gauge_mode=spec.block_mode
-    )
+    return _expand(spec, label, _derivative_chain(g, n), v_polys, solve, resonant,
+                   spec.block_mode)
 
-
-# --------------------------------------------------------------------------
-# Scalar class
-# --------------------------------------------------------------------------
 
 def expand_scalar(spec: ODESystemSpec, label="") -> SecularTable:
     if spec.klass != "scalar":
         raise SpecError("expand_scalar needs a scalar spec")
     ctx = make_context(spec)
     N = spec.n_states
-    names = spec.amplitude_names
     entries = {}
     pos = 0
     for m_r, n_r in spec.factors:
-        h = ctx.zero()
-        fact = 1
-        for j in range(1, n_r + 1):
-            h = h + (ctx.var(names[pos + j - 1]) * ctx.var("t", j - 1)).scale(Fraction(1, fact))
-            fact *= j
-        entries[m_r] = h
+        entries[m_r] = _free_solution(ctx, spec.amplitude_names[pos:pos + n_r])
         pos += n_r
-    slots = [HarmonicSeries(ctx, entries)]
-    for _ in range(N - 1):
-        slots.append(slots[-1].time_derivative())
+    slots = _derivative_chain(HarmonicSeries(ctx, entries), N)
 
-    eps = ctx.var("eps")
-    for k in range(1, spec.order + 1):
-        cache = {}
-        layer = eval_vpoly_hs(spec.v_polys[0], slots, ctx, k - 1, cache).eps_coeff(k - 1)
-        new0 = {}
-        for m, rhs in layer.entries.items():
-            w = rhs
-            res_mult = 0
-            for m_r, n_r in spec.factors:
-                if m == m_r:
-                    res_mult = n_r
-                    continue
-                c = GaussianRational(0, m - m_r)
-                for _ in range(n_r):
-                    w = resolve_shift(c, w)
-            for _ in range(res_mult):
-                w = w.antidiff_t()
-            if not w.is_zero():
-                new0[m] = w * (eps ** k)
-        part = HarmonicSeries(ctx, new0)
-        for l in range(N):
-            slots[l] = slots[l] + part
-            if l + 1 < N:
-                part = part.time_derivative()
+    def solve(layers, epsk):
+        return _derivative_chain(_invert_series(layers[0], spec.factors, epsk), N)
 
     resonant = [(0, m_r) for m_r, _ in spec.factors]
-    return SecularTable(spec, ctx, slots, resonant, label=label)
+    return _expand(spec, label, slots, spec.v_polys, solve, resonant)
 
 
 def expand_table(spec: ODESystemSpec, label="") -> SecularTable:
@@ -293,9 +271,48 @@ def expand_table(spec: ODESystemSpec, label="") -> SecularTable:
 # Governing-equation residuals (used by the identity checks)
 # --------------------------------------------------------------------------
 
-def _eps_times(ctx, hs: HarmonicSeries) -> HarmonicSeries:
+def governing_residual(spec: ODESystemSpec, comps, ddt) -> list:
+    """Substitute harmonic series into the class's governing equation.
+
+    `ddt` is the time derivative of a HarmonicSeries: plain d/dt for the naive
+    table, d/dt along the RG flow for the renormalized expansion.  For the
+    scalar class `comps` holds either every derivative slot or slot 0 alone,
+    whose derivatives are then built with `ddt`.  Returns one HarmonicSeries
+    per equation; all are identically zero mod eps^(K+1) precisely when the
+    series solve the equation.
+    """
+    ctx = comps[0].ctx
+    K = ctx.order
     eps = ctx.var("eps")
-    return hs.map_entries(lambda p: p * eps)
+    v_polys = spec.v_polys
+    if spec.klass == "nilpotent":
+        v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in v_polys]
+    if spec.klass == "scalar" and len(comps) == 1:
+        comps = _derivative_chain(comps[0], spec.n_states, ddt)
+    cache = {}
+
+    def forcing(j):
+        if not K:
+            return HarmonicSeries.zero(ctx)
+        w = eval_vpoly_hs(v_polys[j], comps, ctx, K - 1, cache)
+        return w.map_entries(lambda p: p * eps)
+
+    def shifted(hs, m):  # (ddt - i*m) hs
+        c = GaussianRational(0, m)
+        return ddt(hs) - hs.map_entries(lambda p: p.scale(c))
+
+    if spec.klass == "semisimple":
+        return [shifted(comps[j], m) - forcing(j) for j, m in enumerate(spec.modes)]
+    if spec.klass == "nilpotent":
+        above = comps[1:] + [HarmonicSeries.zero(ctx)]
+        return [ddt(comps[j]) - above[j] - forcing(j) for j in range(spec.block_size)]
+    if spec.klass == "scalar":
+        op = comps[0]
+        for m_r, n_r in spec.factors:
+            for _ in range(n_r):
+                op = shifted(op, m_r)
+        return [op - forcing(0)]
+    raise SpecError(f"no governing equation for class {spec.klass!r}")
 
 
 def table_residuals(table: SecularTable) -> list:
@@ -305,44 +322,11 @@ def table_residuals(table: SecularTable) -> list:
     class, one per derivative-slot consistency relation); all are identically
     zero mod eps^(K+1) precisely when the table solves the equation.
     """
-    spec = table.spec
-    ctx = table.ctx
     comps = table.components
-    K = ctx.order
-    if spec.klass == "semisimple":
-        cache = {}
-        out = []
-        for j, vp in enumerate(spec.v_polys):
-            w = eval_vpoly_hs(vp, comps, ctx, K - 1, cache) if K else HarmonicSeries.zero(ctx)
-            rhs = _eps_times(ctx, w)
-            lin = comps[j].map_entries(lambda p, c=GaussianRational(0, spec.modes[j]): p.scale(c))
-            out.append(comps[j].time_derivative() - lin - rhs)
-        return out
-    if spec.klass == "nilpotent":
-        v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in spec.v_polys]
-        n = spec.block_size
-        cache = {}
-        out = []
-        for j in range(n):
-            w = eval_vpoly_hs(v_polys[j], comps, ctx, K - 1, cache) if K else HarmonicSeries.zero(ctx)
-            rhs = _eps_times(ctx, w)
-            above = comps[j + 1] if j + 1 < n else HarmonicSeries.zero(ctx)
-            out.append(comps[j].time_derivative() - above - rhs)
-        return out
-    if spec.klass == "scalar":
-        cache = {}
-        w = eval_vpoly_hs(spec.v_polys[0], comps, ctx, K - 1, cache) if K else HarmonicSeries.zero(ctx)
-        rhs = _eps_times(ctx, w)
-        op = comps[0]
-        for m_r, n_r in spec.factors:
-            c = GaussianRational(0, m_r)
-            for _ in range(n_r):
-                op = op.time_derivative() - op.map_entries(lambda p: p.scale(c))
-        out = [op - rhs]
-        for l in range(len(comps) - 1):
-            out.append(comps[l].time_derivative() - comps[l + 1])
-        return out
-    raise SpecError(f"no residual for class {spec.klass!r}")
+    out = governing_residual(table.spec, comps, HarmonicSeries.time_derivative)
+    if table.spec.klass == "scalar":
+        out += [comps[l].time_derivative() - comps[l + 1] for l in range(len(comps) - 1)]
+    return out
 
 
 def gauge_reduce_semisimple(spec: ODESystemSpec) -> ODESystemSpec:

@@ -109,16 +109,3 @@ def gq(re=0, im=0) -> GaussianRational:
     if isinstance(im, str):
         im = Fraction(im)
     return GaussianRational(re, im)
-
-
-def gq_arith(a: GaussianRational, b: GaussianRational, op: str) -> GaussianRational:
-    """Dispatch-style field arithmetic (op in {'add','sub','mul','div'})."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")

@@ -24,7 +24,6 @@ from .gaussrat import GaussianRational, ONE
 EPS = 0
 T = 1
 S = 2
-_NHEAD = 3  # eps, t, s come before amplitudes and parameters
 
 
 class PolyError(ValueError):
@@ -56,9 +55,6 @@ class PolyContext:
             return self._index[name]
         except KeyError:
             raise PolyError(f"unknown symbol {name!r}") from None
-
-    def amp_index(self, k: int) -> int:
-        return _NHEAD + k
 
     def compatible(self, other: "PolyContext") -> bool:
         return self is other or (
@@ -459,17 +455,6 @@ class HarmonicSeries:
     def __neg__(self) -> "HarmonicSeries":
         return HarmonicSeries(self.ctx, {m: -p for m, p in self.entries.items()})
 
-    def scale_poly(self, p: MultiPoly, trunc: int | None = None) -> "HarmonicSeries":
-        return HarmonicSeries(
-            self.ctx, {m: q.mul(p, trunc) for m, q in self.entries.items()}
-        )
-
-    def shift(self, l: int) -> "HarmonicSeries":
-        """Multiply by e^{ilt}: harmonic indices move by l."""
-        if not l:
-            return self
-        return HarmonicSeries(self.ctx, {m + l: p for m, p in self.entries.items()})
-
     def mul(self, other: "HarmonicSeries", trunc: int | None = None) -> "HarmonicSeries":
         """Convolution over harmonic indices, eps-truncated."""
         _check_ctx(self, other)
@@ -502,9 +487,6 @@ class HarmonicSeries:
 
     def eps_coeff(self, k: int) -> "HarmonicSeries":
         return self.map_entries(lambda p: p.eps_coeff(k))
-
-    def min_eps_orders(self) -> dict:
-        return {m: p.min_eps_order() for m, p in self.entries.items()}
 
     def render(self) -> str:
         if not self.entries:

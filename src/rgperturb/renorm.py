@@ -36,9 +36,6 @@ class RGSystem:
         self.fields = fields  # list[MultiPoly], aligned with ctx.amplitudes
         self.scalar_factors = scalar_factors
 
-    def field_map(self) -> dict:
-        return dict(zip(self.ctx.amplitudes, self.fields))
-
     def scalar_forms(self):
         """For the scalar class, the n_r-th-order form per basic amplitude."""
         if self.klass != "scalar":
@@ -332,7 +329,6 @@ def _complex_terms_polar(poly: MultiPoly, pairs, npairs):
     """Yield (coeff, eps, rexps, pexps, w) for poly under A -> R e^{±i theta}."""
     ctx = poly.ctx
     namp = len(ctx.amplitudes)
-    npar = len(ctx.params)
     for e, c in poly.terms.items():
         eps = e[0]
         aexp = e[3:3 + namp]

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from rgperturb.systems import parse_spec
-from rgperturb.engine import expand_table
+from rgperturb.demos import load_builtin
+from rgperturb.engine import SecularTable, expand_table, table_residuals
+from rgperturb.poly import HarmonicSeries
 from rgperturb.renorm import renormalized_expansion
 from rgperturb.checks import (
     check_functional_relation,
@@ -15,6 +17,7 @@ from rgperturb.checks import (
     check_autonomous_reduction,
     corrupt_table,
     random_spec,
+    renormalized_residuals,
     run_all_checks,
     run_random_suite,
 )
@@ -124,6 +127,30 @@ class TestResidualAndInversion:
     def test_inversion(self, fixture, request):
         table = request.getfixturevalue(fixture)
         assert check_inversion(table).passed
+
+
+class TestNonResonantCorruption:
+    """Negative control: eps*t added to a harmonic that is not resonant."""
+
+    @staticmethod
+    def bump_non_resonant(table):
+        j = table.resonant[0][0]
+        comps = list(table.components)
+        m = min(m for m in comps[j].entries if (j, m) not in table.resonant)
+        bump = table.ctx.var("eps") * table.ctx.var("t")
+        comps[j] = comps[j] + HarmonicSeries.single(m, bump)
+        return SecularTable(table.spec, table.ctx, comps, table.resonant,
+                            label=table.label + "#bumped", gauge_mode=table.gauge_mode)
+
+    @pytest.mark.parametrize("name", ["ex_cd", "ex_bt", "ex_third", "ex_oscillators"])
+    def test_naive_checks_catch_it(self, name):
+        bad = self.bump_non_resonant(expand_table(load_builtin(name), label=name))
+        assert not check_functional_relation(bad).passed
+        assert not check_residual(bad).passed
+        assert any(not r.is_zero() for r in table_residuals(bad))
+        # the bump is a multiple of t, so it vanishes from the t=0 renormalized
+        # expansion: only the naive residual sees it
+        assert all(r.is_zero() for r in renormalized_residuals(bad))
 
 
 class TestHomogeneity:

@@ -89,6 +89,12 @@ class TestRG:
         code, _, err = run(capsys, "rg", "--spec", str(path), "--polar", "1:2")
         assert code == 3
 
+    @pytest.mark.parametrize("pairs", ["x", "1", "1:", "a:b"])
+    def test_malformed_polar_exit_2(self, capsys, pairs):
+        code, _, err = run(capsys, "rg", "--builtin", "ex_cd", "--polar", pairs)
+        assert code == 2
+        assert err.startswith("error: ") and repr(pairs) in err
+
     def test_expansion_and_inversion_flags(self, capsys):
         code, out, _ = run(capsys, "rg", "--builtin", "ex_cd", "--order", "2",
                            "--expansion", "--inversion")
