@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .poly import MultiPoly, HarmonicSeries, PolyContext
+from .poly import MultiPoly, HarmonicSeries, PolyContext, Substitution
 from .expressions import VPoly
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
@@ -86,11 +86,8 @@ def _compare_tables(pairs, name, spec_id, order, seed=None) -> CheckReport:
 
 def _shifted_amplitudes(table: SecularTable) -> dict:
     """The renormalized amplitudes as polynomials in (eps, s, A)."""
-    s = table.ctx.var("s")
-    return {
-        name: p.substitute({"t": s})
-        for name, p in renormalized_amplitudes(table).items()
-    }
+    t_to_s = Substitution(table.ctx, {"t": table.ctx.var("s")})
+    return {name: t_to_s(p) for name, p in renormalized_amplitudes(table).items()}
 
 
 def check_functional_relation(table: SecularTable, seed=None) -> CheckReport:
@@ -98,12 +95,13 @@ def check_functional_relation(table: SecularTable, seed=None) -> CheckReport:
     ctx = table.ctx
     bindings = dict(_shifted_amplitudes(table))
     bindings["t"] = ctx.var("t") - ctx.var("s")
+    shift = Substitution(ctx, bindings)  # one image cache for the whole table
     comps = table.components if table.spec.klass != "scalar" else table.components[:1]
 
     def gen():
         for j, comp in enumerate(comps):
             for m, p in comp.entries.items():
-                yield f"component {j + 1}, harmonic {m}", p, p.substitute(bindings)
+                yield f"component {j + 1}, harmonic {m}", p, shift(p)
 
     return _compare_tables(
         gen(), "check_functional_relation", table.label, ctx.order, seed
@@ -115,13 +113,12 @@ def check_group_property(table: SecularTable, seed=None) -> CheckReport:
     ctx = table.ctx
     amps = renormalized_amplitudes(table)
     amps_s = _shifted_amplitudes(table)
-    t_plus_s = ctx.var("t") + ctx.var("s")
+    advance = Substitution(ctx, {"t": ctx.var("t") + ctx.var("s")})
+    compose = Substitution(ctx, amps)
 
     def gen():
         for name in ctx.amplitudes:
-            lhs = amps[name].substitute({"t": t_plus_s})
-            rhs = amps_s[name].substitute(amps)
-            yield f"amplitude {name}", lhs, rhs
+            yield f"amplitude {name}", advance(amps[name]), compose(amps_s[name])
 
     return _compare_tables(gen(), "check_group_property", table.label, ctx.order, seed)
 
@@ -179,11 +176,12 @@ def check_inversion(table: SecularTable, seed=None) -> CheckReport:
     ctx = table.ctx
     amps = renormalized_amplitudes(table)
     inv = invert_amplitudes(table)
+    to_ren, to_bare = Substitution(ctx, amps), Substitution(ctx, inv)
 
     def gen():
         for name in ctx.amplitudes:
-            yield f"bare {name}", inv[name].substitute(amps), ctx.var(name)
-            yield f"renormalized {name}", amps[name].substitute(inv), ctx.var(name)
+            yield f"bare {name}", to_ren(inv[name]), ctx.var(name)
+            yield f"renormalized {name}", to_bare(amps[name]), ctx.var(name)
 
     return _compare_tables(gen(), "check_inversion", table.label, ctx.order, seed)
 

@@ -102,6 +102,20 @@ def _check_ctx(a, b):
         raise PolyError("context mismatch")
 
 
+def _add_terms(out: dict, terms: dict) -> None:
+    """Add a term map into `out` in place, dropping cancelled terms."""
+    for e, c in terms.items():
+        acc = out.get(e)
+        if acc is None:
+            out[e] = c
+        else:
+            acc = acc + c
+            if acc.is_zero():
+                del out[e]
+            else:
+                out[e] = acc
+
+
 class MultiPoly:
     """Element of Q(i)[t, s, A..., params...][[eps]] / eps^(K+1)."""
 
@@ -135,16 +149,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         _check_ctx(self, other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc.is_zero():
-                    del out[e]
-                else:
-                    out[e] = acc
+        _add_terms(out, other.terms)
         return MultiPoly(self.ctx, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -185,17 +190,17 @@ class MultiPoly:
 
     __mul__ = mul
 
-    def pow(self, n: int, trunc: int | None = None) -> "MultiPoly":
+    def pow(self, n: int) -> "MultiPoly":
         if n < 0:
             raise PolyError("negative polynomial power")
         result = self.ctx.one()
         base = self
         while n:
             if n & 1:
-                result = result.mul(base, trunc)
+                result = result.mul(base)
             n >>= 1
             if n:
-                base = base.mul(base, trunc)
+                base = base.mul(base)
         return result
 
     __pow__ = pow
@@ -275,51 +280,9 @@ class MultiPoly:
         return MultiPoly(self.ctx, {e: c for e, c in out.items() if not c.is_zero()})
 
     # -- substitution ----------------------------------------------------------
-    def substitute(self, bindings: dict, trunc: int | None = None) -> "MultiPoly":
+    def substitute(self, bindings: dict) -> "MultiPoly":
         """Simultaneous substitution name -> MultiPoly, expanded and truncated."""
-        ctx = self.ctx
-        idx_bound = {}
-        for name, img in bindings.items():
-            i = ctx.index(name)
-            if i == EPS:
-                raise PolyError("eps cannot be substituted")
-            _check_ctx(self, img)
-            idx_bound[i] = img
-        if not idx_bound:
-            return self
-        pow_cache = {}
-
-        def img_pow(i, k):
-            key = (i, k)
-            p = pow_cache.get(key)
-            if p is None:
-                p = idx_bound[i].pow(k, trunc)
-                pow_cache[key] = p
-            return p
-
-        acc = {}
-        for e, c in self.terms.items():
-            base = list(e)
-            factors = []
-            for i in idx_bound:
-                k = e[i]
-                if k:
-                    base[i] = 0
-                    factors.append(img_pow(i, k))
-            term = MultiPoly(ctx, {tuple(base): c})
-            for f in factors:
-                term = term.mul(f, trunc)
-            for te, tc in term.terms.items():
-                prev = acc.get(te)
-                if prev is None:
-                    acc[te] = tc
-                else:
-                    prev = prev + tc
-                    if prev.is_zero():
-                        del acc[te]
-                    else:
-                        acc[te] = prev
-        return MultiPoly(ctx, acc)
+        return Substitution(self.ctx, bindings)(self)
 
     # -- numeric evaluation ----------------------------------------------------
     def eval_complex(self, values: dict) -> complex:
@@ -376,6 +339,83 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<MultiPoly {self.render()}>"
+
+
+class Substitution:
+    """Simultaneous substitution name -> MultiPoly, reusable across polynomials.
+
+    Calling it on P groups P's terms by the exponents of the bound symbols
+    (the group's key).  A group with an all-zero key is kept as it is; any
+    other group's unbound remainder R, of lowest eps-order e, is multiplied
+    once by image(key, K - e), the product of the bound images raised to the
+    key's exponents mod eps^(K-e+1).  Truncation mod eps^(cut+1) is a ring
+    homomorphism and every term of R carries at least eps^e, so the result is
+    the full substitution mod eps^(K+1).  Images are cached per (key, cut) on
+    the object: one Substitution applied to every entry of a table builds
+    each image once.
+    """
+
+    __slots__ = ("ctx", "_index", "_images", "_cache")
+
+    def __init__(self, ctx: PolyContext, bindings: dict):
+        bound = []
+        for name, img in bindings.items():
+            i = ctx.index(name)
+            if i == EPS:
+                raise PolyError("eps cannot be substituted")
+            if not ctx.compatible(img.ctx):
+                raise PolyError("context mismatch")
+            bound.append((i, img))
+        bound.sort(key=lambda b: b[0])
+        self.ctx = ctx
+        self._index = tuple(i for i, _ in bound)
+        self._images = tuple(img for _, img in bound)
+        self._cache = {}
+
+    def image(self, key: tuple, cut: int) -> MultiPoly:
+        """Product of images[j]^key[j] mod eps^(cut+1), for a nonzero key."""
+        cache = self._cache
+        p = cache.get((key, cut))
+        if p is not None:
+            return p
+        # peel one factor at a time off the key, down to a cached image or a
+        # single factor, then multiply back up caching every step
+        chain = []
+        while p is None:
+            j = min(k for k, n in enumerate(key) if n)
+            chain.append((key, j))
+            key = key[:j] + (key[j] - 1,) + key[j + 1:]
+            if not any(key):
+                break
+            p = cache.get((key, cut))
+        for key, j in reversed(chain):
+            img = self._images[j]
+            p = img.trunc(cut) if p is None else p.mul(img, cut)
+            cache[key, cut] = p
+        return p
+
+    def __call__(self, poly: MultiPoly) -> MultiPoly:
+        ctx = poly.ctx
+        if not ctx.compatible(self.ctx):
+            raise PolyError("context mismatch")
+        index = self._index
+        if not index:
+            return poly
+        out = {}
+        groups = {}
+        for e, c in poly.terms.items():
+            key = tuple(e[i] for i in index)
+            if not any(key):
+                out[e] = c
+                continue
+            rest = list(e)
+            for i in index:
+                rest[i] = 0
+            groups.setdefault(key, {})[tuple(rest)] = c
+        for key, rest in groups.items():
+            cut = ctx.order - min(r[EPS] for r in rest)
+            _add_terms(out, MultiPoly(ctx, rest).mul(self.image(key, cut)).terms)
+        return MultiPoly(ctx, out)
 
 
 def resolve_shift(c: GaussianRational, rhs: MultiPoly) -> MultiPoly:

@@ -153,6 +153,46 @@ class TestNonResonantCorruption:
         assert all(r.is_zero() for r in renormalized_residuals(bad))
 
 
+class TestTopOrderCorruption:
+    """Controls at the truncation edge: a resonant entry gains eps^K * t^k.
+
+    A term of eps-order K reaches only the eps^0 part of its image, so these
+    bumps pin the eps-cut of the grouped substitution at its edge.
+    """
+
+    @staticmethod
+    def bumped(name, t_power, with_amplitude):
+        table = expand_table(load_builtin(name), label=name)
+        ctx = table.ctx
+        bump = ctx.var("eps", ctx.order) * ctx.var("t", t_power)
+        if with_amplitude:
+            bump = bump * ctx.var(ctx.amplitudes[0], ctx.order + 1)
+        j, m = table.resonant[0]
+        comps = list(table.components)
+        comps[j] = comps[j] + HarmonicSeries.single(m, bump)
+        return SecularTable(table.spec, ctx, comps, table.resonant,
+                            label=name + "#top", gauge_mode=table.gauge_mode)
+
+    @pytest.mark.parametrize("name", ["ex_cd", "ex_bt"])
+    @pytest.mark.parametrize("with_amplitude", [False, True])
+    def test_quadratic_bump_fails(self, name, with_amplitude):
+        bad = self.bumped(name, 2, with_amplitude)
+        report = check_functional_relation(bad)
+        assert not report.passed
+        assert f"eps^{bad.ctx.order}*s^2" in report.detail
+        assert not check_residual(bad).passed
+
+    @pytest.mark.parametrize("with_amplitude", [False, True])
+    def test_linear_bump_is_a_shift_of_the_amplitudes(self, with_amplitude):
+        # eps^K * t * M(A) on a resonant entry shifts A_ren by eps^K * s * M(A):
+        # P(t - s, A_ren) gains eps^K * ((t - s) + s) * M(A), so the relation
+        # holds exactly (through the eps^0 image of M) and only the naive
+        # residual sees the corruption
+        bad = self.bumped("ex_cd", 1, with_amplitude)
+        assert check_functional_relation(bad).passed
+        assert not check_residual(bad).passed
+
+
 class TestHomogeneity:
     def test_autonomous_oscillators(self, osc3):
         report = check_homogeneity(osc3)

@@ -276,6 +276,22 @@ class TestIdentities:
         for r in reports:
             assert r.passed, r.line()
 
+    def test_bumped_harmonic_fails_functional_relation(self, monkeypatch):
+        # negative control: eps*t added to one in-band closed-form amplitude
+        from rgperturb import difference
+
+        closed = difference._closed_windowed
+
+        def bumped(u2, m, K, W, ctx, theta):
+            p = closed(u2, m, K, W, ctx, theta)
+            return p + ctx.var("eps") * ctx.var("t") if m == 2 else p
+
+        monkeypatch.setattr(difference, "_closed_windowed", bumped)
+        reports = check_difference_identities(u2_cosine(), 3, 8)
+        relation = {r.name: r for r in reports}["check_functional_relation"]
+        assert not relation.passed
+        assert relation.line().startswith("FAIL check_functional_relation")
+
     def test_window_too_small(self):
         with pytest.raises(WindowError):
             check_difference_identities(u2_cosine(), 4, 5)

@@ -1,11 +1,12 @@
 """Byte-level goldens of the command-line output for every built-in.
 
 Each case pins the SHA-256 of stdout and the exit code of one command at the
-built-in's default order.  A refactor of the engine, the renormalization
-layer or the checks must leave all of them unchanged.  The ``verify
---corrupt`` cases pin the FAIL detail text of the corrupted table's naive
-residual; the ``numeric_smoke`` line is left out of them because it is a
-floating-point spot check, not an exact identity.
+built-in's default order, plus ``verify`` of ex_cd at order 8.  A refactor
+of the engine, the renormalization layer or the checks must leave all of
+them unchanged.  The ``verify --corrupt`` cases pin the FAIL detail text of
+the corrupted table's checks; the ``numeric_smoke`` line is left out of the
+``verify`` cases because it is a floating-point spot check, not an exact
+identity.
 """
 
 import hashlib
@@ -18,6 +19,9 @@ COMMANDS = {
     "expand": ("expand", "--format", "machine"),
     "rg": ("rg", "--format", "machine"),
     "corrupt": ("verify", "--corrupt"),
+    # the benchmark's order: reaches image degrees the default orders do not
+    "verify8": ("verify", "--order", "8"),
+    "corrupt8": ("verify", "--order", "8", "--corrupt"),
 }
 
 # (builtin or random-<class>-<seed>, command) -> (exit code, SHA-256 of stdout)
@@ -28,6 +32,8 @@ GOLDEN = {
     ("ex_cd", "expand"): (0, "22acbcc59ebf77f74a13158d39e44ac680ed2feb61dfde4d937846aa8cb816fe"),
     ("ex_cd", "rg"): (0, "11cdc8279312d379b5defebe6ec6e50a722986578e9999f5e3276c52b225385a"),
     ("ex_cd", "corrupt"): (1, "024f72aa9015f4e3acc2d753a00c7d48debc763f27272002e63f718a151c71f0"),
+    ("ex_cd", "verify8"): (0, "db199622b566698d1f17625d0b44f1fe4d9b3cb3d79edebd88e1bdb4b8740226"),
+    ("ex_cd", "corrupt8"): (1, "aaeeeb06f0de069db888a6ce1f07f9593ea3174bb472b22180b213eec7cd7974"),
     ("ex_difference", "expand"): (0, "e1f601cf35201a53bd1e11c4376b33ada2633119cdd12a163f0023cce110ac4a"),
     ("ex_difference", "rg"): (0, "0929a1010cab84e221896ca5d1fa8b881bbf8f7b152b2ef739dfdce3f92295d3"),
     ("ex_difference", "corrupt"): (0, "f7d650e89a1d6c2268908bb5ac190b70dea9b1e6ee9e2bed81e3c41a5bb07feb"),
@@ -59,7 +65,7 @@ def test_stdout_is_byte_identical(capsys, source, command):
     argv[1:1] = source_args(source)
     code = main(argv)
     out = capsys.readouterr().out
-    if command == "corrupt":
+    if argv[0] == "verify":
         out = "".join(ln for ln in out.splitlines(True) if " numeric_smoke " not in ln)
     expect_code, expect_sha = GOLDEN[source, command]
     assert code == expect_code

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rgperturb.gaussrat import gq, ONE
 from rgperturb.poly import (
     PolyContext,
+    MultiPoly,
     HarmonicSeries,
     PolyError,
+    Substitution,
     resolve_shift,
     from_expression,
     hs_pow,
@@ -139,6 +142,127 @@ class TestSubstitute:
             img = {"A1": random_poly(ctx, rng), "t": random_poly(ctx, rng)}
             assert (a + b).substitute(img) == a.substitute(img) + b.substitute(img)
             assert (a * b).substitute(img) == a.substitute(img) * b.substitute(img)
+
+
+def reference_substitute(p, bindings):
+    """Term-by-term substitution, each power of an image built at the full order.
+
+    The original form of `MultiPoly.substitute`, kept as the reference that
+    the grouped, eps-aware `Substitution` must reproduce exactly.
+    """
+    ctx = p.ctx
+    idx_bound = {ctx.index(name): img for name, img in bindings.items()}
+    pow_cache = {}
+
+    def img_pow(i, k):
+        if (i, k) not in pow_cache:
+            pow_cache[i, k] = idx_bound[i].pow(k)
+        return pow_cache[i, k]
+
+    out = ctx.zero()
+    for e, c in p.terms.items():
+        base = list(e)
+        factors = []
+        for i in idx_bound:
+            if e[i]:
+                base[i] = 0
+                factors.append(img_pow(i, e[i]))
+        term = MultiPoly(ctx, {tuple(base): c})
+        for f in factors:
+            term = term * f
+        out = out + term
+    return out
+
+
+class TestSubstitutionMatchesReference:
+    """The grouped substitution equals the term-by-term reference."""
+
+    SYMBOLS = ("t", "s", "A1", "A2", "p")
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        K = draw(st.integers(0, 4))
+        ctx = PolyContext(("A1", "A2"), ("p",), order=K)
+        coeff = st.builds(
+            lambda a, b, c, d: gq(Fraction(a, b), Fraction(c, d)),
+            st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3),
+        )
+
+        def poly(maxdeg, nterms):
+            p = ctx.zero()
+            for _ in range(draw(st.integers(0, nterms))):
+                exps = [draw(st.integers(0, K))]
+                exps += [draw(st.integers(0, maxdeg)) for _ in range(ctx.nvars - 1)]
+                p = p + ctx.monomial(draw(coeff), exps)
+            return p
+
+        bindings = {}
+        for name in TestSubstitutionMatchesReference.SYMBOLS:
+            kinds = ["free", "image", "const"] + (["shift"] if name == "t" else [])
+            kind = draw(st.sampled_from(kinds))
+            if kind == "image":  # may carry eps, t, s and any symbol
+                bindings[name] = poly(maxdeg=1, nterms=3)
+            elif kind == "const":
+                bindings[name] = ctx.const(draw(coeff))
+            elif kind == "shift":
+                bindings[name] = ctx.var("t") - ctx.var("s")
+        polys = [poly(maxdeg=3, nterms=6) for _ in range(draw(st.integers(1, 4)))]
+        return ctx, bindings, polys
+
+    @settings(max_examples=150, deadline=None)
+    @given(cases())
+    def test_random_polys(self, case):
+        ctx, bindings, polys = case
+        sub = Substitution(ctx, bindings)  # reused across the polys
+        for p in polys:
+            expect = reference_substitute(p, bindings)
+            assert sub(p) == expect
+            assert p.substitute(bindings) == expect
+
+    def test_eps_carrying_image_at_the_cut(self):
+        # eps^(K-1) * A1^2 may use the image of A1^2 only up to eps^1
+        ctx = PolyContext(("A1", "A2"), order=4)
+        bindings = {"A1": P(ctx, "A1 + eps*t*A1^2 + eps^2*A2 + eps^4")}
+        p = P(ctx, "eps^3*A1^2 + eps^4*A1 + A1^3 + t")
+        sub = Substitution(ctx, bindings)
+        assert sub(p) == reference_substitute(p, bindings)
+        assert sub(p) == sub(p)
+
+    def test_no_bindings_and_bad_bindings(self, ctx):
+        p = P(ctx, "A1 + eps*t")
+        assert Substitution(ctx, {})(p) == p
+        with pytest.raises(PolyError):
+            Substitution(ctx, {"eps": ctx.one()})
+        with pytest.raises(PolyError):
+            Substitution(ctx, {"A1": PolyContext(("B",), order=6).one()})
+        with pytest.raises(PolyError):
+            Substitution(ctx, {"A1": ctx.one()})(PolyContext(("B",), order=6).one())
+
+    @pytest.mark.parametrize("name", ["ex_bt", "ex_cd", "ex_oscillators", "ex_scalar1", "ex_third"])
+    def test_builtin_tables(self, name):
+        from rgperturb.demos import load_builtin
+        from rgperturb.engine import expand_table
+        from rgperturb.renorm import invert_amplitudes, renormalized_amplitudes
+
+        table = expand_table(load_builtin(name), label=name)
+        ctx = table.ctx
+        t, s = ctx.var("t"), ctx.var("s")
+        amps = renormalized_amplitudes(table)
+        amps_s = {a: reference_substitute(p, {"t": s}) for a, p in amps.items()}
+        inv = invert_amplitudes(table)
+        entries = [p for comp in table.components for p in comp.entries.values()]
+        for bindings, polys in (
+            (dict(amps_s, t=t - s), entries),  # functional relation
+            ({"t": s}, amps.values()),  # group property
+            ({"t": t + s}, amps.values()),
+            (amps, amps_s.values()),
+            (amps, inv.values()),  # inversion
+            (inv, amps.values()),
+        ):
+            sub = Substitution(ctx, bindings)
+            for p in polys:
+                assert sub(p) == reference_substitute(p, bindings)
 
 
 class TestEval:
