@@ -84,27 +84,38 @@ def _compare_tables(pairs, name, spec_id, order, seed=None) -> CheckReport:
     return CheckReport(name, spec_id, order, True, seed=seed)
 
 
-def _shifted_amplitudes(table: SecularTable) -> dict:
-    """The renormalized amplitudes as polynomials in (eps, s, A)."""
-    t_to_s = Substitution(table.ctx, {"t": table.ctx.var("s")})
-    return {name: t_to_s(p) for name, p in renormalized_amplitudes(table).items()}
+def _at_s(ctx: PolyContext, amps: dict) -> dict:
+    """Amplitude polynomials with t renamed s: A_ren(eps,s,A)."""
+    t_to_s = Substitution(ctx, {"t": ctx.var("s")})
+    return {name: t_to_s(p) for name, p in amps.items()}
+
+
+def functional_relation(ctx: PolyContext, amplitudes: dict, entries, label,
+                        seed=None) -> CheckReport:
+    """P(eps,t,A) = P(eps,t-s, A_ren(eps,s,A)) as a (t,s,A)-identity.
+
+    amplitudes: symbol name -> A_ren(eps,t,A); entries: iterable of
+    (label, P).  One substitution serves every entry, so each bound image is
+    built once.
+    """
+    bindings = _at_s(ctx, amplitudes)
+    bindings["t"] = ctx.var("t") - ctx.var("s")
+    shift = Substitution(ctx, bindings)
+    return _compare_tables(
+        ((where, p, shift(p)) for where, p in entries),
+        "check_functional_relation", label, ctx.order, seed,
+    )
 
 
 def check_functional_relation(table: SecularTable, seed=None) -> CheckReport:
-    """P_{j,m}(eps,t,A) = P_{j,m}(eps,t-s, A_ren(eps,s,A)) as (t,s,A)-identity."""
-    ctx = table.ctx
-    bindings = dict(_shifted_amplitudes(table))
-    bindings["t"] = ctx.var("t") - ctx.var("s")
-    shift = Substitution(ctx, bindings)  # one image cache for the whole table
-    comps = table.components if table.spec.klass != "scalar" else table.components[:1]
-
-    def gen():
-        for j, comp in enumerate(comps):
-            for m, p in comp.entries.items():
-                yield f"component {j + 1}, harmonic {m}", p, shift(p)
-
-    return _compare_tables(
-        gen(), "check_functional_relation", table.label, ctx.order, seed
+    """P_{j,m}(eps,t,A) = P_{j,m}(eps,t-s, A_ren(eps,s,A)) for the secular table."""
+    entries = (
+        (f"component {j + 1}, harmonic {m}", p)
+        for j, comp in enumerate(table.observed_components())
+        for m, p in comp.entries.items()
+    )
+    return functional_relation(
+        table.ctx, renormalized_amplitudes(table), entries, table.label, seed
     )
 
 
@@ -112,7 +123,7 @@ def check_group_property(table: SecularTable, seed=None) -> CheckReport:
     """A_ren(eps,t+s,A) = A_ren(eps,s,A_ren(eps,t,A))."""
     ctx = table.ctx
     amps = renormalized_amplitudes(table)
-    amps_s = _shifted_amplitudes(table)
+    amps_s = _at_s(ctx, amps)
     advance = Substitution(ctx, {"t": ctx.var("t") + ctx.var("s")})
     compose = Substitution(ctx, amps)
 

@@ -146,9 +146,7 @@ def cmd_expand(args) -> int:
     if spec.klass == "difference":
         u2 = diffmod.u2_from_spec(spec)
         K, W = spec.order, spec.window
-        band = W - K * u2.support_bound()
-        if band < 0:
-            raise SpecError("window too small for the requested order")
+        band = diffmod.window_band(u2, K, W)
         ctx = diffmod.make_context(K, W)
         gk = diffmod.gk_poly(K)
         entries = [
@@ -235,7 +233,10 @@ def _numeric_smoke(table, rng) -> bool:
     The identity holds mod eps^(K+1), so the numeric composition of the
     truncated polynomials leaves exactly the truncation tail: halving eps
     must shrink the residual by about 2^(K+1).  A genuine defect enters at
-    some order <= K and scales more slowly.
+    some order <= K and scales more slowly.  Large tail coefficients can hold
+    the ratio at (0.2, 0.1) under the bar, so the spec also passes when the
+    ratio at (0.1, 0.05) clears the same bar; a defect stays under it at
+    every small eps.
     """
     ctx = table.ctx
     point = {name: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -244,7 +245,6 @@ def _numeric_smoke(table, rng) -> bool:
         point[name] = complex(rng.uniform(-1, 1), 0.0)
     t0, s0 = 0.7, 0.3
     amps = renormalized_amplitudes(table)
-    comps = table.components if table.spec.klass != "scalar" else table.components[:1]
 
     def residual(eps0):
         renpoint = {
@@ -254,7 +254,7 @@ def _numeric_smoke(table, rng) -> bool:
         for name in ctx.params:
             renpoint[name] = point[name]
         worst = 0.0
-        for comp in comps:
+        for comp in table.observed_components():
             for m, p in comp.entries.items():
                 lhs = p.eval_complex({**point, "eps": eps0, "t": t0})
                 rhs = p.eval_complex({**renpoint, "eps": eps0, "t": t0 - s0})
@@ -264,7 +264,8 @@ def _numeric_smoke(table, rng) -> bool:
     d1, d2 = residual(0.2), residual(0.1)
     if d1 < 1e-9:
         return True
-    return d1 / max(d2, 1e-300) > 0.6 * 2 ** (ctx.order + 1)
+    bar = 0.6 * 2 ** (ctx.order + 1)
+    return d1 / max(d2, 1e-300) > bar or d2 / max(residual(0.05), 1e-300) > bar
 
 
 def cmd_verify(args) -> int:

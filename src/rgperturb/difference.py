@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational, ONE, ZERO
-from .poly import PolyContext, MultiPoly, HarmonicSeries
+from .poly import PolyContext, MultiPoly, HarmonicSeries, Substitution
 from .systems import ODESystemSpec
+from .checks import CheckReport, functional_relation
 
 
 class WindowError(ValueError):
@@ -86,19 +87,6 @@ class LaurentPoly:
 # --------------------------------------------------------------------------
 # The g_k polynomials and the constants N_k
 # --------------------------------------------------------------------------
-
-def _advance_difference(coeffs) -> list:
-    """Coefficients of p(u+1) - p(u-1) for p given by dense coeffs."""
-    deg = len(coeffs) - 1
-    out = [Fraction(0)] * max(deg, 1)
-    for l, c in enumerate(coeffs):
-        if not c:
-            continue
-        for j in range(l):
-            if (l - j) % 2 == 1:
-                out[j] += 2 * c * math.comb(l, j)
-    return out
-
 
 def solve_advance(q) -> list:
     """The p with p(u+1) - p(u-1) = q(u) and p(0) = 0 (unique up to that pin)."""
@@ -243,16 +231,20 @@ def make_context(K: int, W: int) -> PolyContext:
     return PolyContext(tuple(amp_name(m) for m in range(-W, W + 1)), (), K)
 
 
-def window_required(m: int, K: int, u2: LaurentPoly) -> int:
-    return abs(m) + K * u2.support_bound()
+def window_band(u2: LaurentPoly, K: int, W: int, m: int = 0) -> int:
+    """The band half-width W - K*S: harmonics |m| <= band are exact at order K.
 
-
-def _require_window(m: int, K: int, W: int, u2: LaurentPoly):
-    need = window_required(m, K, u2)
-    if W < need:
+    Raises WindowError when harmonic m lies outside the band (for m = 0: when
+    the band is empty).
+    """
+    reach = K * u2.support_bound()
+    band = W - reach
+    if abs(m) > band:
         raise WindowError(
-            f"window W={W} too small for harmonic {m} at order {K} (need >= {need})"
+            f"window W={W} too small for harmonic {m} at order {K} "
+            f"(need >= {abs(m) + reach})"
         )
+    return band
 
 
 def _amp_var(ctx: PolyContext, W: int, n: int) -> MultiPoly:
@@ -286,7 +278,7 @@ def secular_windowed(u2: LaurentPoly, m: int, K: int, W: int, ctx: PolyContext,
 
 def secular_pm(u2: LaurentPoly, m: int, K: int, W: int, ctx: PolyContext | None = None) -> MultiPoly:
     """The secular coefficient P_m(eps, tau, A), exact within the window."""
-    _require_window(m, K, W, u2)
+    window_band(u2, K, W, m)
     if ctx is None:
         ctx = make_context(K, W)
     return secular_windowed(u2, m, K, W, ctx, gk_poly(K))
@@ -295,6 +287,21 @@ def secular_pm(u2: LaurentPoly, m: int, K: int, W: int, ctx: PolyContext | None 
 # --------------------------------------------------------------------------
 # Theta resummation (even U)
 # --------------------------------------------------------------------------
+
+def _flip_odd(hs: HarmonicSeries) -> HarmonicSeries:
+    """Negate every odd-index entry: zeta -> -zeta, or t -> t + pi on the carrier."""
+    return HarmonicSeries(
+        hs.ctx, {m: (p if m % 2 == 0 else -p) for m, p in hs.entries.items()}
+    )
+
+
+def _eps_u(ctx: PolyContext, u2: LaurentPoly) -> HarmonicSeries:
+    """eps*U(zeta) as a harmonic series in the zeta-power."""
+    eps = ctx.var("eps")
+    return HarmonicSeries(
+        ctx, {l: eps.scale(c).scale(Fraction(1, 2)) for l, c in u2.terms.items()}
+    )
+
 
 class ThetaSeries:
     """Theta(eps, zeta) = sum_k (-1)^k N_k (eps U(zeta))^{2k+1}, truncated.
@@ -308,16 +315,19 @@ class ThetaSeries:
         self.ctx = ctx
         self.series = series
         self.u2 = u2
+        self._kernels = {}
 
     def zeta_negated(self) -> HarmonicSeries:
-        fac = GaussianRational(-1)
-        return HarmonicSeries(
-            self.ctx,
-            {l: (p if l % 2 == 0 else p.scale(fac)) for l, p in self.series.entries.items()},
-        )
+        return _flip_odd(self.series)
 
-    def zeta_inverted(self) -> HarmonicSeries:
-        return HarmonicSeries(self.ctx, {-l: p for l, p in self.series.entries.items()})
+    def kernel(self, odd: bool) -> HarmonicSeries:
+        """exp(Theta(eps,zeta) tau), or exp(-Theta tau) if odd; built once per parity."""
+        out = self._kernels.get(odd)
+        if out is None:
+            tau = self.ctx.var("t")
+            arg = self.series.map_entries(lambda p: p * tau)
+            out = self._kernels[odd] = _exp_series(-arg if odd else arg)
+        return out
 
     def sinh_residual(self) -> HarmonicSeries:
         """sinh(Theta) - eps U(zeta); identically zero mod eps^(K+1)."""
@@ -329,23 +339,14 @@ class ThetaSeries:
             acc = acc + power.map_entries(lambda p: p.scale(Fraction(1, math.factorial(n))))
             power = power.mul(self.series).mul(self.series)
             n += 2
-        eps = self.ctx.var("eps")
-        target = HarmonicSeries(
-            self.ctx,
-            {l: eps.scale(c).scale(Fraction(1, 2)) for l, c in self.u2.terms.items()},
-        )
-        return acc - target
+        return acc - _eps_u(self.ctx, self.u2)
 
 
 def theta_series(u2: LaurentPoly, K: int, ctx: PolyContext | None = None, W: int = 0) -> ThetaSeries:
     """The power-series solution of sinh(Theta) = eps U in the zeta variable."""
     if ctx is None:
         ctx = make_context(K, W)
-    eps = ctx.var("eps")
-    # eps*U(zeta) as a harmonic series in the zeta-power
-    epsu = HarmonicSeries(
-        ctx, {l: eps.scale(c).scale(Fraction(1, 2)) for l, c in u2.terms.items()}
-    )
+    epsu = _eps_u(ctx, u2)
     norms = norm_constants(K // 2 + 1)
     acc = HarmonicSeries.zero(ctx)
     power = epsu
@@ -375,47 +376,36 @@ def closed_form_amplitude(u2: LaurentPoly, m: int, K: int, W: int,
     """Theta-resummed amplitude for even U; equals secular_pm mod eps^(K+1)."""
     if not u2.is_even():
         raise ValueError("closed-form amplitudes require an even U")
-    _require_window(m, K, W, u2)
+    window_band(u2, K, W, m)
     if ctx is None:
         ctx = make_context(K, W)
     return _closed_windowed(u2, m, K, W, ctx, theta_series(u2, K, ctx))
 
 
 def _closed_windowed(u2, m, K, W, ctx, theta) -> MultiPoly:
-    tau = ctx.var("t")
-    arg = theta.zeta_inverted().map_entries(lambda p: p * tau)
-    if m % 2 != 0:
-        arg = -arg
-    kernel = _exp_series(arg)
+    """A_m = sum_j c_j A_{m-j}, c the kernel of m's parity."""
     out = ctx.zero()
-    for j, p in kernel.entries.items():
-        a = _amp_var(ctx, W, m + j)
+    for j, p in theta.kernel(m % 2 != 0).entries.items():
+        a = _amp_var(ctx, W, m - j)
         if not a.is_zero():
             out = out + p * a
     return out
 
 
+def _closed_family(u2: LaurentPoly, K: int, W: int, ctx: PolyContext, theta) -> dict:
+    """m -> A_m for every harmonic the windowed family reaches, |m| <= W + K*S."""
+    span = W + K * u2.support_bound()
+    return {m: _closed_windowed(u2, m, K, W, ctx, theta) for m in range(-span, span + 1)}
+
+
 def generating_series(u2: LaurentPoly, K: int, W: int, ctx: PolyContext) -> HarmonicSeries:
     """A(zeta, tau) = sum_m A_m(eps,tau,A) zeta^m for the windowed family."""
-    theta = theta_series(u2, K, ctx)
-    span = W + K * u2.support_bound()
-    entries = {}
-    for m in range(-span, span + 1):
-        p = _closed_windowed(u2, m, K, W, ctx, theta)
-        if not p.is_zero():
-            entries[m] = p
-    return HarmonicSeries(ctx, entries)
+    return HarmonicSeries(ctx, _closed_family(u2, K, W, ctx, theta_series(u2, K, ctx)))
 
 
 # --------------------------------------------------------------------------
 # Identity checks
 # --------------------------------------------------------------------------
-
-def _report(name, label, order, passed, detail=""):
-    from .checks import CheckReport
-
-    return CheckReport(name, label, order, passed, detail=detail)
-
 
 def check_difference_identities(u2: LaurentPoly, K: int, W: int, label="difference"):
     """The three exact identities of the scheme, each as a CheckReport.
@@ -427,73 +417,41 @@ def check_difference_identities(u2: LaurentPoly, K: int, W: int, label="differen
     """
     if not u2.is_even():
         raise ValueError("the closed-form identity checks require an even U")
-    S = u2.support_bound()
-    band = W - K * S
-    if band < 0:
-        raise WindowError(f"window W={W} too small for order {K} (need >= {K * S})")
+    band = window_band(u2, K, W)
     ctx = make_context(K, W)
     theta = theta_series(u2, K, ctx)
-    gk = gk_poly(K)
-    reports = []
+    closed = _closed_family(u2, K, W, ctx, theta)
 
     # (i) functional relation among the renormalized amplitudes
-    s = ctx.var("s")
-    bindings = {"t": ctx.var("t") - s}
-    span = W + K * S
-    closed_cache = {}
-    for n in range(-span, span + 1):
-        p = _closed_windowed(u2, n, K, W, ctx, theta)
-        closed_cache[n] = p
-        if abs(n) <= W:
-            bindings[amp_name(n)] = p.substitute({"t": s})
-    ok, detail = True, ""
-    for m in range(-band, band + 1):
-        lhs = closed_cache[m]
-        rhs = lhs.substitute(bindings)
-        if lhs != rhs:
-            ok, detail = False, f"harmonic {m}"
-            break
-    reports.append(_report("check_functional_relation", label, K, ok, detail))
+    amplitudes = {amp_name(n): closed[n] for n in range(-W, W + 1)}
+    entries = ((f"harmonic {m}", closed[m]) for m in range(-band, band + 1))
+    reports = [functional_relation(ctx, amplitudes, entries, label)]
 
-    # (ii) the difference equation for the resummed solution
-    theta_carrier = theta.series  # zeta -> e^{it}: same harmonic bookkeeping
-    mu_even = HarmonicSeries(
-        ctx, {m: ctx.var(amp_name(m)) for m in range(-W, W + 1) if m % 2 == 0}
-    )
-    mu_odd = HarmonicSeries(
-        ctx, {m: ctx.var(amp_name(m)) for m in range(-W, W + 1) if m % 2 != 0}
-    )
-    tau = ctx.var("t")
-    arg = theta_carrier.map_entries(lambda p: p * tau)
-    y = _exp_series(arg).mul(mu_even) + _exp_series(-arg).mul(mu_odd)
+    # (ii) the difference equation for the resummed solution; zeta -> e^{it}
+    # keeps the harmonic bookkeeping, each amplitude takes its parity's kernel
+    y = HarmonicSeries.zero(ctx)
+    for odd in (False, True):
+        mu = HarmonicSeries(
+            ctx, {m: ctx.var(amp_name(m)) for m in range(-W, W + 1) if (m % 2 != 0) == odd}
+        )
+        y = y + theta.kernel(odd).mul(mu)
 
     def shift(hs, delta):
-        image = {"t": ctx.var("t") + ctx.const(GaussianRational(delta))}
-        out = {}
-        for m, p in hs.entries.items():
-            q = p.substitute(image)
-            out[m] = q if m % 2 == 0 else -q
-        return HarmonicSeries(ctx, out)
+        # t -> t + delta*pi: tau -> tau + delta, and e^{imt} gains (-1)^m
+        advance = Substitution(ctx, {"t": ctx.var("t") + ctx.const(delta)})
+        return _flip_odd(hs.map_entries(advance))
 
-    eps = ctx.var("eps")
-    u2_series = HarmonicSeries(ctx, {l: eps.scale(c) for l, c in u2.terms.items()})
-    residual = shift(y, 1) - shift(y, -1) - u2_series.mul(y)
+    residual = shift(y, 1) - shift(y, -1) - _eps_u(ctx, u2).mul(y + y)
     ok = residual.is_zero()
     detail = "" if ok else f"harmonic {residual.support()[0]}"
-    reports.append(_report("check_difference_equation", label, K, ok, detail))
+    reports.append(CheckReport("check_difference_equation", label, K, ok, detail=detail))
 
     # (iii) the RG flow of the generating series
-    gen = HarmonicSeries(ctx, {m: p for m, p in closed_cache.items() if not p.is_zero()})
-    lhs = gen.map_entries(lambda p: p.diff_t())
-    gen_neg = HarmonicSeries(
-        ctx,
-        {m: (p if m % 2 == 0 else p.scale(GaussianRational(-1))) for m, p in gen.entries.items()},
-    )
-    rhs = theta.series.mul(gen_neg)
-    residual = lhs - rhs
+    gen = HarmonicSeries(ctx, closed)
+    residual = gen.map_entries(lambda p: p.diff_t()) - theta.series.mul(_flip_odd(gen))
     ok = residual.is_zero()
     detail = "" if ok else f"zeta-power {residual.support()[0]}"
-    reports.append(_report("check_rg_flow", label, K, ok, detail))
+    reports.append(CheckReport("check_rg_flow", label, K, ok, detail=detail))
     return reports
 
 

@@ -57,6 +57,14 @@ class SecularTable:
     def entry(self, j: int, m: int) -> MultiPoly:
         return self.components[j].get(m)
 
+    def observed_components(self) -> list:
+        """The components the identities are stated for.
+
+        The scalar class keeps only slot 0, y itself: its other slots are the
+        time derivatives of y and follow from it.
+        """
+        return self.components[:1] if self.spec.klass == "scalar" else self.components
+
     def min_orders(self) -> dict:
         out = {}
         for j, comp in enumerate(self.components):

@@ -440,12 +440,6 @@ class VPoly:
             out = out + term
         return out
 
-    def max_eps_power(self) -> int:
-        return max((k for (k, _, _, _) in self.terms), default=0)
-
-    def carrier_support(self):
-        return sorted({l for (_, l, _, _) in self.terms})
-
     def render(self, state_names, param_names) -> str:
         """Deterministic expression string; reparses to the same VPoly."""
         if not self.terms:

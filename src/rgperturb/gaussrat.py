@@ -35,9 +35,6 @@ class GaussianRational:
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational._new(self.re + other.re, self.im + other.im)

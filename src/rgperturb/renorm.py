@@ -92,13 +92,9 @@ def derive_rg(table: SecularTable) -> RGSystem:
 
 def renormalized_expansion(table: SecularTable) -> RenExpansion:
     """Set t=0 in every secular coefficient; amplitudes become renormalized."""
-    if table.spec.klass == "scalar":
-        comps = [table.components[0]]
-    else:
-        comps = table.components
     out = [
         HarmonicSeries(table.ctx, {m: p.set_zero("t") for m, p in comp.entries.items()})
-        for comp in comps
+        for comp in table.observed_components()
     ]
     return RenExpansion(table.ctx, table.spec.klass, out)
 

@@ -83,10 +83,6 @@ class ODESystemSpec:
     def state_names(self) -> tuple:
         return state_names_for(self.klass, self.n_states)
 
-    def scalar_modes(self) -> tuple:
-        """The m_r value attached to each scalar amplitude (r,j) slot."""
-        return tuple(m for m, n in self.factors for _ in range(n))
-
     def is_autonomous(self) -> bool:
         return all(vp.is_autonomous() for vp in self.v_polys)
 

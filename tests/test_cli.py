@@ -152,6 +152,26 @@ class TestVerify:
         assert "PASS check_difference_equation" in out
         assert "INFO stability" in out
 
+    @pytest.mark.parametrize("seed,order", [(35, 3), (28, 4)])
+    def test_numeric_smoke_preasymptotic_passes(self, capsys, seed, order):
+        # every exact check passes; at (0.2, 0.1) the truncation tail has not
+        # yet reached its 2^(K+1) scaling, at (0.1, 0.05) it has
+        code, out, _ = run(capsys, "verify", "--random", "nilpotent", "--seed", str(seed),
+                           "--order", str(order))
+        assert code == 0, out
+        assert "PASS numeric_smoke" in out
+
+    def test_difference_window_too_small_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps({"class": "difference", "alpha": [[2, "1"], [-2, "1"]],
+                                    "order": 4, "window": 5}))
+        errors = []
+        for command in ("expand", "verify"):
+            code, out, err = run(capsys, command, "--spec", str(path))
+            assert code == 2 and out == ""
+            errors.append(err)
+        assert errors == ["error: window W=5 too small for harmonic 0 at order 4 (need >= 8)\n"] * 2
+
 
 class TestSimulate:
     def test_pipeline_artifacts(self, capsys, tmp_path):

@@ -264,6 +264,20 @@ class TestClosedForm:
         expect = _exp_series(arg).mul(mu_even) + _exp_series(-arg).mul(mu_odd)
         assert gen == expect
 
+    def test_one_kernel_per_parity(self, monkeypatch):
+        from rgperturb import difference
+
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _exp_series(x)
+
+        monkeypatch.setattr(difference, "_exp_series", counted)
+        gen = generating_series(u2_cosine(), 4, 10, make_context(4, 10))
+        assert len(gen.entries) > 2
+        assert len(calls) == 2
+
 
 class TestIdentities:
     def test_all_three_pass(self):
@@ -291,6 +305,10 @@ class TestIdentities:
         relation = {r.name: r for r in reports}["check_functional_relation"]
         assert not relation.passed
         assert relation.line().startswith("FAIL check_functional_relation")
+        # the shared comparison names the first differing monomial, both sides
+        assert relation.detail.startswith("harmonic ")
+        assert "; monomial " in relation.detail
+        assert "lhs=" in relation.detail and "rhs=" in relation.detail
 
     def test_window_too_small(self):
         with pytest.raises(WindowError):

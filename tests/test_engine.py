@@ -276,6 +276,12 @@ class TestScalar:
         for res in table_residuals(third_table):
             assert res.is_zero()
 
+    def test_observed_components_is_slot_zero(self, third_table, cd_table):
+        # the derivative slots follow from y; a system observes every component
+        assert len(third_table.components) == 3
+        assert third_table.observed_components() == third_table.components[:1]
+        assert cd_table.observed_components() == cd_table.components
+
 
 class TestDispatch:
     def test_expand_table_routes(self):

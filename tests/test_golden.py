@@ -1,7 +1,8 @@
 """Byte-level goldens of the command-line output for every built-in.
 
 Each case pins the SHA-256 of stdout and the exit code of one command at the
-built-in's default order, plus ``verify`` of ex_cd at order 8.  A refactor
+built-in's default order, plus ``verify`` of ex_cd at order 8 and of the
+cosine difference equation at order 6, window 16 (a spec file).  A refactor
 of the engine, the renormalization layer or the checks must leave all of
 them unchanged.  The ``verify --corrupt`` cases pin the FAIL detail text of
 the corrupted table's checks; the ``numeric_smoke`` line is left out of the
@@ -10,6 +11,7 @@ identity.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -17,6 +19,7 @@ from rgperturb.cli import main
 
 COMMANDS = {
     "expand": ("expand", "--format", "machine"),
+    "verify": ("verify",),
     "rg": ("rg", "--format", "machine"),
     "corrupt": ("verify", "--corrupt"),
     # the benchmark's order: reaches image degrees the default orders do not
@@ -24,7 +27,10 @@ COMMANDS = {
     "corrupt8": ("verify", "--order", "8", "--corrupt"),
 }
 
-# (builtin or random-<class>-<seed>, command) -> (exit code, SHA-256 of stdout)
+COSINE = "cosine_difference.json"
+COSINE_DOC = {"class": "difference", "alpha": [[2, "1"], [-2, "1"]], "order": 6, "window": 16}
+
+# (builtin, random-<class>-<seed> or spec file name, command) -> (exit code, SHA-256 of stdout)
 GOLDEN = {
     ("ex_bt", "expand"): (0, "bc16841b949144d20205e873b5808ebc26165203c650f644331d2ca56d7ab5e4"),
     ("ex_bt", "rg"): (0, "a5849a094291daf3f9b21bca26e9350f1cbc9a7367bcf8e1942107a3b0153c2b"),
@@ -49,10 +55,17 @@ GOLDEN = {
     # a scalar spec whose corrupted naive residual depends on the table's own
     # derivative slots, not only on slot 0 (the built-ins do not show this)
     ("random-scalar-2", "corrupt"): (1, "2959006483285fe0185baed0c74601b20a4ad328d7b1cf15fd28aaa5e73bc76e"),
+    # the benchmark's difference job: the window is wide enough for order 6
+    (COSINE, "expand"): (0, "4e8e7238cc141fe55f64196616263c413e48b4bc5235223fe732cccb5cf9003c"),
+    (COSINE, "verify"): (0, "7fa0ad7ec6fbd0589573f2126d01268792c39426febdface601d417e831eb821"),
 }
 
 
-def source_args(source):
+def source_args(source, tmp_path):
+    if source == COSINE:
+        path = tmp_path / COSINE  # the file name is the label in the output
+        path.write_text(json.dumps(COSINE_DOC))
+        return ["--spec", str(path)]
     if source.startswith("random-"):
         _, klass, seed = source.split("-")
         return ["--random", klass, "--seed", seed]
@@ -60,9 +73,9 @@ def source_args(source):
 
 
 @pytest.mark.parametrize("source,command", sorted(GOLDEN))
-def test_stdout_is_byte_identical(capsys, source, command):
+def test_stdout_is_byte_identical(capsys, tmp_path, source, command):
     argv = list(COMMANDS[command])
-    argv[1:1] = source_args(source)
+    argv[1:1] = source_args(source, tmp_path)
     code = main(argv)
     out = capsys.readouterr().out
     if argv[0] == "verify":
