@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .gaussrat import GaussianRational
 from .poly import MultiPoly, HarmonicSeries, PolyContext, Substitution
-from .expressions import VPoly
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
     SecularTable,
@@ -240,23 +239,6 @@ def check_homogeneity(table: SecularTable, seed=None) -> CheckReport:
     return CheckReport("check_homogeneity", table.label, ctx.order, True, seed=seed)
 
 
-def vpoly_to_amplitude_poly(vp: VPoly, ctx: PolyContext) -> MultiPoly:
-    """Read a forcing polynomial as a polynomial in the amplitude symbols."""
-    out = ctx.zero()
-    poff = 3 + len(ctx.amplitudes)
-    for (k, l, se, pe), c in vp.terms.items():
-        if l:
-            raise SpecError("carrier-dependent forcing has no amplitude reading")
-        exps = [0] * ctx.nvars
-        exps[0] = k
-        for i, e in enumerate(se):
-            exps[3 + i] = e
-        for i, e in enumerate(pe):
-            exps[poff + i] = e
-        out = out + ctx.monomial(c, tuple(exps))
-    return out
-
-
 def check_autonomous_reduction(table: SecularTable, seed=None) -> CheckReport:
     """For autonomous V with zero linear modes the RG equation is the system itself.
 
@@ -288,7 +270,8 @@ def check_autonomous_reduction(table: SecularTable, seed=None) -> CheckReport:
     def gen():
         n = len(ctx.amplitudes)
         for j, vp in enumerate(spec.v_polys):
-            expect = vpoly_to_amplitude_poly(vp, ctx) * eps
+            # V is harmonic 0 alone, its states in the slots of the amplitudes
+            expect = vp.get(0).rehome(ctx) * eps
             if spec.klass == "nilpotent" and j + 1 < n:
                 expect = expect + ctx.var(ctx.amplitudes[j + 1])
             yield f"field {ctx.amplitudes[j]}", rg.fields[j], expect

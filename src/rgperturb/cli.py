@@ -113,6 +113,15 @@ def rg_from_machine(text: str):
 # Input resolution
 # --------------------------------------------------------------------------
 
+def _with_order(spec, order):
+    """The spec re-parsed at another truncation order, or itself for None."""
+    if order is None:
+        return spec
+    doc = spec.to_document()
+    doc["order"] = order
+    return parse_spec(json.dumps(doc))
+
+
 def load_spec(args) -> tuple:
     """Returns (spec, label); enforces exactly one input source."""
     builtin = getattr(args, "builtin", None)
@@ -124,12 +133,7 @@ def load_spec(args) -> tuple:
     if path:
         with open(path) as fh:
             text = fh.read()
-        spec = parse_spec(text)
-        if args.order is not None:
-            doc = spec.to_document()
-            doc["order"] = args.order
-            spec = parse_spec(json.dumps(doc))
-        return spec, os.path.basename(path)
+        return _with_order(parse_spec(text), args.order), os.path.basename(path)
     raise SpecError("an input is required: --builtin NAME or --spec PATH")
 
 
@@ -273,11 +277,7 @@ def cmd_verify(args) -> int:
     smoke_ok = True
     if args.random:
         seed = args.seed if args.seed is not None else 0
-        spec = random_spec(args.random, seed)
-        if args.order is not None:
-            doc = spec.to_document()
-            doc["order"] = args.order
-            spec = parse_spec(json.dumps(doc))
+        spec = _with_order(random_spec(args.random, seed), args.order)
         label = f"random-{args.random}-{seed}"
     else:
         spec, label = load_spec(args)

@@ -35,7 +35,7 @@ from .poly import (
     resolve_shift,
     EPS,
 )
-from .expressions import VPoly
+from .expressions import render_forcing
 from .systems import ODESystemSpec, SpecError
 
 
@@ -105,8 +105,14 @@ def make_context(spec: ODESystemSpec) -> PolyContext:
     return PolyContext(spec.amplitude_names, spec.params, spec.order)
 
 
-def eval_vpoly_hs(vp: VPoly, comps, ctx: PolyContext, trunc: int, cache=None) -> HarmonicSeries:
-    """Evaluate a forcing polynomial with states bound to harmonic series."""
+def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
+                  cache=None) -> HarmonicSeries:
+    """Evaluate a forcing series with states bound to harmonic series.
+
+    V's context has the states where `ctx` has the amplitudes, one for one,
+    so a term's exponent vector with the states zeroed is a monomial of
+    `ctx`.  Harmonics and terms are visited in insertion order.
+    """
     if cache is None:
         cache = {}
 
@@ -118,20 +124,18 @@ def eval_vpoly_hs(vp: VPoly, comps, ctx: PolyContext, trunc: int, cache=None) ->
             cache[key] = p
         return p
 
+    n = len(ctx.amplitudes)
+    no_states = (0,) * n
     out = HarmonicSeries.zero(ctx)
-    poff = 3 + len(ctx.amplitudes)
-    for (k, l, se, pe), c in vp.terms.items():
-        if k > trunc:
-            continue
-        exps = [0] * ctx.nvars
-        exps[EPS] = k
-        for idx, e in enumerate(pe):
-            exps[poff + idx] = e
-        hs = HarmonicSeries.single(l, ctx.monomial(c, exps))
-        for j, e in enumerate(se):
-            if e:
-                hs = hs.mul(state_pow(j, e), trunc)
-        out = out + hs
+    for l, poly in vp.entries.items():
+        for e, c in poly.terms.items():
+            if e[EPS] > trunc:
+                continue
+            hs = HarmonicSeries.single(l, ctx.monomial(c, e[:3] + no_states + e[3 + n:]))
+            for j, k in enumerate(e[3:3 + n]):
+                if k:
+                    hs = hs.mul(state_pow(j, k), trunc)
+            out = out + hs
     return out
 
 
@@ -199,14 +203,24 @@ def _expand(spec, label, comps, v_polys, solve, resonant, gauge_mode=0) -> Secul
     return SecularTable(spec, ctx, comps, resonant, label=label, gauge_mode=gauge_mode)
 
 
-def gauge_reduce_nilpotent(vp: VPoly, m: int) -> VPoly:
-    """E^{-m} V(eps, E, y -> E^m y): removes the i*m*Id part of the block."""
-    if m == 0:
-        return vp
+def _shift_carrier(vp: HarmonicSeries, weights, offset) -> HarmonicSeries:
+    """E^{-offset} V(eps, E, y_j -> E^{w_j} y_j).
+
+    A term E^l y^se moves to harmonic l + sum_j w_j se_j - offset with its
+    exponents unchanged, so no two terms meet.
+    """
+    n = len(weights)
     out = {}
-    for (k, l, se, pe), c in vp.terms.items():
-        out[(k, l + m * (sum(se) - 1), se, pe)] = c
-    return VPoly(vp.nstates, vp.nparams, out)
+    for l, p in vp.entries.items():
+        for e, c in p.terms.items():
+            m = l - offset + sum(w * k for w, k in zip(weights, e[3:3 + n]))
+            out.setdefault(m, {})[e] = c
+    return HarmonicSeries(vp.ctx, {m: MultiPoly(vp.ctx, terms) for m, terms in out.items()})
+
+
+def gauge_reduce_nilpotent(vp: HarmonicSeries, m: int) -> HarmonicSeries:
+    """E^{-m} V(eps, E, y -> E^m y): removes the i*m*Id part of the block."""
+    return _shift_carrier(vp, (m,) * len(vp.ctx.amplitudes), m)
 
 
 def expand_semisimple(spec: ODESystemSpec, label="") -> SecularTable:
@@ -346,21 +360,13 @@ def gauge_reduce_semisimple(spec: ODESystemSpec) -> ODESystemSpec:
     if spec.klass != "semisimple":
         raise SpecError("gauge_reduce_semisimple needs a semisimple spec")
     modes = spec.modes
-    new_polys = []
-    for j, vp in enumerate(spec.v_polys):
-        out = {}
-        for (k, l, se, pe), c in vp.terms.items():
-            shift = sum(e * m for e, m in zip(se, modes)) - modes[j]
-            key = (k, l + shift, se, pe)
-            out[key] = out.get(key, GaussianRational(0)) + c
-        new_polys.append(VPoly(vp.nstates, vp.nparams, {e: c for e, c in out.items() if not c.is_zero()}))
-    new = ODESystemSpec(
+    v_polys = [_shift_carrier(vp, modes, m) for vp, m in zip(spec.v_polys, modes)]
+    return ODESystemSpec(
         klass="semisimple",
         order=spec.order,
         params=spec.params,
+        v_srcs=tuple(render_forcing(vp) for vp in v_polys),
+        v_polys=v_polys,
         modes=tuple(0 for _ in modes),
         amplitude_names=spec.amplitude_names,
     )
-    new.v_polys = new_polys
-    new.v_srcs = tuple(vp.render(spec.state_names, spec.params) for vp in new_polys)
-    return new

@@ -17,6 +17,12 @@ an expression is expanded against a PolyContext -- any context symbol.
 Division is accepted by the parser but must resolve to division by a nonzero
 constant; dividing by a state symbol (or eps, or a parameter) is rejected
 when the expression is expanded, which keeps V polynomial.
+
+`expand` is the one expander: it turns an AST into a `HarmonicSeries`, so V
+lives in the same ring as the secular tables.  A forcing V_j(eps, E, y) is
+expanded over its own context, whose amplitude slots hold the states and
+whose order bounds V's eps-degree (`ast_to_vpoly`); an expression over a
+table's symbols is the harmonic-0 entry (`ast_to_poly`).
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussrat import GaussianRational, ONE, I
-from .poly import PolyContext, MultiPoly
+from .gaussrat import GaussianRational, ONE, ZERO, I
+from .poly import PolyContext, MultiPoly, HarmonicSeries, hs_pow, EPS
 
 
 class ExprSyntaxError(ValueError):
@@ -298,285 +304,152 @@ def render_expression(node) -> str:
 
 
 # --------------------------------------------------------------------------
-# Expanded normal form: polynomial in (eps, E, states, params)
+# Expansion into the polynomial ring of `poly`
 # --------------------------------------------------------------------------
 
-class VPoly:
-    """Sparse expansion of a forcing expression.
+def constant_value(hs: HarmonicSeries):
+    """The coefficient if `hs` is a constant (zero included), else None."""
+    if not hs.entries:
+        return ZERO
+    c = _carrier_monomial(hs)
+    return c[0] if c is not None and c[1] == 0 else None
 
-    Term keys are (eps_power, E_power, state_exponents, param_exponents) with
-    E_power ranging over all integers (Laurent in the carrier).
+
+def _carrier_monomial(hs: HarmonicSeries):
+    """(c, l) if `hs` is c*E^l with no eps, state or parameter, else None."""
+    if len(hs.entries) != 1:
+        return None
+    (l, p), = hs.entries.items()
+    if len(p.terms) != 1:
+        return None
+    (e, c), = p.terms.items()
+    return None if any(e) else (c, l)
+
+
+def expand(node, ctx: PolyContext, names, carrier: bool) -> HarmonicSeries:
+    """Expand an AST into sum_l P_l E^l, the P_l polynomials over `ctx`.
+
+    Identifiers must be among `names` (context symbols); `E` is allowed only
+    when `carrier` is set.  Negative powers are allowed only on nonzero
+    E-monomials and division only by nonzero constants, so the result stays
+    polynomial.  Products are eps-truncated at the context order.
     """
-
-    __slots__ = ("nstates", "nparams", "terms")
-
-    def __init__(self, nstates: int, nparams: int, terms: dict | None = None):
-        self.nstates = nstates
-        self.nparams = nparams
-        self.terms = terms or {}
-
-    @classmethod
-    def const(cls, nstates, nparams, c: GaussianRational) -> "VPoly":
-        if c.is_zero():
-            return cls(nstates, nparams, {})
-        key = (0, 0, (0,) * nstates, (0,) * nparams)
-        return cls(nstates, nparams, {key: c})
-
-    def _like(self, terms):
-        return VPoly(self.nstates, self.nparams, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_autonomous(self) -> bool:
-        return all(l == 0 for (_, l, _, _) in self.terms)
-
-    def constant_value(self):
-        """The coefficient if this is a pure constant, else None."""
-        if not self.terms:
-            from .gaussrat import ZERO
-            return ZERO
-        if len(self.terms) != 1:
-            return None
-        (k, l, se, pe), c = next(iter(self.terms.items()))
-        if k or l or any(se) or any(pe):
-            return None
-        return c
-
-    def carrier_monomial(self):
-        """(c, l) if this is c*E^l with no eps/state/param content, else None."""
-        if len(self.terms) != 1:
-            return None
-        (k, l, se, pe), c = next(iter(self.terms.items()))
-        if k or any(se) or any(pe):
-            return None
-        return (c, l)
-
-    def __add__(self, other: "VPoly") -> "VPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc.is_zero():
-                    del out[e]
-                else:
-                    out[e] = acc
-        return self._like(out)
-
-    def __neg__(self) -> "VPoly":
-        return self._like({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "VPoly") -> "VPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "VPoly") -> "VPoly":
-        out = {}
-        for (k1, l1, s1, p1), c1 in self.terms.items():
-            for (k2, l2, s2, p2), c2 in other.terms.items():
-                key = (
-                    k1 + k2,
-                    l1 + l2,
-                    tuple(map(int.__add__, s1, s2)),
-                    tuple(map(int.__add__, p1, p2)),
-                )
-                c = c1 * c2
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c
-                else:
-                    acc = acc + c
-                    if acc.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = acc
-        return self._like(out)
-
-    def scale(self, c: GaussianRational) -> "VPoly":
-        if c.is_zero():
-            return self._like({})
-        return self._like({e: v * c for e, v in self.terms.items()})
-
-    def pow(self, n: int) -> "VPoly":
-        if n < 0:
-            mono = self.carrier_monomial()
-            if mono is None or mono[0].is_zero():
-                raise ExprSemanticError(
-                    "negative powers are only allowed for nonzero E-monomials"
-                )
-            c, l = mono
-            inv = ONE / c
-            out = VPoly.const(self.nstates, self.nparams, ONE)
-            for _ in range(-n):
-                out = out * self._like({(0, -l, (0,) * self.nstates, (0,) * self.nparams): inv})
-            return out
-        result = VPoly.const(self.nstates, self.nparams, ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def substitute_states(self, images: list["VPoly"]) -> "VPoly":
-        """Replace state j by images[j] (a VPoly over the *new* state set)."""
-        if not images:
-            raise ExprSemanticError("no substitution images")
-        proto = images[0]
-        out = VPoly.const(proto.nstates, proto.nparams, GaussianRational(0))
-        for (k, l, se, pe), c in self.terms.items():
-            term = VPoly(
-                proto.nstates,
-                proto.nparams,
-                {(k, l, (0,) * proto.nstates, pe): c},
-            )
-            for j, e in enumerate(se):
-                for _ in range(e):
-                    term = term * images[j]
-            out = out + term
-        return out
-
-    def render(self, state_names, param_names) -> str:
-        """Deterministic expression string; reparses to the same VPoly."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda e: (e[0], e[1], e[2], e[3])):
-            k, l, se, pe = key
-            c = self.terms[key]
-            factors = []
-            if not c.im:
-                q = c.re
-            elif not c.re:
-                factors.append("i")
-                q = c.im
-            else:
-                factors.append(f"({c})")
-                q = Fraction(1)
-            if k:
-                factors.append("eps" if k == 1 else f"eps^{k}")
-            if l:
-                factors.append("E" if l == 1 else f"E^{l}")
-            for name, e in zip(state_names, se):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            for name, e in zip(param_names, pe):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            neg = q < 0
-            q = abs(q)
-            if q != 1 or not factors:
-                factors.insert(0, str(q))
-            txt = "*".join(factors)
-            parts.append(("-" if neg else "") + txt)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, VPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"<VPoly {len(self.terms)} terms>"
-
-
-def ast_to_vpoly(node, state_names, param_names) -> VPoly:
-    """Expand an AST over the given state/parameter symbol lists."""
-    ns, np_ = len(state_names), len(param_names)
-    sidx = {name: j for j, name in enumerate(state_names)}
-    pidx = {name: j for j, name in enumerate(param_names)}
-
-    def const(c):
-        return VPoly.const(ns, np_, c)
-
-    def go(n) -> VPoly:
-        if isinstance(n, Rat):
-            return const(GaussianRational(n.value))
-        if isinstance(n, ImagUnit):
-            return const(I)
-        if isinstance(n, EpsSym):
-            return VPoly(ns, np_, {(1, 0, (0,) * ns, (0,) * np_): ONE})
-        if isinstance(n, Carrier):
-            return VPoly(ns, np_, {(0, 1, (0,) * ns, (0,) * np_): ONE})
-        if isinstance(n, Name):
-            if n.name in sidx:
-                se = [0] * ns
-                se[sidx[n.name]] = 1
-                return VPoly(ns, np_, {(0, 0, tuple(se), (0,) * np_): ONE})
-            if n.name in pidx:
-                pe = [0] * np_
-                pe[pidx[n.name]] = 1
-                return VPoly(ns, np_, {(0, 0, (0,) * ns, tuple(pe)): ONE})
-            raise ExprSemanticError(f"unknown symbol {n.name!r}")
-        if isinstance(n, Neg):
+    def go(n) -> HarmonicSeries:
+        kind = type(n)
+        if kind is Rat:
+            return HarmonicSeries.single(0, ctx.const(GaussianRational(n.value)))
+        if kind is ImagUnit:
+            return HarmonicSeries.single(0, ctx.const(I))
+        if kind is EpsSym:
+            return HarmonicSeries.single(0, ctx.var("eps"))
+        if kind is Carrier:
+            if not carrier:
+                raise ExprSemanticError("E has no meaning in a plain polynomial context")
+            return HarmonicSeries.single(1, ctx.one())
+        if kind is Name:
+            if n.name not in names:
+                raise ExprSemanticError(f"unknown symbol {n.name!r}")
+            return HarmonicSeries.single(0, ctx.var(n.name))
+        if kind is Neg:
             return -go(n.operand)
-        if isinstance(n, Add):
+        if kind is Add:
             return go(n.lhs) + go(n.rhs)
-        if isinstance(n, Sub):
+        if kind is Sub:
             return go(n.lhs) - go(n.rhs)
-        if isinstance(n, Mul):
+        if kind is Mul:
             return go(n.lhs) * go(n.rhs)
-        if isinstance(n, Div):
-            denom = go(n.rhs).constant_value()
+        if kind is Div:
+            denom = constant_value(go(n.rhs))
             if denom is None:
                 raise ExprSemanticError("division only by constants (V must stay polynomial)")
             if denom.is_zero():
                 raise ExprSemanticError("division by zero")
-            return go(n.lhs).scale(ONE / denom)
-        if isinstance(n, Pow):
-            return go(n.base).pow(n.exponent)
+            inv = ONE / denom
+            return go(n.lhs).map_entries(lambda p: p.scale(inv))
+        if kind is Pow:
+            base = go(n.base)
+            if n.exponent >= 0:
+                return hs_pow(base, n.exponent)
+            mono = _carrier_monomial(base)
+            if mono is None:
+                raise ExprSemanticError(
+                    "negative powers are only allowed for nonzero E-monomials"
+                )
+            c, l = mono
+            return hs_pow(HarmonicSeries.single(-l, ctx.const(ONE / c)), -n.exponent)
         raise TypeError(f"not an expression node: {n!r}")
 
     return go(node)
+
+
+def _eps_bound(node) -> int:
+    """An upper bound on the eps-degree of the expanded node."""
+    kind = type(node)
+    if kind is EpsSym:
+        return 1
+    if kind is Add or kind is Sub:
+        return max(_eps_bound(node.lhs), _eps_bound(node.rhs))
+    if kind is Mul or kind is Div:
+        return _eps_bound(node.lhs) + _eps_bound(node.rhs)
+    if kind is Pow:
+        return node.exponent * _eps_bound(node.base) if node.exponent > 0 else 0
+    if kind is Neg:
+        return _eps_bound(node.operand)
+    return 0
+
+
+def ast_to_vpoly(node, state_names, param_names) -> HarmonicSeries:
+    """Expand a forcing expression over its own context, never truncating.
+
+    The forcing context is PolyContext(state_names, param_names, d) with d an
+    upper bound on the expression's eps-degree, so the states sit in the
+    amplitude slots and every term survives.
+    """
+    ctx = PolyContext(state_names, param_names, _eps_bound(node))
+    return expand(node, ctx, ctx.amplitudes + ctx.params, True)
 
 
 def ast_to_poly(node, ctx: PolyContext) -> MultiPoly:
     """Expand an AST whose identifiers are PolyContext symbols (no E allowed)."""
+    return expand(node, ctx, ctx.symbols, False).get(0)
 
-    def go(n) -> MultiPoly:
-        if isinstance(n, Rat):
-            return ctx.const(GaussianRational(n.value))
-        if isinstance(n, ImagUnit):
-            return ctx.const(I)
-        if isinstance(n, EpsSym):
-            return ctx.var("eps")
-        if isinstance(n, Carrier):
-            raise ExprSemanticError("E has no meaning in a plain polynomial context")
-        if isinstance(n, Name):
-            return ctx.var(n.name)
-        if isinstance(n, Neg):
-            return -go(n.operand)
-        if isinstance(n, Add):
-            return go(n.lhs) + go(n.rhs)
-        if isinstance(n, Sub):
-            return go(n.lhs) - go(n.rhs)
-        if isinstance(n, Mul):
-            return go(n.lhs) * go(n.rhs)
-        if isinstance(n, Div):
-            rhs = go(n.rhs)
-            c = None
-            if len(rhs.terms) == 1:
-                (e, v), = rhs.terms.items()
-                if not any(e):
-                    c = v
-            elif rhs.is_zero():
-                raise ExprSemanticError("division by zero")
-            if c is None:
-                raise ExprSemanticError("division only by constants")
-            return go(n.lhs).scale(ONE / c)
-        if isinstance(n, Pow):
-            if n.exponent < 0:
-                raise ExprSemanticError("negative powers not allowed here")
-            return go(n.base) ** n.exponent
-        raise TypeError(f"not an expression node: {n!r}")
 
-    return go(node)
+def render_forcing(vp: HarmonicSeries) -> str:
+    """Deterministic expression string of a forcing series; reparses to it.
+
+    Terms are sorted by (eps power, E power, state exponents, parameter
+    exponents); the state and parameter names are those of the context.
+    """
+    ctx = vp.ctx
+    n = len(ctx.amplitudes)
+    terms = sorted(
+        ((e[EPS], l, e[3:3 + n], e[3 + n:]), c)
+        for l, p in vp.entries.items() for e, c in p.terms.items()
+    )
+    if not terms:
+        return "0"
+    parts = []
+    for (k, l, se, pe), c in terms:
+        factors = []
+        if not c.im:
+            q = c.re
+        elif not c.re:
+            factors.append("i")
+            q = c.im
+        else:
+            factors.append(f"({c})")
+            q = Fraction(1)
+        if k:
+            factors.append("eps" if k == 1 else f"eps^{k}")
+        if l:
+            factors.append("E" if l == 1 else f"E^{l}")
+        for name, e in zip(ctx.amplitudes + ctx.params, se + pe):
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
+        if abs(q) != 1 or not factors:
+            factors.insert(0, str(abs(q)))
+        parts.append(("-" if q < 0 else "") + "*".join(factors))
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import MultiPoly
+from .poly import MultiPoly, EPS
 from .systems import ODESystemSpec, SpecError
 from .renorm import RGSystem, RenExpansion, PolarRG
 
@@ -64,14 +64,20 @@ def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Traje
 # Compiled right-hand sides
 # --------------------------------------------------------------------------
 
-def compile_vpoly(vp, param_values: dict, param_names) -> callable:
-    """Numeric closure (t, y, eps) -> complex for one forcing polynomial."""
+def compile_vpoly(vp, param_values: dict) -> callable:
+    """Numeric closure (t, y, eps) -> complex for one forcing series.
+
+    Terms are summed harmonic by harmonic, each in insertion order.
+    """
+    ctx = vp.ctx
+    n = len(ctx.amplitudes)
     terms = []
-    for (k, l, se, pe), c in vp.terms.items():
-        coeff = complex(c)
-        for name, e in zip(param_names, pe):
-            coeff *= complex(param_values[name]) ** e
-        terms.append((coeff, k, l, se))
+    for l, p in vp.entries.items():
+        for e, c in p.terms.items():
+            coeff = complex(c)
+            for name, k in zip(ctx.params, e[3 + n:]):
+                coeff *= complex(param_values[name]) ** k
+            terms.append((coeff, e[EPS], l, e[3:3 + n]))
 
     def value(t, y, eps):
         total = 0j
@@ -101,7 +107,7 @@ def _check_params(spec, params):
 def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
     """Numeric RHS of the original equation as a first-order complex system."""
     params = _check_params(spec, params)
-    vs = [compile_vpoly(vp, params, spec.params) for vp in spec.v_polys]
+    vs = [compile_vpoly(vp, params) for vp in spec.v_polys]
     if spec.klass == "semisimple":
         modes = np.array(spec.modes, dtype=float)
 

@@ -247,6 +247,16 @@ class MultiPoly:
         """Drop all terms of eps-order above k."""
         return MultiPoly(self.ctx, {e: c for e, c in self.terms.items() if e[EPS] <= k})
 
+    def rehome(self, ctx: PolyContext) -> "MultiPoly":
+        """The same exponent vectors read in `ctx`, dropping eps-orders above its order.
+
+        `ctx` must have as many symbols; slot k keeps its exponent whatever
+        the two contexts call it.
+        """
+        if ctx.nvars != self.ctx.nvars:
+            raise PolyError("rehome needs a context with as many symbols")
+        return MultiPoly(ctx, {e: c for e, c in self.terms.items() if e[EPS] <= ctx.order})
+
     def set_zero(self, name: str) -> "MultiPoly":
         """Substitute name -> 0."""
         i = self.ctx.index(name)
@@ -455,7 +465,7 @@ class HarmonicSeries:
 
     def __init__(self, ctx: PolyContext, entries: dict):
         self.ctx = ctx
-        self.entries = {m: p for m, p in entries.items() if not p.is_zero()}
+        self.entries = {m: p for m, p in entries.items() if p.terms}
 
     @classmethod
     def zero(cls, ctx: PolyContext) -> "HarmonicSeries":

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .gaussrat import GaussianRational
+from .poly import PolyContext, HarmonicSeries, Substitution
 from .expressions import (
-    VPoly,
+    ast_to_poly,
     ast_to_vpoly,
+    constant_value,
     parse_expression,
+    render_forcing,
     ExprSemanticError,
     ExprSyntaxError,
 )
@@ -60,7 +62,7 @@ class ODESystemSpec:
     order: int
     params: tuple = ()
     v_srcs: tuple = ()
-    v_polys: list = field(default_factory=list)
+    v_polys: list = field(default_factory=list)  # HarmonicSeries over each V's own context
     amplitude_names: tuple = ()
     modes: tuple = ()          # semisimple: diagonal integer modes
     block_mode: int = 0        # nilpotent: eigenvalue i*m
@@ -84,7 +86,7 @@ class ODESystemSpec:
         return state_names_for(self.klass, self.n_states)
 
     def is_autonomous(self) -> bool:
-        return all(vp.is_autonomous() for vp in self.v_polys)
+        return not any(l for vp in self.v_polys for l in vp.entries)
 
     def to_document(self) -> dict:
         doc = {"class": self.klass, "order": self.order}
@@ -111,12 +113,28 @@ def _parse_constant(src) -> GaussianRational:
     if isinstance(src, int):
         return GaussianRational(src)
     try:
-        c = ast_to_vpoly(parse_expression(str(src)), (), ()).constant_value()
+        c = constant_value(ast_to_vpoly(parse_expression(str(src)), (), ()))
     except (ExprSyntaxError, ExprSemanticError) as exc:
         raise SpecError(f"bad coefficient {src!r}: {exc}") from exc
     if c is None:
         raise SpecError(f"coefficient {src!r} is not a constant")
     return c
+
+
+_RESERVED = ("eps", "t", "s", "E", "i")
+
+
+def _check_names(*groups) -> None:
+    """State, parameter and amplitude names must be distinct and unreserved."""
+    seen = set()
+    for name in (name for group in groups for name in group):
+        if name in _RESERVED:
+            raise SpecError(f"name {name!r} is reserved")
+        if name in seen:
+            raise SpecError(
+                f"name {name!r} is used twice among states, parameters and amplitudes"
+            )
+        seen.add(name)
 
 
 def _expand_v(srcs, state_names, params):
@@ -221,8 +239,6 @@ def parse_spec(text: str) -> ODESystemSpec:
             klass=klass, order=order, params=params, factors=tuple(factors)
         )
 
-    spec.v_srcs = vsrcs
-    spec.v_polys = _expand_v(vsrcs, spec.state_names, params)
     names = doc.get("amplitude_names")
     if names is None:
         spec.amplitude_names = default_amplitude_names(klass, lmeta)
@@ -230,6 +246,9 @@ def parse_spec(text: str) -> ODESystemSpec:
         if len(names) != len(default_amplitude_names(klass, lmeta)):
             raise SpecError("wrong number of amplitude names")
         spec.amplitude_names = tuple(names)
+    _check_names(spec.state_names, params, spec.amplitude_names)
+    spec.v_srcs = vsrcs
+    spec.v_polys = _expand_v(vsrcs, spec.state_names, params)
     return spec
 
 
@@ -246,39 +265,26 @@ def oscillator_to_firstorder(masses, v_srcs, params=(), order=0) -> ODESystemSpe
             raise SpecError("oscillator masses must be positive integers")
     qp_names = tuple(f"q{j + 1}" for j in range(n)) + tuple(f"p{j + 1}" for j in range(n))
     y_names = tuple(f"y{j + 1}" for j in range(2 * n))
-    vps = _expand_v(v_srcs, qp_names, params)
+    amplitude_names = tuple(f"A{j + 1}" for j in range(2 * n))
+    _check_names(qp_names, y_names, params, amplitude_names)
 
-    images = []
-    for j, m in enumerate(masses):
-        # q_j = (y_{2j-1} - y_{2j}) / (2 i m_j)
-        cq = GaussianRational(0, Fraction(-1, 2 * m))
-        terms = {}
-        se = [0] * (2 * n)
-        se[2 * j] = 1
-        terms[(0, 0, tuple(se), (0,) * len(params))] = cq
-        se = [0] * (2 * n)
-        se[2 * j + 1] = 1
-        terms[(0, 0, tuple(se), (0,) * len(params))] = -cq
-        images.append(VPoly(2 * n, len(params), terms))
-    for j in range(n):
-        # p_j = (y_{2j-1} + y_{2j}) / 2
-        ch = GaussianRational(Fraction(1, 2))
-        terms = {}
-        se = [0] * (2 * n)
-        se[2 * j] = 1
-        terms[(0, 0, tuple(se), (0,) * len(params))] = ch
-        se = [0] * (2 * n)
-        se[2 * j + 1] = 1
-        terms[(0, 0, tuple(se), (0,) * len(params))] = ch
-        images.append(VPoly(2 * n, len(params), terms))
-
+    # V's slot k holds the k-th of q1..qn, p1..pn; read in the y context the
+    # slot is renamed y_{k+1}, and the simultaneous substitution of every slot
+    # by its image in the y_j is the change of variables
+    images = [f"(y{2 * j + 1} - y{2 * j + 2})/(2*i*{m})" for j, m in enumerate(masses)]
+    images += [f"(y{2 * j + 1} + y{2 * j + 2})/2" for j in range(n)]
     new_polys = []
-    for vp in vps:
-        w = vp.substitute_states(images)
-        new_polys.append(w)
+    for vp in _expand_v(v_srcs, qp_names, params):
+        ctx = PolyContext(y_names, params, vp.ctx.order)
+        sub = Substitution(ctx, {
+            y: ast_to_poly(parse_expression(src), ctx) for y, src in zip(y_names, images)
+        })
+        new_polys.append(
+            HarmonicSeries(ctx, {l: sub(p.rehome(ctx)) for l, p in vp.entries.items()})
+        )
     modes = tuple(x for m in masses for x in (m, -m))
     spec = ODESystemSpec(klass="semisimple", order=order, params=params, modes=modes)
     spec.v_polys = [new_polys[j // 2] for j in range(2 * n)]
-    spec.v_srcs = tuple(vp.render(y_names, params) for vp in spec.v_polys)
-    spec.amplitude_names = tuple(f"A{j + 1}" for j in range(2 * n))
+    spec.v_srcs = tuple(render_forcing(vp) for vp in spec.v_polys)
+    spec.amplitude_names = amplitude_names
     return spec

@@ -60,6 +60,23 @@ class TestExpand:
         code, _, err = run(capsys, "expand")
         assert code == 2
 
+    @pytest.mark.parametrize("extra,name", [
+        ({"params": ["t"]}, "t"),
+        ({"params": ["A1"]}, "A1"),
+        ({"params": ["p", "p"]}, "p"),
+        ({"amplitude_names": ["B", "B"]}, "B"),
+        ({"amplitude_names": ["eps", "A2"]}, "eps"),
+        ({"params": ["y1"]}, "y1"),
+    ])
+    def test_name_collision_exit_2(self, capsys, tmp_path, extra, name):
+        doc = {"class": "semisimple", "linear_part": [1, -1], "V": ["y1*y2", "y2"],
+               "order": 2, **extra}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "expand", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and repr(name) in err
+
 
 class TestRG:
     def test_cd_polar_reference_lines(self, capsys):
@@ -160,6 +177,20 @@ class TestVerify:
                            "--order", str(order))
         assert code == 0, out
         assert "PASS numeric_smoke" in out
+
+    def test_difference_odd_u_skips(self, capsys, tmp_path):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"class": "difference", "alpha": [[1, "1"], [-1, "1"]],
+                                    "order": 3, "window": 8}))
+        code, out, _ = run(capsys, "verify", "--spec", str(path))
+        assert code == 0, out
+        lines = out.splitlines()
+        assert [ln.split(" [")[0] for ln in lines[:3]] == [
+            "SKIP check_functional_relation", "SKIP check_difference_equation",
+            "SKIP check_rg_flow",
+        ]
+        assert all(ln.endswith(":: not applicable (needs an even U)") for ln in lines[:3])
+        assert lines[3].startswith("INFO stability") and len(lines) == 4
 
     def test_difference_window_too_small_exit_2(self, capsys, tmp_path):
         path = tmp_path / "narrow.json"

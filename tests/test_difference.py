@@ -310,6 +310,39 @@ class TestIdentities:
         assert "; monomial " in relation.detail
         assert "lhs=" in relation.detail and "rhs=" in relation.detail
 
+    def test_bumped_harmonic_fails_rg_flow(self, monkeypatch):
+        # negative control of identity (iii): the bumped amplitude no longer
+        # follows the Theta flow
+        from rgperturb import difference
+
+        closed = difference._closed_windowed
+
+        def bumped(u2, m, K, W, ctx, theta):
+            p = closed(u2, m, K, W, ctx, theta)
+            return p + ctx.var("eps") * ctx.var("t") if m == 2 else p
+
+        monkeypatch.setattr(difference, "_closed_windowed", bumped)
+        flow = check_difference_identities(u2_cosine(), 3, 8)[2]
+        assert flow.line().startswith("FAIL check_rg_flow")
+        assert flow.detail == "zeta-power 0; monomial eps^2*t: lhs=0, rhs=1/2"
+
+    def test_bumped_kernel_fails_difference_equation(self, monkeypatch):
+        # negative control of identity (ii): eps*t added to the even kernel
+        from rgperturb import difference
+
+        kernel = difference.ThetaSeries.kernel
+
+        def bumped(self, odd):
+            k = kernel(self, odd)
+            if odd:
+                return k
+            return k + HarmonicSeries.single(0, self.ctx.var("eps") * self.ctx.var("t"))
+
+        monkeypatch.setattr(difference.ThetaSeries, "kernel", bumped)
+        equation = check_difference_identities(u2_cosine(), 3, 8)[1]
+        assert equation.line().startswith("FAIL check_difference_equation")
+        assert equation.detail == "harmonic -10; monomial eps^2*t*A[-8]: lhs=0, rhs=1"
+
     def test_window_too_small(self):
         with pytest.raises(WindowError):
             check_difference_identities(u2_cosine(), 4, 5)

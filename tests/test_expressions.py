@@ -55,7 +55,8 @@ class TestParse:
 
     def test_negative_carrier_power(self):
         p = vp("E^-2")
-        assert list(p.terms) == [(0, -2, (0, 0, 0, 0), ())]
+        assert list(p.entries) == [-2]
+        assert list(p.entries[-2].terms) == [(0,) * 7]  # eps, t, s, y1..y4
 
     def test_negative_state_power_rejected(self):
         with pytest.raises(ExprSemanticError):
@@ -71,7 +72,7 @@ class TestParse:
             ("y", "y'", "y''"),
             ("beta", "mu"),
         )
-        assert len(p.terms) == 2
+        assert list(p.entries) == [0] and len(p.entries[0].terms) == 2
 
 
 class TestTrigSugar:
@@ -157,13 +158,13 @@ class TestEvalConsistency:
 
     def eval_vpoly(self, p, env, states, params):
         total = 0j
-        for (k, l, se, pe), c in p.terms.items():
-            v = complex(c) * env["eps"] ** k * env["E"] ** l
-            for name, e in zip(states, se):
-                v *= env[name] ** e
-            for name, e in zip(params, pe):
-                v *= env[name] ** e
-            total += v
+        for l, poly in p.entries.items():
+            for e, c in poly.terms.items():
+                v = complex(c) * env["E"] ** l
+                for name, k in zip(poly.ctx.symbols, e):
+                    if k:
+                        v *= env[name] ** k
+                total += v
         return total
 
     def test_expansion_matches_direct_evaluation(self):

@@ -156,7 +156,7 @@ class TestOscillatorTransform:
             srcs.append(" + ".join(terms))
         spec = oscillator_to_firstorder(masses, srcs, (), 2)
         fns = [
-            compile_vpoly(ast_to_vpoly(parse_expression(s), qp_states, ()), {}, ())
+            compile_vpoly(ast_to_vpoly(parse_expression(s), qp_states, ()), {})
             for s in srcs
         ]
 
