@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -231,7 +232,7 @@ def cmd_rg(args) -> int:
     return 0
 
 
-def _numeric_smoke(table, rng) -> bool:
+def _numeric_smoke(table, rng) -> tuple:
     """Redundant numeric spot-check of the functional relation.
 
     The identity holds mod eps^(K+1), so the numeric composition of the
@@ -240,7 +241,9 @@ def _numeric_smoke(table, rng) -> bool:
     some order <= K and scales more slowly.  Large tail coefficients can hold
     the ratio at (0.2, 0.1) under the bar, so the spec also passes when the
     ratio at (0.1, 0.05) clears the same bar; a defect stays under it at
-    every small eps.
+    every small eps.  Returns the verdict and the text of what it measured:
+    the residual at eps=0.2 when it is under the floor, else each ratio it
+    computed and the bar.
     """
     ctx = table.ctx
     point = {name: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -265,16 +268,20 @@ def _numeric_smoke(table, rng) -> bool:
                 worst = max(worst, abs(lhs - rhs))
         return worst
 
+    floor = 1e-9
     d1, d2 = residual(0.2), residual(0.1)
-    if d1 < 1e-9:
-        return True
+    if d1 < floor:
+        return True, f"d(0.2)={d1:.4g} floor={floor:g}"
     bar = 0.6 * 2 ** (ctx.order + 1)
-    return d1 / max(d2, 1e-300) > bar or d2 / max(residual(0.05), 1e-300) > bar
+    r1 = d1 / max(d2, 1e-300)
+    shown = f"d(0.2)/d(0.1)={r1:.4g}"
+    if r1 > bar:
+        return True, f"{shown} bar={bar:g}"
+    r2 = d2 / max(residual(0.05), 1e-300)
+    return r2 > bar, f"{shown} d(0.1)/d(0.05)={r2:.4g} bar={bar:g}"
 
 
 def cmd_verify(args) -> int:
-    reports = []
-    smoke_ok = True
     if args.random:
         seed = args.seed if args.seed is not None else 0
         spec = _with_order(random_spec(args.random, seed), args.order)
@@ -300,18 +307,36 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     reports = run_all_checks(table, seed=seed)
     rng = random.Random(seed)
-    smoke_ok = _numeric_smoke(table, rng)
+    smoke_ok, smoke_detail = _numeric_smoke(table, rng)
     for r in reports:
         print(r.line())
         if r.applicable and not r.passed:
             detail = {"check": r.name, "spec": r.spec_id, "order": r.order,
                       "seed": r.seed, "detail": r.detail}
             print(json.dumps(detail))
-    print(f"{'PASS' if smoke_ok else 'FAIL'} numeric_smoke [{table.label} K={table.order}]")
+    print(f"{'PASS' if smoke_ok else 'FAIL'} numeric_smoke [{table.label} K={table.order}] "
+          f"{smoke_detail}")
     return 0 if all(r.ok for r in reports) and smoke_ok else 1
 
 
+def _check_simulate_numbers(args) -> None:
+    """Reject simulate settings that cannot describe an integration run."""
+    for name in ("dt", "t_end"):
+        v = getattr(args, name)
+        if not (math.isfinite(v) and v > 0):
+            raise SpecError(f"--{name.replace('_', '-')} must be positive and finite, got {v}")
+    for name in ("eps", "r0", "theta0"):
+        v = getattr(args, name)
+        if not math.isfinite(v):
+            raise SpecError(f"--{name} must be finite, got {v}")
+    for name in ("rg_order", "ren_order"):
+        v = getattr(args, name)
+        if v < 0:
+            raise SpecError(f"--{name.replace('_', '-')} must be >= 0, got {v}")
+
+
 def cmd_simulate(args) -> int:
+    _check_simulate_numbers(args)
     if not args.builtin and not args.spec:
         args.builtin = "ex_cd"
     spec, label = load_spec(args)

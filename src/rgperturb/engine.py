@@ -17,8 +17,12 @@ metadata and the minimal eps-order per harmonic.
 
 The three engines share one order-by-order driver, `_expand`; each class
 supplies only its setup and a `solve` step built on `_invert`, which inverts
-the shifted time-derivative operator harmonic by harmonic.
-`governing_residual` substitutes series back into the class's equation.
+the shifted time-derivative operator harmonic by harmonic.  The forcing
+layer each order needs comes from `ForcingLayers`, a relaxed cache of the
+eps-layers of the state powers that lives for one `_expand` call, so every
+layer is computed once.  `governing_residual` substitutes series back into
+the class's equation; its forcing goes through `eval_vpoly_hs`, the
+from-scratch reference evaluator the engine does not use.
 """
 
 from __future__ import annotations
@@ -139,13 +143,64 @@ def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
     return out
 
 
-def _forcing_layers(v_polys, comps, ctx, k) -> list:
-    """Per component, the eps^(k-1) layer of V evaluated on the current table."""
-    cache = {}
-    return [
-        eval_vpoly_hs(vp, comps, ctx, k - 1, cache).eps_coeff(k - 1)
-        for vp in v_polys
-    ]
+class ForcingLayers:
+    """The eps-layers of V on the table being built, each computed once.
+
+    One object serves one `_expand` call; at order k it is handed the table,
+    final through eps^(k-1), and returns the eps^(k-1) layer of V on it.  It
+    keeps the eps-layers y_j[a] of every component and, per state monomial
+    se, the layers of y^se computed so far.  Layer n of y^se is
+    sum_{a=0..n} y_j[a] * L(se - e_j)[n-a], peeling the lowest nonzero state
+    j as `poly.Substitution` does, so each order adds only the new layers:
+    online ("relaxed") power-series multiplication, van der Hoeven, J. Symb.
+    Comp. 34 (2002).  `eval_vpoly_hs` remains the reference evaluator.
+    """
+
+    def __init__(self, v_polys, ctx: PolyContext):
+        self.v_polys = v_polys
+        self.ctx = ctx
+        self._layers = []  # _layers[a][j]: eps^a layer of component j
+        self._powers = {}  # state exponents se -> [L(se)[0], L(se)[1], ...]
+
+    def _power(self, se: tuple, n: int) -> HarmonicSeries:
+        """L(se)[n], the eps^n layer of y^se."""
+        layers = self._powers.setdefault(se, [])
+        while len(layers) <= n:
+            r = len(layers)
+            if not any(se):
+                layers.append(HarmonicSeries.single(0, self.ctx.one()) if r == 0
+                              else HarmonicSeries.zero(self.ctx))
+                continue
+            j = min(i for i, k in enumerate(se) if k)
+            lower = se[:j] + (se[j] - 1,) + se[j + 1:]
+            acc = HarmonicSeries.zero(self.ctx)
+            for a in range(r + 1):
+                y = self._layers[a][j]
+                if y.entries:
+                    acc = acc + y.mul(self._power(lower, r - a))
+            layers.append(acc)
+        return layers[n]
+
+    def next_layer(self, comps) -> list:
+        """Per component, the eps^(k-1) layer of V on `comps` at the k-th call."""
+        ctx = self.ctx
+        n = len(self._layers)
+        self._layers.append([c.eps_coeff(n) for c in comps])
+        ns = len(ctx.amplitudes)
+        no_states = (0,) * ns
+        out = []
+        for vp in self.v_polys:
+            acc = HarmonicSeries.zero(ctx)
+            for l, poly in vp.entries.items():
+                for e, c in poly.terms.items():
+                    a = e[EPS]
+                    if a > n:
+                        continue
+                    mono = ctx.monomial(c, (0,) + e[1:3] + no_states + e[3 + ns:])
+                    acc = acc + HarmonicSeries.single(l, mono).mul(
+                        self._power(e[3:3 + ns], n - a))
+            out.append(acc)
+        return out
 
 
 def _invert(rhs: MultiPoly, m: int, factors) -> MultiPoly:
@@ -197,8 +252,9 @@ def _expand(spec, label, comps, v_polys, solve, resonant, gauge_mode=0) -> Secul
     """
     ctx = comps[0].ctx
     eps = ctx.var("eps")
+    forcing = ForcingLayers(v_polys, ctx)
     for k in range(1, spec.order + 1):
-        step = solve(_forcing_layers(v_polys, comps, ctx, k), eps ** k)
+        step = solve(forcing.next_layer(comps), eps ** k)
         comps = [c + d for c, d in zip(comps, step)]
     return SecularTable(spec, ctx, comps, resonant, label=label, gauge_mode=gauge_mode)
 

@@ -176,7 +176,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--random", "nilpotent", "--seed", str(seed),
                            "--order", str(order))
         assert code == 0, out
-        assert "PASS numeric_smoke" in out
+        line = out.splitlines()[-1]
+        prefix = f"PASS numeric_smoke [random-nilpotent-{seed} K={order}] "
+        assert line.startswith(prefix)
+        fields = dict(f.split("=") for f in line[len(prefix):].split())
+        assert list(fields) == ["d(0.2)/d(0.1)", "d(0.1)/d(0.05)", "bar"]
+        bar = float(fields["bar"])
+        assert bar == 0.6 * 2 ** (order + 1)
+        assert float(fields["d(0.2)/d(0.1)"]) <= bar < float(fields["d(0.1)/d(0.05)"])
 
     def test_difference_odd_u_skips(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
@@ -231,6 +238,19 @@ class TestSimulate:
         a = (tmp_path / "a" / "ex_cd_direct.csv").read_bytes()
         b = (tmp_path / "b" / "ex_cd_direct.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("option,value", [
+        ("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--t-end", "-1"),
+        ("--t-end", "inf"), ("--eps", "nan"), ("--r0", "inf"), ("--theta0", "nan"),
+        ("--rg-order", "-1"), ("--ren-order", "-1"),
+    ])
+    def test_bad_numbers_exit_2(self, capsys, tmp_path, option, value):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--t-end", "1.0", option, value,
+                             "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: {option} must be ") and out == ""
+        assert not out_dir.exists()
 
     def test_overflow_exit_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--eps", "80.0", "--t-end", "5.0",

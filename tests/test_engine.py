@@ -2,13 +2,18 @@ import json
 
 import pytest
 
+from rgperturb.checks import random_spec
+from rgperturb.demos import load_builtin
 from rgperturb.poly import from_expression
 from rgperturb.systems import parse_spec
 from rgperturb.engine import (
+    ForcingLayers,
+    eval_vpoly_hs,
     expand_table,
     expand_semisimple,
     expand_nilpotent,
     expand_scalar,
+    gauge_reduce_nilpotent,
     gauge_reduce_semisimple,
     table_residuals,
 )
@@ -289,3 +294,38 @@ class TestDispatch:
             **{"class": "scalar", "linear_part": [[0, 1]], "V": ["y^2 - 1"], "order": 2}
         )
         assert expand_table(spec).spec.klass == "scalar"
+
+
+class TestForcingLayers:
+    """The engine's relaxed forcing cache against the reference evaluator.
+
+    At every order k the cache sees the table truncated at eps^(k-1), as in
+    the engine's loop, and must return the eps^(k-1) layer that
+    `eval_vpoly_hs` computes from scratch on the same truncation.
+    """
+
+    @staticmethod
+    def assert_matches_reference(spec):
+        table = expand_table(spec)
+        ctx = table.ctx
+        v_polys = spec.v_polys
+        if spec.klass == "nilpotent":
+            v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in v_polys]
+        forcing = ForcingLayers(v_polys, ctx)
+        for k in range(1, table.order + 1):
+            comps = [c.map_entries(lambda p: p.trunc(k - 1)) for c in table.components]
+            want = [eval_vpoly_hs(vp, comps, ctx, k - 1).eps_coeff(k - 1) for vp in v_polys]
+            assert forcing.next_layer(comps) == want, f"{spec.v_srcs} at order {k}"
+
+    @pytest.mark.parametrize("name,order", [
+        ("ex_cd", 10), ("ex_bt", 4), ("ex_third", 5), ("ex_oscillators", 4), ("ex_scalar1", 9),
+    ])
+    def test_builtins(self, name, order):
+        self.assert_matches_reference(load_builtin(name, order))
+
+    @pytest.mark.parametrize("klass", ["semisimple", "nilpotent", "scalar"])
+    def test_random_specs(self, klass):
+        for seed in range(30):
+            doc = random_spec(klass, seed).to_document()
+            doc["order"] = 4
+            self.assert_matches_reference(parse_spec(json.dumps(doc)))

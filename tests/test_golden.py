@@ -1,10 +1,11 @@
 """Byte-level goldens of the command-line output for every built-in.
 
 Each case pins the SHA-256 of stdout and the exit code of one command at the
-built-in's default order, plus ``verify`` of ex_cd at order 8 and of the
-cosine difference equation at order 6, window 16 (a spec file).  A refactor
-of the engine, the renormalization layer or the checks must leave all of
-them unchanged.  The ``verify --corrupt`` cases pin the FAIL detail text of
+built-in's default order, plus ``verify`` of ex_cd at order 8, of the
+cosine difference equation at order 6, window 16 (a spec file), and
+``expand`` of ex_cd, ex_bt and ex_third at orders 12, 5 and 6, one per ODE
+engine, deeper than any other case.  A refactor of the engine, the
+renormalization layer or the checks must leave all of them unchanged.  The ``verify --corrupt`` cases pin the FAIL detail text of
 the corrupted table's checks; the ``numeric_smoke`` line is left out of the
 ``verify`` cases because it is a floating-point spot check, not an exact
 identity.
@@ -25,6 +26,10 @@ COMMANDS = {
     # the benchmark's order: reaches image degrees the default orders do not
     "verify8": ("verify", "--order", "8"),
     "corrupt8": ("verify", "--order", "8", "--corrupt"),
+    # deep orders of the semisimple, nilpotent and scalar engines
+    "expand5": ("expand", "--format", "machine", "--order", "5"),
+    "expand6": ("expand", "--format", "machine", "--order", "6"),
+    "expand12": ("expand", "--format", "machine", "--order", "12"),
 }
 
 COSINE = "cosine_difference.json"
@@ -35,11 +40,13 @@ GOLDEN = {
     ("ex_bt", "expand"): (0, "bc16841b949144d20205e873b5808ebc26165203c650f644331d2ca56d7ab5e4"),
     ("ex_bt", "rg"): (0, "a5849a094291daf3f9b21bca26e9350f1cbc9a7367bcf8e1942107a3b0153c2b"),
     ("ex_bt", "corrupt"): (1, "15d3ba3b9b9bd6481cae96797f75e6f2ad552ebefbcc94467153c25a819130b6"),
+    ("ex_bt", "expand5"): (0, "08fc6749778f50664a813f08f24d353bb4037346b36b33cfef4cbcf124137d28"),
     ("ex_cd", "expand"): (0, "22acbcc59ebf77f74a13158d39e44ac680ed2feb61dfde4d937846aa8cb816fe"),
     ("ex_cd", "rg"): (0, "11cdc8279312d379b5defebe6ec6e50a722986578e9999f5e3276c52b225385a"),
     ("ex_cd", "corrupt"): (1, "024f72aa9015f4e3acc2d753a00c7d48debc763f27272002e63f718a151c71f0"),
     ("ex_cd", "verify8"): (0, "db199622b566698d1f17625d0b44f1fe4d9b3cb3d79edebd88e1bdb4b8740226"),
     ("ex_cd", "corrupt8"): (1, "aaeeeb06f0de069db888a6ce1f07f9593ea3174bb472b22180b213eec7cd7974"),
+    ("ex_cd", "expand12"): (0, "6b689daa1c5cb4ff73cf4e7e694bd7a68df2d269823d1d23fb1566f9c50d45e5"),
     ("ex_difference", "expand"): (0, "e1f601cf35201a53bd1e11c4376b33ada2633119cdd12a163f0023cce110ac4a"),
     ("ex_difference", "rg"): (0, "0929a1010cab84e221896ca5d1fa8b881bbf8f7b152b2ef739dfdce3f92295d3"),
     ("ex_difference", "corrupt"): (0, "f7d650e89a1d6c2268908bb5ac190b70dea9b1e6ee9e2bed81e3c41a5bb07feb"),
@@ -52,6 +59,7 @@ GOLDEN = {
     ("ex_third", "expand"): (0, "719e29fdb7c679b51761f2b47c8dc763bd38ec5425c73f703cc2ff2a2a527209"),
     ("ex_third", "rg"): (0, "6b9525224afed5e199deadb959022a5c3509686779f943858c904dac96dec8ae"),
     ("ex_third", "corrupt"): (1, "aa34e0e95d3881e09538ad74a4d5fbf017b522e80eeecec51f15591e554c81d7"),
+    ("ex_third", "expand6"): (0, "70344e80e0ee75f0aca00b12781d11e9df20c2227d95865ee9cab754aaa6b7d6"),
     # a scalar spec whose corrupted naive residual depends on the table's own
     # derivative slots, not only on slot 0 (the built-ins do not show this)
     ("random-scalar-2", "corrupt"): (1, "2959006483285fe0185baed0c74601b20a4ad328d7b1cf15fd28aaa5e73bc76e"),
