@@ -1,7 +1,19 @@
 """Fixed-step numerics: direct integration, RG integration, reconstruction.
 
 Classical RK4 with a fixed step everywhere -- determinism and bit-reproducible
-CSVs matter more than efficiency at this scale.  CSV columns are
+CSVs matter more than efficiency at this scale.
+
+Every numeric field -- the direct equation's forcing, the complex and polar RG
+fields, the reconstruction and the initial state -- is compiled once, before
+its integration, into one generated straight-line Python function
+(`_StraightLine`).  Its sums follow the insertion order of the term dicts (V
+harmonic by harmonic, then each polynomial's terms), so the output depends on
+that order.  The generated code does the same floating-point operations, in
+the same order and on the same operand types, as the term-by-term loops it
+replaced (kept in tests/test_numeric.py as references), so its output is
+bit-identical to theirs by construction.
+
+CSV columns are
 ``t, re_1, im_1, ...`` with 17 significant digits and LF line endings; SVG
 output is a dependency-free, self-contained line plot for human inspection.
 """
@@ -15,7 +27,7 @@ import numpy as np
 
 from .poly import MultiPoly, EPS
 from .systems import ODESystemSpec, SpecError
-from .renorm import RGSystem, RenExpansion, PolarRG
+from .renorm import COS, RGSystem, RenExpansion, PolarRG, TrigSeries
 
 
 class NumericOverflowError(RuntimeError):
@@ -64,36 +76,91 @@ def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Traje
 # Compiled right-hand sides
 # --------------------------------------------------------------------------
 
-def compile_vpoly(vp, param_values: dict) -> callable:
-    """Numeric closure (t, y, eps) -> complex for one forcing series.
+# Terms per generated statement.  CPython refuses to compile an expression
+# nested about 3000 deep (a sum of that many terms), so longer sums are split.
+_CHUNK = 200
 
-    Terms are summed harmonic by harmonic, each in insertion order.
+
+class _StraightLine:
+    """Builder of one generated function: straight-line sums of products.
+
+    A sum  start + f1*f2*... + g1*g2*... + ...  is emitted as Python source,
+    so CPython evaluates it left to right: the floating-point operations, their
+    order and their operand types are those of the loop
+    ``total = start; for term: v = c; v *= f; ...; total += v``.  Constants
+    are bound as globals of the generated code, so every value keeps its exact
+    type and bits.  A repeated subexpression (y[j] ** e, e^{imt}, a phase) is
+    computed once per call; it is the same operation on the same operands, so
+    sharing it changes no bit.
     """
-    ctx = vp.ctx
-    n = len(ctx.amplitudes)
-    terms = []
-    for l, p in vp.entries.items():
-        for e, c in p.terms.items():
-            coeff = complex(c)
-            for name, k in zip(ctx.params, e[3 + n:]):
-                coeff *= complex(param_values[name]) ** k
-            terms.append((coeff, e[EPS], l, e[3:3 + n]))
 
-    def value(t, y, eps):
-        total = 0j
-        for coeff, k, l, se in terms:
-            v = coeff
-            if k:
-                v *= eps ** k
-            if l:
-                v *= complex(math.cos(l * t), math.sin(l * t))
-            for j, e in enumerate(se):
-                if e:
-                    v *= y[j] ** e
-            total += v
-        return total
+    def __init__(self):
+        self.consts = []
+        self.names = {}
+        self.lines = []
 
-    return value
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def local(self, expr: str) -> str:
+        name = self.names.get(expr)
+        if name is None:
+            name = self.names[expr] = f"v{len(self.names)}"
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def sum(self, start: str, products) -> str:
+        """Name of a new local holding start + the products, in order."""
+        name = f"s{len(self.lines)}"
+        terms = ["*".join(p) for p in products]
+        acc = start
+        for i in range(0, max(len(terms), 1), _CHUNK):
+            self.lines.append(" + ".join([f"{name} = {acc}"] + terms[i:i + _CHUNK]))
+            acc = name
+        return name
+
+    def harmonic(self, m: int) -> str:
+        return self.local(f"complex(math.cos({m} * t), math.sin({m} * t))")
+
+    def power(self, base: str, e: int) -> str:
+        return self.local(f"{self.local(base)} ** {e}")
+
+    def function(self, args: str, result: str):
+        body = "".join(f"    {ln}\n" for ln in self.lines)
+        source = f"def field({args}):\n{body}    return {result}\n"
+        env = {f"c{i}": c for i, c in enumerate(self.consts)}
+        env.update(math=math, np=np)
+        exec(compile(source, "<rgperturb.numeric field>", "exec"), env)
+        return env["field"]
+
+
+def compile_vpoly(v_polys, eps: float, param_values: dict) -> callable:
+    """Generated function (t, y) -> tuple of the forcing series' values.
+
+    Each series is summed harmonic by harmonic, each in insertion order;
+    coeff * params * eps**k is folded at build time.
+    """
+    g = _StraightLine()
+    sums = []
+    for vp in v_polys:
+        ctx = vp.ctx
+        n = len(ctx.amplitudes)
+        products = []
+        for l, p in vp.entries.items():
+            for e, c in p.terms.items():
+                coeff = complex(c)
+                for name, k in zip(ctx.params, e[3 + n:]):
+                    coeff *= complex(param_values[name]) ** k
+                if e[EPS]:
+                    coeff *= eps ** e[EPS]
+                factors = [g.const(coeff)]
+                if l:
+                    factors.append(g.harmonic(l))
+                factors += [g.power(f"y[{j}]", k) for j, k in enumerate(e[3:3 + n]) if k]
+                products.append(factors)
+        sums.append(g.sum("0j", products))
+    return g.function("t, y", f"({', '.join(sums)},)")
 
 
 def _check_params(spec, params):
@@ -107,14 +174,14 @@ def _check_params(spec, params):
 def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
     """Numeric RHS of the original equation as a first-order complex system."""
     params = _check_params(spec, params)
-    vs = [compile_vpoly(vp, params) for vp in spec.v_polys]
+    vs = compile_vpoly(spec.v_polys, eps, params)
     if spec.klass == "semisimple":
         modes = np.array(spec.modes, dtype=float)
 
         def f(t, y):
             out = 1j * modes * y
-            for j, v in enumerate(vs):
-                out[j] += eps * v(t, y, eps)
+            for j, v in enumerate(vs(t, y)):
+                out[j] += eps * v
             return out
 
         return f
@@ -125,8 +192,8 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
         def f(t, y):
             out = im * y
             out[:-1] += y[1:]
-            for j, v in enumerate(vs):
-                out[j] += eps * v(t, y, eps)
+            for j, v in enumerate(vs(t, y)):
+                out[j] += eps * v
             return out
 
         return f
@@ -139,12 +206,11 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
                 poly = np.convolve(poly, np.array([1.0 + 0j, -1j * m_r]))
         # poly[0] x^N + ... + poly[N]; coefficients of x^l is poly[N-l]
         lower = poly[1:]  # x^{N-1} .. x^0
-        v = vs[0]
 
         def f(t, y):
             out = np.empty_like(y)
             out[:-1] = y[1:]
-            acc = eps * v(t, y, eps)
+            acc = eps * vs(t, y)[0]
             for i, c in enumerate(lower):
                 if c:
                     acc -= c * y[N - 1 - i]
@@ -162,34 +228,35 @@ def integrate_ode(spec, initial, eps: float, t_end: float, dt: float,
     return rk4_integrate(f, initial, t0, t_end, dt, meta)
 
 
-def compile_poly(p: MultiPoly, param_values: dict) -> callable:
-    """Numeric closure (eps, amp_values list) -> complex for an RG-side poly."""
-    ctx = p.ctx
-    namp = len(ctx.amplitudes)
-    terms = []
+def _poly_sum(g: _StraightLine, p: MultiPoly, eps: float, param_values: dict,
+              amps: str) -> str:
+    """Emit an autonomous RG-side poly at the amplitudes `amps`; name of its sum.
+
+    coeff * params * eps**k is folded at build time.
+    """
+    namp = len(p.ctx.amplitudes)
+    products = []
     for e, c in p.terms.items():
         if e[1] or e[2]:
             raise ValueError("polynomial must be autonomous (no t or s)")
         coeff = complex(c)
-        for i, name in enumerate(ctx.params):
-            k = e[3 + namp + i]
+        for name, k in zip(p.ctx.params, e[3 + namp:]):
             if k:
                 coeff *= complex(param_values[name]) ** k
-        terms.append((coeff, e[0], e[3:3 + namp]))
+        if e[EPS]:
+            coeff *= eps ** e[EPS]
+        products.append([g.const(coeff)] + [
+            g.power(f"{amps}[{j}]", a) for j, a in enumerate(e[3:3 + namp]) if a
+        ])
+    return g.sum("0j", products)
 
-    def value(eps, amps):
-        total = 0j
-        for coeff, k, aexps in terms:
-            v = coeff
-            if k:
-                v *= eps ** k
-            for j, a in enumerate(aexps):
-                if a:
-                    v *= amps[j] ** a
-            total += v
-        return total
 
-    return value
+def rg_field(rg: RGSystem, eps: float, eps_order: int, params=None) -> callable:
+    """Generated RHS (t, y) of the complex RG system truncated at eps_order."""
+    params = dict(params or {})
+    g = _StraightLine()
+    sums = [_poly_sum(g, f.trunc(eps_order), eps, params, "y") for f in rg.fields]
+    return g.function("t, y", f"np.array([{', '.join(sums)}], dtype=complex)")
 
 
 def integrate_rg(rg: RGSystem, initial, eps: float, t_end: float, dt: float,
@@ -197,33 +264,46 @@ def integrate_rg(rg: RGSystem, initial, eps: float, t_end: float, dt: float,
     """Integrate the complex RG system with the field truncated at eps_order."""
     params = dict(params or {})
     cut = rg.ctx.order if eps_order is None else eps_order
-    fns = [compile_poly(f.trunc(cut), params) for f in rg.fields]
-
-    def f(t, y):
-        return np.array([fn(eps, y) for fn in fns], dtype=complex)
-
+    f = rg_field(rg, eps, cut, params)
     meta = {"system": "rg", "eps": eps, "eps_order": cut, "params": params}
     return rk4_integrate(f, initial, t0, t_end, dt, meta)
+
+
+def _trig_sum(g: _StraightLine, ts: TrigSeries, eps: float, pvals, p: int) -> str:
+    """Emit a polar series at radii y[:p].real, phases y[p:].real and t = 0.0.
+
+    float(q) * eps**k and every param**e are folded at build time; the
+    phase m*t + w.theta keeps its zero weights and is summed from int 0, as
+    builtins.sum does.
+    """
+    thetas = [g.local(f"y[{p + a}].real") for a in range(p)]
+    products = []
+    for (k, rexps, pexps, m, w, kind), q in ts.terms.items():
+        factors = [g.const(float(q) * eps ** k)]
+        factors += [g.power(f"y[{a}].real", e) for a, e in enumerate(rexps) if e]
+        factors += [g.const(pval ** e) for pval, e in zip(pvals, pexps) if e]
+        wsum = " + ".join(["0"] + [f"{x} * {th}" for x, th in zip(w, thetas)])
+        phase = g.local(f"{m} * 0.0 + ({wsum})")
+        factors.append(g.local(f"math.{'cos' if kind == COS else 'sin'}({phase})"))
+        products.append(factors)
+    return g.sum("0.0", products)
+
+
+def polar_field(polar: PolarRG, eps: float, eps_order: int, params=None) -> callable:
+    """Generated RHS (t, y) of the polar RG system, y = (R_1..R_p, theta_1..theta_p)."""
+    params = dict(params or {})
+    pvals = [params[name] for name in polar.param_names]
+    g = _StraightLine()
+    sums = [_trig_sum(g, ts.trunc(eps_order), eps, pvals, polar.npairs)
+            for ts in polar.d_radius + polar.d_theta]
+    return g.function("t, y", f"np.array([{', '.join(sums)}], dtype=complex)")
 
 
 def integrate_polar(polar: PolarRG, radii0, thetas0, eps: float, t_end: float,
                     dt: float, eps_order: int, params=None, t0: float = 0.0) -> Trajectory:
     """Integrate the polar RG system; state is (R_1..R_p, theta_1..theta_p)."""
     params = dict(params or {})
-    pvals = [params[name] for name in polar.param_names]
-    p = polar.npairs
-    drs = [ts.trunc(eps_order) for ts in polar.d_radius]
-    dths = [ts.trunc(eps_order) for ts in polar.d_theta]
-
-    def f(t, y):
-        radii = y[:p].real
-        thetas = y[p:].real
-        out = np.empty(2 * p, dtype=complex)
-        for a in range(p):
-            out[a] = drs[a].eval(eps, radii, thetas, pvals)
-            out[p + a] = dths[a].eval(eps, radii, thetas, pvals)
-        return out
-
+    f = polar_field(polar, eps, eps_order, params)
     meta = {"system": "rg-polar", "eps": eps, "eps_order": eps_order, "params": params}
     return rk4_integrate(f, np.array(list(radii0) + list(thetas0), dtype=complex),
                          t0, t_end, dt, meta)
@@ -240,6 +320,33 @@ def amplitudes_from_polar(state, npairs):
     return out
 
 
+def _entry_sums(g: _StraightLine, ren: RenExpansion, eps: float, cut: int,
+                params: dict) -> list:
+    """Per component, (m, name of P_{j,m}(eps, 0, amps)) for each entry nonzero after the cut."""
+    out = []
+    for comp in ren.components:
+        entries = [(m, p.trunc(cut)) for m, p in comp.entries.items()]
+        out.append([(m, _poly_sum(g, p, eps, params, "amps"))
+                    for m, p in entries if not p.is_zero()])
+    return out
+
+
+def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
+                         params=None) -> callable:
+    """Generated (t, amps) -> tuple of Y_j = sum_m P_{j,m}(eps, 0, amps) e^{imt}.
+
+    Entries that are zero after the cut are left out.  Each would add
+    0j * e^{imt}, whose parts are +-0.0, to a total that starts at 0j; a sum
+    that starts at +0.0 is never -0.0 (round-to-nearest gives -0.0 only for
+    -0.0 + -0.0), and x + +-0.0 == x for every other x, so no bit changes.
+    """
+    params = dict(params or {})
+    g = _StraightLine()
+    sums = [g.sum("0j", [[s, g.harmonic(m)] if m else [s] for m, s in entries])
+            for entries in _entry_sums(g, ren, eps, eps_order, params)]
+    return g.function("t, amps", f"({', '.join(sums)},)")
+
+
 def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
                 pairs: int | None = None, params=None,
                 eps_order: int | None = None) -> Trajectory:
@@ -248,32 +355,19 @@ def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
     `pairs`: number of conjugate pairs if rg_traj is a polar trajectory,
     None if it already carries complex amplitudes.
     """
-    params = dict(params or {})
     cut = ren.ctx.order if eps_order is None else eps_order
     namp = len(ren.ctx.amplitudes)
-    compiled = []
-    for comp in ren.components:
-        compiled.append(
-            [(m, compile_poly(p.trunc(cut), params)) for m, p in comp.entries.items()]
-        )
+    values = reconstruction_field(ren, eps, cut, params)
     n = len(rg_traj.times)
-    states = np.empty((n, len(compiled)), dtype=complex)
+    states = np.empty((n, len(ren.components)), dtype=complex)
     for i in range(n):
-        t = rg_traj.times[i]
         if pairs is None:
             amps = rg_traj.states[i]
         else:
             amps = amplitudes_from_polar(rg_traj.states[i], pairs)
         if len(amps) != namp:
             raise SpecError("amplitude dimension mismatch in reconstruction")
-        for j, entries in enumerate(compiled):
-            total = 0j
-            for m, fn in entries:
-                v = fn(eps, amps)
-                if m:
-                    v *= complex(math.cos(m * t), math.sin(m * t))
-                total += v
-            states[i, j] = total
+        states[i] = values(rg_traj.times[i], amps)
     meta = dict(rg_traj.meta)
     meta["system"] = "reconstruction"
     return Trajectory(rg_traj.times.copy(), states, meta)
@@ -397,6 +491,7 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
 
     if spec.klass != "semisimple" or len(spec.modes) != 2:
         raise SpecError("the pipeline needs a 2-dimensional semisimple spec")
+    params = _check_params(spec, params)
     work = spec
     if spec.order < rg_order:
         raise SpecError("spec order too small for the requested RG order")
@@ -405,16 +500,13 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
     polar = polar_transform(rg, [(0, 1)])
     ren = renormalized_expansion(table)
 
-    params = dict(params or {})
+    # Y_j(0) = sum_m P_{j,m}(eps, 0, A(0)), summed from int 0 as builtins.sum
+    # does; zero entries are left out as in reconstruction_field
     amps0 = amplitudes_from_polar(np.array([r0, theta0], dtype=complex), 1)
-    compiled0 = [
-        [(m, compile_poly(p.trunc(ren_order), params)) for m, p in comp.entries.items()]
-        for comp in ren.components
-    ]
-    y0 = np.array(
-        [sum(fn(eps, amps0) for m, fn in entries) for entries in compiled0],
-        dtype=complex,
-    )
+    g = _StraightLine()
+    sums = [g.sum("0", [[s] for _, s in entries])
+            for entries in _entry_sums(g, ren, eps, ren_order, params)]
+    y0 = np.array(g.function("amps", f"[{', '.join(sums)}]")(amps0), dtype=complex)
 
     direct = integrate_ode(work, y0, eps, t_end, dt, params)
     polar_traj = integrate_polar(polar, [r0], [theta0], eps, t_end, dt, rg_order, params)

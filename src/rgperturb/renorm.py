@@ -247,23 +247,6 @@ class TrigSeries:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    def eval(self, eps: float, radii, thetas, params=(), t: float = 0.0) -> float:
-        import math
-
-        total = 0.0
-        for (k, rexps, pexps, m, w, kind), q in self.terms.items():
-            v = float(q) * eps ** k
-            for r, e in zip(radii, rexps):
-                if e:
-                    v *= r ** e
-            for pval, e in zip(params, pexps):
-                if e:
-                    v *= pval ** e
-            phase = m * t + sum(x * th for x, th in zip(w, thetas))
-            v *= math.cos(phase) if kind == COS else math.sin(phase)
-            total += v
-        return total
-
 
 class PolarRG:
     """RG system rewritten in magnitude/phase variables for conjugate pairs."""

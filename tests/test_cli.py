@@ -252,6 +252,20 @@ class TestSimulate:
         assert err.startswith(f"error: {option} must be ") and out == ""
         assert not out_dir.exists()
 
+    def test_spec_with_params_exit_2(self, capsys, tmp_path):
+        # simulate has no option for parameter values, so a spec with
+        # parameters is rejected before any field is compiled
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "class": "semisimple", "linear_part": [1, -1], "params": ["a"],
+            "V": ["a*y1*y2 + E^-1*y2", "a*y1*y2 + E*y1"], "order": 4,
+        }))
+        code, out, err = run(capsys, "simulate", "--spec", str(path), "--t-end", "1.0",
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == "error: missing numeric values for parameters ['a']\n"
+        assert out == ""
+
     def test_overflow_exit_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--eps", "80.0", "--t-end", "5.0",
                            "--out-dir", str(tmp_path))

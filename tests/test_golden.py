@@ -9,6 +9,10 @@ renormalization layer or the checks must leave all of them unchanged.  The ``ver
 the corrupted table's checks; the ``numeric_smoke`` line is left out of the
 ``verify`` cases because it is a floating-point spot check, not an exact
 identity.
+
+The ``simulate`` cases pin stdout and all six artifacts (three CSVs, three
+SVGs) of ex_cd at two settings, so a change to the numeric fields that
+moves even the last bit of one CSV value fails here.
 """
 
 import hashlib
@@ -91,3 +95,43 @@ def test_stdout_is_byte_identical(capsys, tmp_path, source, command):
     expect_code, expect_sha = GOLDEN[source, command]
     assert code == expect_code
     assert hashlib.sha256(out.encode()).hexdigest() == expect_sha
+
+
+SIMULATE_ARGS = {
+    "default": ("--t-end", "20"),
+    "settings": ("--t-end", "20", "--eps", "0.1", "--rg-order", "2", "--ren-order", "4",
+                 "--r0", "0.7", "--theta0", "-1.3"),
+}
+
+# settings -> {"stdout" or artifact file name: SHA-256}
+SIMULATE_GOLDEN = {
+    "default": {
+        "stdout": "d0044401ff2e23189133d095ed2f56d523976e210b7a05ab5d0744613e1a450d",
+        "ex_cd_direct.csv": "02019b91701f4e69e7e25ab40080fca03378f90fe4c7bd9b16b4ba94c6f20987",
+        "ex_cd_direct.svg": "be23df7e288175506a271f89234072b816896795863c6f4aa9c9360970d1bd33",
+        "ex_cd_overlay.svg": "8c40624f89bcd2cf9c32d8bada8b6cbff4335746e68686068eabf5468dffa138",
+        "ex_cd_reconstruction.csv": "c0bb03ba46c4212dd83a2ce5f349001afa6b4b82616cf64d52aa52bbfbc4868b",
+        "ex_cd_rg.svg": "199225e0134fbc111e468f5249c281599c5f680cfba16b3c78b7b92310e9acf5",
+        "ex_cd_rg_polar.csv": "bcac48f9c206078c8a90534785b11a4e481085c3576c7a383cf8b23954c0aa8d",
+    },
+    "settings": {
+        "stdout": "e07982cf7562d09d03e2bb4cfa447b58289ba8361f2dee95e4558011f67b15d5",
+        "ex_cd_direct.csv": "64876e1c6593c9247d154dd55f890aef88d0e55f56a247d4e62e11896cca7acf",
+        "ex_cd_direct.svg": "699e2c7d60f091def4ec3140f49e572c96c2824ee45d33e79da5e13d719bb8cd",
+        "ex_cd_overlay.svg": "9812dec1976a139df70c798b06d57a751f13595bca42e87ae31a8436f792adcf",
+        "ex_cd_reconstruction.csv": "500e1fb8217e25acdf7d1b12fa66187da6ea75eb0b7d1f1364707c0e681f7710",
+        "ex_cd_rg.svg": "0b1092277df3fdba19fe31334189f4550d1a6ec2d12fca81e68685d7a3faf1c7",
+        "ex_cd_rg_polar.csv": "75ccbd49b14938cf1e21edc7d852c8a399bf5cd2fbb2fb320d54d191d54ad359",
+    },
+}
+
+
+@pytest.mark.parametrize("settings", sorted(SIMULATE_GOLDEN))
+def test_simulate_artifacts_are_byte_identical(capsys, tmp_path, monkeypatch, settings):
+    monkeypatch.chdir(tmp_path)  # a relative --out-dir keeps stdout free of tmp paths
+    code = main(["simulate", "--builtin", "ex_cd", *SIMULATE_ARGS[settings], "--out-dir", "out"])
+    assert code == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted((tmp_path / "out").iterdir()):
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == SIMULATE_GOLDEN[settings]

@@ -1,18 +1,35 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from rgperturb import numeric
+from rgperturb.checks import random_spec
+from rgperturb.demos import load_builtin
 from rgperturb.systems import parse_spec, oscillator_to_firstorder
-from rgperturb.engine import expand_semisimple
-from rgperturb.renorm import derive_rg, renormalized_expansion
+from rgperturb.engine import expand_semisimple, expand_table
+from rgperturb.poly import EPS
+from rgperturb.renorm import (
+    COS,
+    PolarPairingError,
+    derive_rg,
+    polar_transform,
+    renormalized_expansion,
+)
 from rgperturb.numeric import (
     Trajectory,
+    amplitudes_from_polar,
+    compile_vpoly,
     rk4_integrate,
     integrate_ode,
+    integrate_polar,
     integrate_rg,
+    polar_field,
     reconstruct,
+    reconstruction_field,
+    rg_field,
     simulate_conjugate_pair,
     sup_deviation,
     emit_csv,
@@ -139,7 +156,6 @@ class TestOscillatorTransform:
         # same comparison on a randomly drawn two-oscillator polynomial V
         import random
         from rgperturb.expressions import parse_expression, ast_to_vpoly
-        from rgperturb.numeric import compile_vpoly
 
         rng = random.Random(91)
         eps = 0.05
@@ -156,7 +172,7 @@ class TestOscillatorTransform:
             srcs.append(" + ".join(terms))
         spec = oscillator_to_firstorder(masses, srcs, (), 2)
         fns = [
-            compile_vpoly(ast_to_vpoly(parse_expression(s), qp_states, ()), {})
+            compile_vpoly([ast_to_vpoly(parse_expression(s), qp_states, ())], eps, {})
             for s in srcs
         ]
 
@@ -166,8 +182,8 @@ class TestOscillatorTransform:
             return np.array([
                 p1,
                 p2,
-                -1 * q1 + eps * fns[0](t, state, eps),
-                -4 * q2 + eps * fns[1](t, state, eps),
+                -1 * q1 + eps * fns[0](t, state)[0],
+                -4 * q2 + eps * fns[1](t, state)[0],
             ])
 
         q0 = np.array([0.4, -0.3])
@@ -250,3 +266,336 @@ class TestEmission:
     def test_svg_empty_errors(self, tmp_path):
         with pytest.raises(ValueError):
             emit_svg([], tmp_path / "plot.svg")
+
+
+# --------------------------------------------------------------------------
+# The interpreted fields, kept as the references of the generated ones
+# --------------------------------------------------------------------------
+
+def reference_compile_vpoly(vp, param_values):
+    """Numeric closure (t, y, eps) -> complex for one forcing series.
+
+    The original interpreted form of `compile_vpoly`: terms are summed
+    harmonic by harmonic, each in insertion order.
+    """
+    ctx = vp.ctx
+    n = len(ctx.amplitudes)
+    terms = []
+    for l, p in vp.entries.items():
+        for e, c in p.terms.items():
+            coeff = complex(c)
+            for name, k in zip(ctx.params, e[3 + n:]):
+                coeff *= complex(param_values[name]) ** k
+            terms.append((coeff, e[EPS], l, e[3:3 + n]))
+
+    def value(t, y, eps):
+        total = 0j
+        for coeff, k, l, se in terms:
+            v = coeff
+            if k:
+                v *= eps ** k
+            if l:
+                v *= complex(math.cos(l * t), math.sin(l * t))
+            for j, e in enumerate(se):
+                if e:
+                    v *= y[j] ** e
+            total += v
+        return total
+
+    return value
+
+
+def reference_compile_poly(p, param_values):
+    """Numeric closure (eps, amp_values list) -> complex for an RG-side poly."""
+    ctx = p.ctx
+    namp = len(ctx.amplitudes)
+    terms = []
+    for e, c in p.terms.items():
+        if e[1] or e[2]:
+            raise ValueError("polynomial must be autonomous (no t or s)")
+        coeff = complex(c)
+        for i, name in enumerate(ctx.params):
+            k = e[3 + namp + i]
+            if k:
+                coeff *= complex(param_values[name]) ** k
+        terms.append((coeff, e[0], e[3:3 + namp]))
+
+    def value(eps, amps):
+        total = 0j
+        for coeff, k, aexps in terms:
+            v = coeff
+            if k:
+                v *= eps ** k
+            for j, a in enumerate(aexps):
+                if a:
+                    v *= amps[j] ** a
+            total += v
+        return total
+
+    return value
+
+
+def reference_trig_eval(ts, eps, radii, thetas, params=(), t=0.0):
+    """The original `TrigSeries.eval`: a polar series at one point."""
+    total = 0.0
+    for (k, rexps, pexps, m, w, kind), q in ts.terms.items():
+        v = float(q) * eps ** k
+        for r, e in zip(radii, rexps):
+            if e:
+                v *= r ** e
+        for pval, e in zip(params, pexps):
+            if e:
+                v *= pval ** e
+        phase = m * t + sum(x * th for x, th in zip(w, thetas))
+        v *= math.cos(phase) if kind == COS else math.sin(phase)
+        total += v
+    return total
+
+
+def reference_vpoly_field(v_polys, eps, params):
+    """`compile_vpoly`'s calling convention over the reference closures."""
+    fns = [reference_compile_vpoly(vp, params) for vp in v_polys]
+    return lambda t, y: [fn(t, y, eps) for fn in fns]
+
+
+def reference_rg_field(rg, eps, cut, params):
+    fns = [reference_compile_poly(f.trunc(cut), params) for f in rg.fields]
+    return lambda t, y: np.array([fn(eps, y) for fn in fns], dtype=complex)
+
+
+def reference_polar_field(polar, eps, cut, params):
+    pvals = [params[name] for name in polar.param_names]
+    p = polar.npairs
+    drs = [ts.trunc(cut) for ts in polar.d_radius]
+    dths = [ts.trunc(cut) for ts in polar.d_theta]
+
+    def f(t, y):
+        radii = y[:p].real
+        thetas = y[p:].real
+        out = np.empty(2 * p, dtype=complex)
+        for a in range(p):
+            out[a] = reference_trig_eval(drs[a], eps, radii, thetas, pvals)
+            out[p + a] = reference_trig_eval(dths[a], eps, radii, thetas, pvals)
+        return out
+
+    return f
+
+
+def reference_reconstruction(ren, eps, cut, params):
+    compiled = [
+        [(m, reference_compile_poly(p.trunc(cut), params)) for m, p in comp.entries.items()]
+        for comp in ren.components
+    ]
+
+    def values(t, amps):
+        row = []
+        for entries in compiled:
+            total = 0j
+            for m, fn in entries:
+                v = fn(eps, amps)
+                if m:
+                    v *= complex(math.cos(m * t), math.sin(m * t))
+                total += v
+            row.append(total)
+        return row
+
+    return values
+
+
+def reference_initial_state(ren, eps, cut, r0, theta0):
+    amps0 = amplitudes_from_polar(np.array([r0, theta0], dtype=complex), 1)
+    compiled0 = [
+        [(m, reference_compile_poly(p.trunc(cut), {})) for m, p in comp.entries.items()]
+        for comp in ren.components
+    ]
+    return np.array(
+        [sum(fn(eps, amps0) for m, fn in entries) for entries in compiled0],
+        dtype=complex,
+    )
+
+
+def assert_bit_equal(got, want):
+    """Equal value by value, signed zeros included."""
+    got = np.asarray(got, dtype=complex).ravel()
+    want = np.asarray(want, dtype=complex).ravel()
+    assert got.shape == want.shape
+    for i, (a, b) in enumerate(zip(got, want)):
+        for x, y in ((a.real, b.real), (a.imag, b.imag)):
+            assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y), (i, a, b)
+
+
+PARAM_DOC = {
+    "class": "semisimple", "linear_part": [1, -1], "params": ["a"],
+    "V": ["a*y1*y2 + E^-1*y2", "a*y1*y2 + E*y1"], "order": 4,
+}
+PARAM_VALUES = {"alpha": 0.7, "beta": -1.3, "mu": 0.45, "a": -0.6}
+
+FIELD_CASES = (
+    ["ex_cd", "ex_bt", "ex_third", "ex_scalar1", "ex_oscillators", "params"]
+    + [f"random-{k}-{s}" for k in ("semisimple", "nilpotent", "scalar") for s in range(10)]
+)
+# the cases whose RG system has a polar form
+POLAR_CASES = ["ex_cd", "ex_oscillators", "params", "random-semisimple-2"]
+EPS_VALUES = (0.25, 0.1)
+
+
+def field_case_spec(case):
+    if case == "params":
+        return make_spec(**PARAM_DOC)
+    if case.startswith("random-"):
+        _, klass, seed = case.split("-")
+        return random_spec(klass, int(seed))
+    return load_builtin(case)
+
+
+def polar_of(spec, rg):
+    """The polar system pairing (A1,A2), (A3,A4), ..., or None."""
+    if spec.klass != "semisimple" or len(spec.modes) % 2:
+        return None
+    try:
+        return polar_transform(rg, [(a, a + 1) for a in range(0, len(spec.modes), 2)])
+    except PolarPairingError:
+        return None
+
+
+def sample_points(rng, dim, real=False):
+    """Random states plus one made of signed zeros."""
+    pts = []
+    for _ in range(3):
+        z = rng.normal(size=dim) + (0 if real else 1j) * rng.normal(size=dim)
+        pts.append(np.asarray(z, dtype=complex))
+    pts.append(np.array([complex(-0.0, 0.0) if j % 2 else complex(0.0, -0.0)
+                         for j in range(dim)]))
+    return pts
+
+
+TIMES = [np.float64(x) for x in (0.0, 0.37, -2.5, 13.125)]
+
+
+class TestGeneratedFieldsMatchReference:
+    """Every generated field is bit-equal to the interpreted closure it replaced."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        out = {}
+        for case in FIELD_CASES:
+            spec = field_case_spec(case)
+            table = expand_table(spec)
+            rg = derive_rg(table)
+            out[case] = (spec, rg, renormalized_expansion(table), polar_of(spec, rg))
+        return out
+
+    def test_polar_cases(self, built):
+        assert [c for c in FIELD_CASES if built[c][3] is not None] == POLAR_CASES
+        assert built["ex_oscillators"][3].npairs == 2
+        assert built["params"][3].param_names == ("a",)
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_direct_field(self, built, case):
+        spec = built[case][0]
+        rng = np.random.default_rng(len(case))
+        for eps in EPS_VALUES:
+            got = compile_vpoly(spec.v_polys, eps, PARAM_VALUES)
+            want = reference_vpoly_field(spec.v_polys, eps, PARAM_VALUES)
+            for y in sample_points(rng, spec.n_states):
+                for t in TIMES:
+                    assert_bit_equal(got(t, y), want(t, y))
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_rg_field(self, built, case):
+        rg = built[case][1]
+        rng = np.random.default_rng(len(case))
+        for eps, cut in itertools.product(EPS_VALUES, range(rg.ctx.order + 1)):
+            got = rg_field(rg, eps, cut, PARAM_VALUES)
+            want = reference_rg_field(rg, eps, cut, PARAM_VALUES)
+            for y in sample_points(rng, len(rg.ctx.amplitudes)):
+                assert_bit_equal(got(TIMES[1], y), want(TIMES[1], y))
+
+    @pytest.mark.parametrize("case", POLAR_CASES)
+    def test_polar_field(self, built, case):
+        polar = built[case][3]
+        rng = np.random.default_rng(len(case))
+        for eps, cut in itertools.product(EPS_VALUES, range(built[case][1].ctx.order + 1)):
+            got = polar_field(polar, eps, cut, PARAM_VALUES)
+            want = reference_polar_field(polar, eps, cut, PARAM_VALUES)
+            for y in sample_points(rng, 2 * polar.npairs, real=True):
+                assert_bit_equal(got(TIMES[0], y), want(TIMES[0], y))
+
+    @pytest.mark.parametrize("case", FIELD_CASES)
+    def test_reconstruction_field(self, built, case):
+        ren = built[case][2]
+        rng = np.random.default_rng(len(case))
+        for eps, cut in itertools.product(EPS_VALUES, range(ren.ctx.order + 1)):
+            got = reconstruction_field(ren, eps, cut, PARAM_VALUES)
+            want = reference_reconstruction(ren, eps, cut, PARAM_VALUES)
+            for amps in sample_points(rng, len(ren.ctx.amplitudes)):
+                for t in TIMES:
+                    assert_bit_equal(got(t, amps), want(t, amps))
+
+
+    def test_long_sum_compiles_in_order(self):
+        # far more terms than CPython compiles as one nested expression
+        g = numeric._StraightLine()
+        rng = np.random.default_rng(5)
+        coeffs = [complex(z) for z in rng.normal(size=5000) + 1j * rng.normal(size=5000)]
+        y0 = g.local("y[0]")
+        total = g.sum("0j", [[g.const(c), y0] for c in coeffs])
+        y = np.array([0.3 - 1.1j])
+        want = 0j
+        for c in coeffs:
+            want += c * y[0]
+        assert_bit_equal(g.function("t, y", total)(0.0, y), want)
+
+
+class TestGeneratedTrajectoriesMatchReference:
+    """Short runs through the public integrators, against the reference fields."""
+
+    @pytest.mark.parametrize("name,y0", [
+        ("ex_cd", [0.3 + 0.2j, 0.3 - 0.2j]),
+        ("ex_bt", [0.4 - 0.1j, -0.2 + 0.3j]),
+        ("ex_third", [0.5 + 0j, 0.1j, -0.2 + 0j]),
+    ])
+    def test_integrate_ode(self, monkeypatch, name, y0):
+        spec = load_builtin(name)
+        params = {p: PARAM_VALUES[p] for p in spec.params}
+        got = integrate_ode(spec, np.array(y0), 0.25, 1.0, 0.01, params)
+        monkeypatch.setattr(numeric, "compile_vpoly", reference_vpoly_field)
+        want = integrate_ode(spec, np.array(y0), 0.25, 1.0, 0.01, params)
+        assert_bit_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("name", ["ex_cd", "ex_bt", "ex_oscillators"])
+    def test_integrate_rg(self, name):
+        spec = load_builtin(name)
+        params = {p: PARAM_VALUES[p] for p in spec.params}
+        rg = derive_rg(expand_table(spec))
+        a0 = np.linspace(0.2, 0.5, len(rg.ctx.amplitudes)) * (1 + 0.5j)
+        got = integrate_rg(rg, a0, 0.25, 1.0, 0.01, 2, params)
+        want = rk4_integrate(reference_rg_field(rg, 0.25, 2, params), a0, 0.0, 1.0, 0.01)
+        assert_bit_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("name,pairs", [("ex_cd", 1), ("ex_oscillators", 2)])
+    def test_integrate_polar_and_reconstruct(self, name, pairs):
+        spec = load_builtin(name)
+        table = expand_table(spec)
+        polar = polar_transform(derive_rg(table), [(2 * a, 2 * a + 1) for a in range(pairs)])
+        ren = renormalized_expansion(table)
+        start = [1.3, 0.8][:pairs] + [2.1, -0.4][:pairs]
+        got = integrate_polar(polar, start[:pairs], start[pairs:], 0.25, 1.0, 0.01, 4)
+        want = rk4_integrate(reference_polar_field(polar, 0.25, 4, {}),
+                             np.array(start, dtype=complex), 0.0, 1.0, 0.01)
+        assert_bit_equal(got.states, want.states)
+        recon = reconstruct(ren, got, 0.25, pairs=pairs, eps_order=2)
+        values = reference_reconstruction(ren, 0.25, 2, {})
+        expect = [values(t, amplitudes_from_polar(y, pairs))
+                  for t, y in zip(got.times, got.states)]
+        assert_bit_equal(recon.states, expect)
+
+    @pytest.mark.parametrize("eps,r0,theta0,ren_order", [
+        (0.25, 1.3, 2.1, 2), (0.1, 0.7, -1.3, 4),
+    ])
+    def test_initial_state(self, eps, r0, theta0, ren_order):
+        spec = load_builtin("ex_cd")
+        out = simulate_conjugate_pair(spec, eps, r0, theta0, t_end=0.05, ren_order=ren_order)
+        ren = renormalized_expansion(expand_semisimple(spec))
+        assert_bit_equal(out["initial_state"],
+                         reference_initial_state(ren, eps, ren_order, r0, theta0))
