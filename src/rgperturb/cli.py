@@ -340,13 +340,14 @@ def cmd_simulate(args) -> int:
     if not args.builtin and not args.spec:
         args.builtin = "ex_cd"
     spec, label = load_spec(args)
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
     result = simulate_conjugate_pair(
         spec, args.eps, args.r0, args.theta0,
         t_end=args.t_end, dt=args.dt,
         rg_order=args.rg_order, ren_order=args.ren_order,
     )
+    # only now: a spec the pipeline rejects leaves no empty directory behind
+    outdir = args.out_dir
+    os.makedirs(outdir, exist_ok=True)
     direct = result["direct"]
     polar = result["polar"]
     recon = result["reconstruction"]

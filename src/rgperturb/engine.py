@@ -164,21 +164,27 @@ class ForcingLayers:
 
     def _power(self, se: tuple, n: int) -> HarmonicSeries:
         """L(se)[n], the eps^n layer of y^se."""
-        layers = self._powers.setdefault(se, [])
-        while len(layers) <= n:
-            r = len(layers)
-            if not any(se):
-                layers.append(HarmonicSeries.single(0, self.ctx.one()) if r == 0
-                              else HarmonicSeries.zero(self.ctx))
-                continue
+        powers = self._powers
+        # peel one state at a time off se, down to a power whose layers reach
+        # n or to y^0, then extend the layers of each power bottom-up
+        chain = []
+        while len(powers.setdefault(se, [])) <= n and any(se):
             j = min(i for i, k in enumerate(se) if k)
-            lower = se[:j] + (se[j] - 1,) + se[j + 1:]
-            acc = HarmonicSeries.zero(self.ctx)
-            for a in range(r + 1):
-                y = self._layers[a][j]
-                if y.entries:
-                    acc = acc + y.mul(self._power(lower, r - a))
-            layers.append(acc)
+            chain.append((se, j))
+            se = se[:j] + (se[j] - 1,) + se[j + 1:]
+        layers = powers[se]
+        while len(layers) <= n:  # only y^0 can be short here
+            layers.append(HarmonicSeries.zero(self.ctx) if layers
+                          else HarmonicSeries.single(0, self.ctx.one()))
+        for se, j in reversed(chain):
+            lower, layers = layers, powers[se]
+            for r in range(len(layers), n + 1):
+                acc = HarmonicSeries.zero(self.ctx)
+                for a in range(r + 1):
+                    y = self._layers[a][j]
+                    if y.entries:
+                        acc = acc + y.mul(lower[r - a])
+                layers.append(acc)
         return layers[n]
 
     def next_layer(self, comps) -> list:

@@ -1,94 +1,148 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-Every symbolic coefficient in this package is a GaussianRational.  The real
-and imaginary parts are `fractions.Fraction` instances, so arithmetic is
-arbitrary precision and values are always stored in lowest terms with a
-positive denominator.  No floating point enters anywhere in this module.
+Every symbolic coefficient in this package is a GaussianRational.  A value
+is stored as three Python ints (a, b, d), meaning (a + b*i)/d, in canonical
+form: d > 0 and gcd(a, b, d) == 1, so each value has exactly one triple
+(zero is (0, 0, 1)).  Each operation works on the integers and normalises
+its result once, with one three-argument `math.gcd` -- the common-denominator
+form of fraction-free computer algebra (Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2; FLINT's `fmpq`).  The real
+and imaginary parts are available as `fractions.Fraction` through the
+read-only `re` and `im`.  No floating point enters anywhere in this module
+except `complex()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_alloc = object.__new__
+
+
+def _canonical(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d in canonical form; d may be negative but not zero."""
+    g = gcd(d, a, b)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    v = _alloc(GaussianRational)
+    v.a = a
+    v.b = b
+    v.d = d
+    return v
 
 
 class GaussianRational:
-    """A value re + i*im with exact rational re, im."""
+    """A value (a + b*i)/d with ints a, b, d, d > 0 and gcd(a, b, d) == 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # over the lcm of two reduced denominators no common factor is left
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
-    @classmethod
-    def _new(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # fast path: callers guarantee Fraction inputs
-        v = cls.__new__(cls)
-        v.re = re
-        v.im = im
-        return v
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self.a == 1 and not self.b and self.d == 1
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._new(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _canonical(self.a + other.a, self.b + other.b, d1)
+        return _canonical(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._new(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _canonical(self.a - other.a, self.b - other.b, d1)
+        return _canonical(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._new(-self.re, -self.im)
+        v = _alloc(GaussianRational)
+        v.a = -self.a
+        v.b = -self.b
+        v.d = self.d
+        return v
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational._new(a * c - b * d, a * d + b * c)
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _canonical(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        c, d = other.re, other.im
-        n = c * c + d * d
-        if not n:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        a, b = self.re, self.im
-        return GaussianRational._new((a * c + b * d) / n, (b * c - a * d) / n)
+        a2, b2, d2 = other.a, other.b, other.d
+        if not b2:
+            # a rational divisor: multiply by d2/a2, whose sign _canonical moves
+            if not a2:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            return _canonical(self.a * d2, self.b * d2, self.d * a2)
+        a1, b1 = self.a, self.b
+        return _canonical(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
+                          self.d * (a2 * a2 + b2 * b2))
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational._new(self.re, -self.im)
+        v = _alloc(GaussianRational)
+        v.a = self.a
+        v.b = -self.b
+        v.d = self.d
+        return v
 
     def scale(self, q) -> "GaussianRational":
         """Multiply by an exact rational scalar."""
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        return GaussianRational._new(self.re * q, self.im * q)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        p = q.numerator
+        return _canonical(self.a * p, self.b * p, self.d * q.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     # -- rendering ----------------------------------------------------------
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        ims = "i" if self.im == 1 else ("-i" if self.im == -1 else f"{self.im}*i")
+            return f"{im}*i"
+        ims = "i" if im == 1 else ("-i" if im == -1 else f"{im}*i")
         sep = "+" if not ims.startswith("-") else ""
-        return f"({self.re}{sep}{ims})"
+        return f"({re}{sep}{ims})"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -260,11 +260,13 @@ class TestSimulate:
             "class": "semisimple", "linear_part": [1, -1], "params": ["a"],
             "V": ["a*y1*y2 + E^-1*y2", "a*y1*y2 + E*y1"], "order": 4,
         }))
+        out_dir = tmp_path / "out"
         code, out, err = run(capsys, "simulate", "--spec", str(path), "--t-end", "1.0",
-                             "--out-dir", str(tmp_path / "out"))
+                             "--out-dir", str(out_dir))
         assert code == 2
         assert err == "error: missing numeric values for parameters ['a']\n"
         assert out == ""
+        assert not out_dir.exists()
 
     def test_overflow_exit_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--eps", "80.0", "--t-end", "5.0",

@@ -329,3 +329,10 @@ class TestForcingLayers:
             doc = random_spec(klass, seed).to_document()
             doc["order"] = 4
             self.assert_matches_reference(parse_spec(json.dumps(doc)))
+
+    def test_state_degree_beyond_the_recursion_limit(self):
+        # y1^1000 peels a chain of 1000 powers; none of them may recurse
+        self.assert_matches_reference(make_spec(**{
+            "class": "semisimple", "linear_part": [1, -1], "order": 3,
+            "V": ["y1^1000 + y2", "y1*y2 + E*y1"],
+        }))

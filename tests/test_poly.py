@@ -1,4 +1,9 @@
+import io
+import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -263,6 +268,82 @@ class TestSubstitutionMatchesReference:
             sub = Substitution(ctx, bindings)
             for p in polys:
                 assert sub(p) == reference_substitute(p, bindings)
+
+
+# exact zeros, small values and 64-bit-tall parts of both signs
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64)),
+)
+gaussians = st.builds(gq, rationals, rationals)
+
+
+class TestRingLaws:
+    """Q(i), and MultiPoly at a common eps-cut, obey the commutative ring laws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaussians, gaussians, gaussians)
+    def test_gaussian_rationals(self, x, y, z):
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+        assert x + y == y + x and x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert (x + -x).is_zero() and (x - y) + y == x
+        if not x.is_zero():
+            assert (x * (ONE / x)).is_one() and (y / x) * x == y
+
+    @staticmethod
+    @st.composite
+    def poly_triples(draw):
+        K = draw(st.integers(0, 4))
+        ctx = PolyContext(("A1",), ("p",), order=K)
+
+        def poly():
+            p = ctx.zero()
+            for _ in range(draw(st.integers(0, 5))):
+                exps = [draw(st.integers(0, K))]
+                exps += [draw(st.integers(0, 2)) for _ in range(ctx.nvars - 1)]
+                p = p + ctx.monomial(draw(gaussians), exps)
+            return p
+
+        return draw(st.integers(0, K)), poly(), poly(), poly()
+
+    @settings(max_examples=150, deadline=None)
+    @given(poly_triples())
+    def test_multipoly(self, case):
+        cut, p, q, r = case
+        assert p.mul(q, cut).mul(r, cut) == p.mul(q.mul(r, cut), cut)
+        assert p.mul(q + r, cut) == p.mul(q, cut) + p.mul(r, cut)
+        assert p.mul(q, cut) == q.mul(p, cut)
+
+
+class TestMachineRoundtrip:
+    """`expand --format machine` parses back and re-renders byte-identically."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["semisimple", "nilpotent", "scalar"]), st.integers(0, 10 ** 6),
+           st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64).filter(bool),
+                     st.integers(1, 2 ** 64)))
+    def test_random_specs(self, klass, seed, factor):
+        from rgperturb.checks import random_spec
+        from rgperturb.cli import main, table_from_machine, table_to_machine
+        from rgperturb.engine import SecularTable
+
+        doc = random_spec(klass, seed).to_document()
+        doc["V"] = [f"({factor})*({v})" for v in doc["V"]]  # tall coefficients
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(["expand", "--spec", path, "--format", "machine"]) == 0
+        out = buf.getvalue()
+        spec, ctx, comps = table_from_machine(out)
+        resonant = [(j - 1, m) for j, m in json.loads(out)["resonant"]]
+        table = SecularTable(spec, ctx, comps, resonant)
+        assert json.dumps(table_to_machine(table), indent=2) + "\n" == out
 
 
 class TestEval:
