@@ -20,20 +20,23 @@ from math import gcd, lcm
 _alloc = object.__new__
 
 
-def _canonical(a: int, b: int, d: int) -> "GaussianRational":
-    """(a + b*i)/d in canonical form; d may be negative but not zero."""
-    g = gcd(d, a, b)
-    if d < 0:
-        g = -g
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
+def _raw(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d from a triple already in canonical form."""
     v = _alloc(GaussianRational)
     v.a = a
     v.b = b
     v.d = d
     return v
+
+
+def _canonical(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d in canonical form, for d > 0."""
+    g = gcd(d, a, b)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 class GaussianRational:
@@ -42,9 +45,6 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-            return
         re = re if isinstance(re, Fraction) else Fraction(re)
         im = im if isinstance(im, Fraction) else Fraction(im)
         # over the lcm of two reduced denominators no common factor is left
@@ -82,11 +82,7 @@ class GaussianRational:
         return _canonical(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self) -> "GaussianRational":
-        v = _alloc(GaussianRational)
-        v.a = -self.a
-        v.b = -self.b
-        v.d = self.d
-        return v
+        return _raw(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
@@ -94,21 +90,15 @@ class GaussianRational:
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         a2, b2, d2 = other.a, other.b, other.d
-        if not b2:
-            # a rational divisor: multiply by d2/a2, whose sign _canonical moves
-            if not a2:
-                raise ZeroDivisionError("division by zero in Q(i)")
-            return _canonical(self.a * d2, self.b * d2, self.d * a2)
+        if not (a2 or b2):
+            raise ZeroDivisionError("division by zero in Q(i)")
         a1, b1 = self.a, self.b
+        # times the conjugate over the norm, which is positive
         return _canonical(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
                           self.d * (a2 * a2 + b2 * b2))
 
     def conj(self) -> "GaussianRational":
-        v = _alloc(GaussianRational)
-        v.a = self.a
-        v.b = -self.b
-        v.d = self.d
-        return v
+        return _raw(self.a, -self.b, self.d)
 
     def scale(self, q) -> "GaussianRational":
         """Multiply by an exact rational scalar."""

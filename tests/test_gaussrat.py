@@ -186,7 +186,7 @@ class TestMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(parts)
     def test_division_by_rationals(self, x):
-        # rational divisors of both signs take their own path in `/`
+        # rational divisors of both signs, and rationals divided by Gaussian ones
         u, ur = GaussianRational(*x), ReferenceGaussianRational(*x)
         for re in (Fraction(-3), Fraction(-2, 7), Fraction(5, 4), x[1] or Fraction(-1)):
             r, rr = GaussianRational(re), ReferenceGaussianRational(re)
