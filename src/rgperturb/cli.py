@@ -7,6 +7,7 @@ Exit codes: 0 success; 1 at least one check failed; 2 bad spec or usage;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -306,17 +307,22 @@ def cmd_verify(args) -> int:
         table = corrupt_table(table)
     seed = args.seed if args.seed is not None else 0
     reports = run_all_checks(table, seed=seed)
-    rng = random.Random(seed)
-    smoke_ok, smoke_detail = _numeric_smoke(table, rng)
+    exact_ok = all(r.ok for r in reports)
     for r in reports:
         print(r.line())
         if r.applicable and not r.passed:
             detail = {"check": r.name, "spec": r.spec_id, "order": r.order,
                       "seed": r.seed, "detail": r.detail}
             print(json.dumps(detail))
-    print(f"{'PASS' if smoke_ok else 'FAIL'} numeric_smoke [{table.label} K={table.order}] "
-          f"{smoke_detail}")
-    return 0 if all(r.ok for r in reports) and smoke_ok else 1
+    smoke = f"numeric_smoke [{table.label} K={table.order}]"
+    if not exact_ok:
+        # the exact checks already decide the exit code; a spot check of an
+        # identity known to fail has no verdict to add
+        print(f"SKIP {smoke} :: exact checks failed")
+        return 1
+    smoke_ok, smoke_detail = _numeric_smoke(table, random.Random(seed))
+    print(f"{'PASS' if smoke_ok else 'FAIL'} {smoke} {smoke_detail}")
+    return 0 if smoke_ok else 1
 
 
 def _check_simulate_numbers(args) -> None:
@@ -347,6 +353,8 @@ def cmd_simulate(args) -> int:
     )
     # only now: a spec the pipeline rejects leaves no empty directory behind
     outdir = args.out_dir
+    if outdir is None:
+        outdir = os.environ.get("RGPERTURB_OUT", ".")
     os.makedirs(outdir, exist_ok=True)
     direct = result["direct"]
     polar = result["polar"]
@@ -354,22 +362,23 @@ def cmd_simulate(args) -> int:
     emit_csv(direct, os.path.join(outdir, f"{label}_direct.csv"))
     emit_csv(polar, os.path.join(outdir, f"{label}_rg_polar.csv"))
     emit_csv(recon, os.path.join(outdir, f"{label}_reconstruction.csv"))
-    ts = list(direct.times)
+    ts = direct.times.tolist()
+    re_y1 = direct.component(0).real.tolist()
     emit_svg(
-        [("Re y1", ts, list(direct.component(0).real)),
-         ("Im y1", ts, list(direct.component(0).imag))],
+        [("Re y1", ts, re_y1),
+         ("Im y1", ts, direct.component(0).imag.tolist())],
         os.path.join(outdir, f"{label}_direct.svg"),
         title=f"direct integration, eps={args.eps}",
     )
     emit_svg(
-        [("R", ts, list(polar.component(0).real)),
-         ("theta", ts, list(polar.component(1).real))],
+        [("R", ts, polar.component(0).real.tolist()),
+         ("theta", ts, polar.component(1).real.tolist())],
         os.path.join(outdir, f"{label}_rg.svg"),
         title=f"RG flow (order eps^{args.rg_order})",
     )
     emit_svg(
-        [("Re y1 (direct)", ts, list(direct.component(0).real)),
-         ("Re Y1 (reconstruction)", ts, list(recon.component(0).real))],
+        [("Re y1 (direct)", ts, re_y1),
+         ("Re Y1 (reconstruction)", ts, recon.component(0).real.tolist())],
         os.path.join(outdir, f"{label}_overlay.svg"),
         title=f"reconstruction overlay, eps={args.eps}",
     )
@@ -433,14 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dt", type=float, default=0.01)
     sp.add_argument("--rg-order", type=int, default=4)
     sp.add_argument("--ren-order", type=int, default=2)
-    sp.add_argument("--out-dir", default=os.environ.get("RGPERTURB_OUT", "."))
+    # default: $RGPERTURB_OUT, read when the command runs, else "."
+    sp.add_argument("--out-dir")
     sp.set_defaults(func=cmd_simulate)
     return parser
 
 
+# built once per process: main() runs once per job of a batch
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecError, OSError, json.JSONDecodeError, diffmod.WindowError) as exc:

@@ -1,7 +1,19 @@
 """Fixed-step numerics: direct integration, RG integration, reconstruction.
 
 Classical RK4 with a fixed step everywhere -- determinism and bit-reproducible
-CSVs matter more than efficiency at this scale.
+CSVs matter more than efficiency at this scale.  The state is a list of
+Python complex, and every field takes and returns a list: on vectors of two
+or four components, numpy's per-operation overhead cost more than the
+arithmetic.  Each stage does numpy's elementwise operations one element at a
+time in numpy's order (``a + (dt/2)*b``, ``a + (dt/6)*(b1 + 2*b2 + 2*b3 +
+b4)``), so the states are bit-identical to those of the same loop on numpy
+arrays.  numpy holds only the stored trajectories.
+
+Where numpy returned inf, Python's ``complex ** int`` and ``float ** int``
+raise OverflowError.  The RK4 step, the initial state of the conjugate-pair
+pipeline and ``reconstruct`` turn it into ``NumericOverflowError`` naming
+the time whose state it would have spoiled, the same message a non-finite
+state gets; an initial state that is already non-finite is reported at t0.
 
 Every numeric field -- the direct equation's forcing, the complex and polar RG
 fields, the reconstruction and the initial state -- is compiled once, before
@@ -20,6 +32,7 @@ output is a dependency-free, self-contained line plot for human inspection.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -48,27 +61,45 @@ class Trajectory:
         return self.states[:, j]
 
 
+def _non_finite(t: float) -> NumericOverflowError:
+    return NumericOverflowError(f"state became non-finite at t={t:.6g}")
+
+
 def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Trajectory:
+    """Classical RK4 on a state held as a list of Python complex.
+
+    f(t, y) takes and returns a sequence of complex (or float) values.  Each
+    stage does numpy's elementwise operations on a complex vector one
+    element at a time, in numpy's order, so the states are bit-identical to
+    those of the same loop on numpy arrays.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = max(1, int(round((t_end - t0) / dt)))
-    y = np.asarray(y0, dtype=complex)
+    isfinite = cmath.isfinite
+    y = np.asarray(y0, dtype=complex).ravel().tolist()
+    if not all(map(isfinite, y)):
+        raise _non_finite(t0)
     times = t0 + dt * np.arange(n + 1)
-    states = np.empty((n + 1, y.size), dtype=complex)
+    grid = times.tolist()
+    states = np.empty((n + 1, len(y)), dtype=complex)
     states[0] = y
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(n):
-            t = times[i]
+    h2, h6 = dt / 2, dt / 6
+    for i in range(n):
+        t = grid[i]
+        try:
             k1 = f(t, y)
-            k2 = f(t + dt / 2, y + (dt / 2) * k1)
-            k3 = f(t + dt / 2, y + (dt / 2) * k2)
-            k4 = f(t + dt, y + dt * k3)
-            y = y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y.view(float))):
-                raise NumericOverflowError(
-                    f"state became non-finite at t={times[i + 1]:.6g}"
-                )
-            states[i + 1] = y
+            k2 = f(t + h2, [a + h2 * b for a, b in zip(y, k1)])
+            k3 = f(t + h2, [a + h2 * b for a, b in zip(y, k2)])
+            k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
+            y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        except OverflowError:
+            # Python's ** raises where numpy's gave inf
+            raise _non_finite(grid[i + 1]) from None
+        if not all(map(isfinite, y)):
+            raise _non_finite(grid[i + 1])
+        states[i + 1] = y
     return Trajectory(times, states, dict(meta or {}))
 
 
@@ -176,25 +207,19 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
     params = _check_params(spec, params)
     vs = compile_vpoly(spec.v_polys, eps, params)
     if spec.klass == "semisimple":
-        modes = np.array(spec.modes, dtype=float)
+        rates = [1j * float(m) for m in spec.modes]
 
         def f(t, y):
-            out = 1j * modes * y
-            for j, v in enumerate(vs(t, y)):
-                out[j] += eps * v
-            return out
+            return [r * a + eps * v for r, a, v in zip(rates, y, vs(t, y))]
 
         return f
     if spec.klass == "nilpotent":
-        n = spec.block_size
         im = 1j * spec.block_mode
 
         def f(t, y):
-            out = im * y
-            out[:-1] += y[1:]
-            for j, v in enumerate(vs(t, y)):
-                out[j] += eps * v
-            return out
+            out = [im * a + b for a, b in zip(y, y[1:])]
+            out.append(im * y[-1])
+            return [o + eps * v for o, v in zip(out, vs(t, y))]
 
         return f
     if spec.klass == "scalar":
@@ -204,18 +229,15 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
         for m_r, n_r in spec.factors:
             for _ in range(n_r):
                 poly = np.convolve(poly, np.array([1.0 + 0j, -1j * m_r]))
-        # poly[0] x^N + ... + poly[N]; coefficients of x^l is poly[N-l]
-        lower = poly[1:]  # x^{N-1} .. x^0
+        # poly[0] x^N + ... + poly[N]; the coefficient of x^l is poly[N-l],
+        # and it multiplies y[l]
+        lower = [(N - 1 - i, c) for i, c in enumerate(poly[1:].tolist()) if c]
 
         def f(t, y):
-            out = np.empty_like(y)
-            out[:-1] = y[1:]
             acc = eps * vs(t, y)[0]
-            for i, c in enumerate(lower):
-                if c:
-                    acc -= c * y[N - 1 - i]
-            out[-1] = acc
-            return out
+            for l, c in lower:
+                acc -= c * y[l]
+            return y[1:] + [acc]
 
         return f
     raise SpecError(f"class {spec.klass!r} is not numerically integrable here")
@@ -256,7 +278,7 @@ def rg_field(rg: RGSystem, eps: float, eps_order: int, params=None) -> callable:
     params = dict(params or {})
     g = _StraightLine()
     sums = [_poly_sum(g, f.trunc(eps_order), eps, params, "y") for f in rg.fields]
-    return g.function("t, y", f"np.array([{', '.join(sums)}], dtype=complex)")
+    return g.function("t, y", f"[{', '.join(sums)}]")
 
 
 def integrate_rg(rg: RGSystem, initial, eps: float, t_end: float, dt: float,
@@ -296,7 +318,7 @@ def polar_field(polar: PolarRG, eps: float, eps_order: int, params=None) -> call
     g = _StraightLine()
     sums = [_trig_sum(g, ts.trunc(eps_order), eps, pvals, polar.npairs)
             for ts in polar.d_radius + polar.d_theta]
-    return g.function("t, y", f"np.array([{', '.join(sums)}], dtype=complex)")
+    return g.function("t, y", f"[{', '.join(sums)}]")
 
 
 def integrate_polar(polar: PolarRG, radii0, thetas0, eps: float, t_end: float,
@@ -305,18 +327,17 @@ def integrate_polar(polar: PolarRG, radii0, thetas0, eps: float, t_end: float,
     params = dict(params or {})
     f = polar_field(polar, eps, eps_order, params)
     meta = {"system": "rg-polar", "eps": eps, "eps_order": eps_order, "params": params}
-    return rk4_integrate(f, np.array(list(radii0) + list(thetas0), dtype=complex),
-                         t0, t_end, dt, meta)
+    return rk4_integrate(f, list(radii0) + list(thetas0), t0, t_end, dt, meta)
 
 
 def amplitudes_from_polar(state, npairs):
-    """Complex amplitudes (R e^{i theta}, R e^{-i theta}, ...) from a polar state."""
-    out = np.empty(2 * npairs, dtype=complex)
+    """Complex amplitudes [R e^{i theta}, R e^{-i theta}, ...] from a polar state."""
+    out = []
     for a in range(npairs):
         r = state[a].real
         th = state[npairs + a].real
-        out[2 * a] = r * complex(math.cos(th), math.sin(th))
-        out[2 * a + 1] = out[2 * a].conjugate()
+        z = r * complex(math.cos(th), math.sin(th))
+        out += (z, z.conjugate())
     return out
 
 
@@ -360,14 +381,15 @@ def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
     values = reconstruction_field(ren, eps, cut, params)
     n = len(rg_traj.times)
     states = np.empty((n, len(ren.components)), dtype=complex)
-    for i in range(n):
-        if pairs is None:
-            amps = rg_traj.states[i]
-        else:
-            amps = amplitudes_from_polar(rg_traj.states[i], pairs)
+    for i, t in enumerate(rg_traj.times.tolist()):
+        row = rg_traj.states[i].tolist()
+        amps = row if pairs is None else amplitudes_from_polar(row, pairs)
         if len(amps) != namp:
             raise SpecError("amplitude dimension mismatch in reconstruction")
-        states[i] = values(rg_traj.times[i], amps)
+        try:
+            states[i] = values(t, amps)
+        except OverflowError:
+            raise _non_finite(t) from None
     meta = dict(rg_traj.meta)
     meta["system"] = "reconstruction"
     return Trajectory(rg_traj.times.copy(), states, meta)
@@ -385,15 +407,13 @@ def emit_csv(traj: Trajectory, path) -> None:
     cols = ["t"]
     for j in range(traj.dim):
         cols += [f"re_{j + 1}", f"im_{j + 1}"]
-    lines = [",".join(cols)]
-    for i, t in enumerate(traj.times):
-        row = [f"{t:.17g}"]
-        for j in range(traj.dim):
-            z = traj.states[i, j]
-            row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        lines.append(",".join(row))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    # (re_1, im_1, re_2, ...) of each row
+    parts = np.ascontiguousarray(traj.states, dtype=complex).view(float)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for t, values in zip(traj.times.tolist(), parts):
+            fh.write(row % (t, *values.tolist()))
 
 
 _PALETTE = ("#cc0000", "#0033cc", "#000000", "#008833", "#aa6600", "#7700aa")
@@ -417,12 +437,13 @@ def emit_svg(series, path, title: str = "", width: int = 720, height: int = 440)
         y1 = y0 + 1
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
+    dx, dy = x1 - x0, y1 - y0
 
     def px(x):
-        return ml + pw * (x - x0) / (x1 - x0)
+        return ml + pw * (x - x0) / dx
 
     def py(y):
-        return mt + ph * (1 - (y - y0) / (y1 - y0))
+        return mt + ph * (1 - (y - y0) / dy)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -459,7 +480,9 @@ def emit_svg(series, path, title: str = "", width: int = 720, height: int = 440)
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # px and py, inlined
+        pts = " ".join("%.2f,%.2f" % (ml + pw * (x - x0) / dx, mt + ph * (1 - (y - y0) / dy))
+                       for x, y in zip(xs, ys))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
@@ -502,11 +525,14 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
 
     # Y_j(0) = sum_m P_{j,m}(eps, 0, A(0)), summed from int 0 as builtins.sum
     # does; zero entries are left out as in reconstruction_field
-    amps0 = amplitudes_from_polar(np.array([r0, theta0], dtype=complex), 1)
+    amps0 = amplitudes_from_polar([r0, theta0], 1)
     g = _StraightLine()
     sums = [g.sum("0", [[s] for _, s in entries])
             for entries in _entry_sums(g, ren, eps, ren_order, params)]
-    y0 = np.array(g.function("amps", f"[{', '.join(sums)}]")(amps0), dtype=complex)
+    try:
+        y0 = np.array(g.function("amps", f"[{', '.join(sums)}]")(amps0), dtype=complex)
+    except OverflowError:
+        raise _non_finite(0.0) from None
 
     direct = integrate_ode(work, y0, eps, t_end, dt, params)
     polar_traj = integrate_polar(polar, [r0], [theta0], eps, t_end, dt, rg_order, params)

@@ -1,6 +1,12 @@
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rgperturb.cli import main, table_from_machine
 from rgperturb.engine import expand_table
@@ -185,6 +191,18 @@ class TestVerify:
         assert bar == 0.6 * 2 ** (order + 1)
         assert float(fields["d(0.2)/d(0.1)"]) <= bar < float(fields["d(0.1)/d(0.05)"])
 
+    def test_numeric_smoke_skips_when_exact_checks_fail(self, capsys):
+        # the spot check measures d(0.2)/d(0.1)=7.3 over its bar 4.8 here;
+        # once an exact check has failed its verdict would say nothing
+        code, out, _ = run(capsys, "verify", "--random", "semisimple", "--seed", "8",
+                           "--corrupt")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL check_functional_relation")
+        assert lines[-1] == ("SKIP numeric_smoke [random-semisimple-8#corrupted K=2] "
+                             ":: exact checks failed")
+        assert sum(" numeric_smoke " in ln for ln in lines) == 1
+
     def test_difference_odd_u_skips(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"class": "difference", "alpha": [[1, "1"], [-1, "1"]],
@@ -273,6 +291,67 @@ class TestSimulate:
                            "--out-dir", str(tmp_path))
         assert code == 4
         assert "overflow" in err
+
+    def test_non_finite_initial_state_exit_4(self, capsys, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "simulate", "--r0", "1e200", "--t-end", "1.0",
+                                 "--out-dir", str(tmp_path / "out"))
+        assert code == 4 and out == ""
+        assert err == "error: numeric overflow: state became non-finite at t=0\n"
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(r0=st.floats(-1e300, 1e300), eps=st.floats(-1e3, 1e3))
+    @example(r0=1e200, eps=0.25)
+    @example(r0=50.0, eps=0.25)
+    @example(r0=1.3, eps=80.0)
+    def test_large_numbers_exit_0_or_4(self, r0, eps):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["simulate", "--t-end", "2", f"--r0={r0!r}", f"--eps={eps!r}",
+                         "--out-dir", tmp])
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 4 and out.getvalue() == ""
+            message = err.getvalue()
+            assert message.startswith("error: numeric overflow: state became non-finite at t=")
+            assert message.count("\n") == 1
+
+
+class TestParser:
+    # SHA-256 of the help and usage text at 80 columns, (stdout, stderr)
+    HELP = {
+        (): ("", "75e3f36d26b4a47ee15193a0d7aa0047f154b83340c69c8b8bc1dcae12053b03"),
+        ("--help",): ("da2d16f0aead65d6d0c92047475349dfe19d3effafc54358a63a3b56dd9148d4", ""),
+        ("expand", "--help"):
+            ("5ffbe719f326014e55ab20ba64e48b8383f728768d2367e4268d037022b1b81a", ""),
+        ("rg", "--help"):
+            ("92cfd51f338d34782d71035a3cf1d241c3a9317eea4c309fd85bc43ab1924e07", ""),
+        ("verify", "--help"):
+            ("452a9fb32ee8a87db6284234027afa27bb6bc2ea2f16f8d086119e3fe4a834eb", ""),
+        ("simulate", "--help"):
+            ("63a77ba243506511c1f3cdddf3c28e68643e7acfba86ccabe8f03968320f9e92", ""),
+        ("simulate", "--bogus"):
+            ("", "2066f53423d86864e820f905f15c6202c81552651e848ad0eb60cee3facf5447"),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(HELP))
+    def test_help_and_usage_text(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):  # a second call in the same process prints the same
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == (0 if "--help" in argv else 2)
+            captured = capsys.readouterr()
+            got = tuple(hashlib.sha256(text.encode()).hexdigest() if text else ""
+                        for text in (captured.out, captured.err))
+            assert got == self.HELP[argv]
 
 
 class TestDeterminism:

@@ -11,16 +11,28 @@ the corrupted table's checks; the ``numeric_smoke`` line is left out of the
 identity.
 
 The ``simulate`` cases pin stdout and all six artifacts (three CSVs, three
-SVGs) of ex_cd at two settings, so a change to the numeric fields that
-moves even the last bit of one CSV value fails here.
+SVGs) of ex_cd at two settings and of a two-mode spec with quadratic
+forcing, plus that spec's overflow message, so a change to the numeric
+fields that moves even the last bit of one CSV value fails here.
+
+The trajectory cases pin the SHA-256 of the states of the public
+integrators on the classes ``simulate`` does not reach: the nilpotent and
+scalar direct fields, the complex RG flow with its reconstruction, and a
+polar flow with two pairs.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from rgperturb.checks import random_spec
 from rgperturb.cli import main
+from rgperturb.demos import load_builtin
+from rgperturb.engine import expand_table
+from rgperturb.numeric import integrate_ode, integrate_polar, integrate_rg, reconstruct
+from rgperturb.renorm import derive_rg, polar_transform, renormalized_expansion
 
 COMMANDS = {
     "expand": ("expand", "--format", "machine"),
@@ -135,3 +147,114 @@ def test_simulate_artifacts_are_byte_identical(capsys, tmp_path, monkeypatch, se
     for path in sorted((tmp_path / "out").iterdir()):
         got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == SIMULATE_GOLDEN[settings]
+
+
+TWO_MODE = "two_mode.json"
+TWO_MODE_DOC = {
+    "class": "semisimple", "linear_part": [1, -1], "order": 4,
+    "V": ["E*y1^2 + y1*y2 + E^-1*y2 + E*y2^2", "E^-1*y2^2 + y1*y2 + E*y1 + E^-1*y1^2"],
+}
+TWO_MODE_GOLDEN = {
+    "stdout": "01cdab9990ae2c28b7b5f59d1458a040a15b8340c98889c77b3228428f650966",
+    "two_mode.json_direct.csv": "248fc3005d149a6234a9d5f0f95f6fce4526f7829039650468de34267dea08ab",
+    "two_mode.json_direct.svg": "fc46f3b21085af0a77732366780811ca9ab41b99a690862c49c8c95b934bedc9",
+    "two_mode.json_overlay.svg": "b1766019c1fcddb9e22f72293bce8d8a28856186e5c155c74b1637a784226197",
+    "two_mode.json_reconstruction.csv": "f67e15e331c442cb65d0bb3354d3445f1e3613b5d13109d39c2d2643a8d291b6",
+    "two_mode.json_rg.svg": "37fd058f8c2f0d47a2bd519c18c7c5d7ceabc7076e3429a14daf584beed667c3",
+    "two_mode.json_rg_polar.csv": "5e85e3553cd5958d16f03a4509eed50bcfa1e59f892b691d2ab50fa1658aa8f7",
+}
+
+
+def test_two_mode_artifacts_are_byte_identical(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / TWO_MODE).write_text(json.dumps(TWO_MODE_DOC))
+    code = main(["simulate", "--spec", TWO_MODE, "--eps", "0.05", "--t-end", "30",
+                 "--out-dir", "out"])
+    assert code == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted((tmp_path / "out").iterdir()):
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == TWO_MODE_GOLDEN
+
+
+def test_two_mode_overflow_message(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / TWO_MODE).write_text(json.dumps(TWO_MODE_DOC))
+    code = main(["simulate", "--spec", TWO_MODE, "--eps", "0.25", "--out-dir", "out"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: numeric overflow: state became non-finite at t=6.53\n"
+    assert not (tmp_path / "out").exists()
+
+
+TRAJ_EPS, TRAJ_T_END, TRAJ_DT = 0.25, 2.0, 0.01
+TRAJ_PARAMS = {"alpha": 0.7, "beta": -1.3, "mu": 0.45}
+# spec -> initial state of the direct equation
+TRAJ_Y0 = {
+    "ex_bt": [0.4 - 0.1j, -0.2 + 0.3j],
+    "ex_third": [0.5 + 0j, 0.1j, -0.2 + 0j],
+    "ex_scalar1": [0.6 - 0.2j],
+    "ex_oscillators": [0.3 + 0.2j, 0.3 - 0.2j, -0.25 + 0.1j, -0.25 - 0.1j],
+    # (d/dt + i)^2: the only case whose companion form has nonzero coefficients
+    "random-scalar-18": [0.3 + 0.1j, -0.2 + 0.4j],
+}
+
+# (spec, stage) -> SHA-256 of the trajectory's states (complex128 bytes)
+TRAJECTORY_GOLDEN = {
+    ("ex_bt", "integrate_ode"): "54a2ea73d7430be30e2726be51209b6d8d12d09d6fcebe7a44b8ce895db01f64",
+    ("ex_bt", "integrate_rg"): "7bb7a856fa394314522dd1ac7c74d8807adf2299c7bcb51add333903267a3cb3",
+    ("ex_bt", "reconstruct"): "38de1df5b36c00f00b8b664d2c0d6228bf28c178c7ba81eb2acfac333925515f",
+    ("ex_oscillators", "integrate_ode"): "6725f13a4c58af66bd4778c09581e03549a35bde9e3754013494d9baea12da1b",
+    ("ex_oscillators", "integrate_rg"): "c102e37274771f4b79b9d1c9d3a00ae2f4567c891063e16c823068ee562e1fc9",
+    ("ex_oscillators", "reconstruct"): "fa46a6465508588a2d1033e3d5772f2149248601ebb9d4b00394b65d83707dc4",
+    ("ex_oscillators", "integrate_polar"): "cec1f75370a445a1c949a16c8c792db5d845a5b3e5de6babce3f312a281438bb",
+    ("ex_oscillators", "reconstruct_polar"): "1b4c0bed0adc314bb3f7c77b612e7c25f5187dc632e093ef2386ba3a2e8260de",
+    ("ex_scalar1", "integrate_ode"): "005b67c41d16fa49799e3f6b6be394fd7de4d964e09a29923a9c9380eccf5328",
+    ("ex_scalar1", "integrate_rg"): "16e73427d1a2ab87c7acbe08282e4ec6bf531076a11d8e919c8b9704070ec2a1",
+    ("ex_scalar1", "reconstruct"): "16e73427d1a2ab87c7acbe08282e4ec6bf531076a11d8e919c8b9704070ec2a1",
+    ("ex_third", "integrate_ode"): "99c72fec5d58eb7dfc589acaf64d28e25f6a2bd59f6bf92519b3ba0584b8fe81",
+    ("ex_third", "integrate_rg"): "65ff57b0722526ab5ea9b26bee840e2d4344f56080dc9bf1064ef58ac7b07d65",
+    ("ex_third", "reconstruct"): "1c436a433f35f3b76c2c369daa4ff6968a177f7c2859f6289c28af2b0ef0247a",
+    ("random-scalar-18", "integrate_ode"): "73f08a1aaa51958034a3fad6b66ac46ecd09f576f6d42e83946db1edeaca12f1",
+    ("random-scalar-18", "integrate_rg"): "3db1068b95a454ca9dfb38118c6cd79faa0caedea5845921c7ebfad44b877dcd",
+    ("random-scalar-18", "reconstruct"): "9f50a40219acaf7e7e25f2001bc0a311e63d1d0788e54a3bcad84221cbc9e93a",
+}
+
+
+def _states_sha(traj):
+    assert np.all(np.isfinite(traj.states))
+    return hashlib.sha256(np.ascontiguousarray(traj.states).tobytes()).hexdigest()
+
+
+def _trajectory_shas(name):
+    if name.startswith("random-"):
+        _, klass, seed = name.split("-")
+        spec = random_spec(klass, int(seed))
+    else:
+        spec = load_builtin(name)
+    params = {p: TRAJ_PARAMS[p] for p in spec.params}
+    table = expand_table(spec)
+    rg = derive_rg(table)
+    ren = renormalized_expansion(table)
+    run = (TRAJ_EPS, TRAJ_T_END, TRAJ_DT)
+    direct = integrate_ode(spec, np.array(TRAJ_Y0[name]), *run, params)
+    a0 = np.linspace(0.2, 0.5, len(rg.ctx.amplitudes)) * (1 + 0.5j)
+    flow = integrate_rg(rg, a0, *run, params=params)
+    out = {
+        "integrate_ode": _states_sha(direct),
+        "integrate_rg": _states_sha(flow),
+        "reconstruct": _states_sha(reconstruct(ren, flow, TRAJ_EPS, params=params)),
+    }
+    if name == "ex_oscillators":
+        polar = polar_transform(rg, [(0, 1), (2, 3)])
+        flow = integrate_polar(polar, [1.3, 0.8], [2.1, -0.4], *run, eps_order=4)
+        out["integrate_polar"] = _states_sha(flow)
+        out["reconstruct_polar"] = _states_sha(
+            reconstruct(ren, flow, TRAJ_EPS, pairs=2, eps_order=2))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TRAJ_Y0))
+def test_trajectory_states_are_bit_identical(name):
+    want = {stage: sha for (spec, stage), sha in TRAJECTORY_GOLDEN.items() if spec == name}
+    assert _trajectory_shas(name) == want

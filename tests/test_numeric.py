@@ -370,6 +370,7 @@ def reference_polar_field(polar, eps, cut, params):
     dths = [ts.trunc(cut) for ts in polar.d_theta]
 
     def f(t, y):
+        y = np.asarray(y)
         radii = y[:p].real
         thetas = y[p:].real
         out = np.empty(2 * p, dtype=complex)
