@@ -3,14 +3,14 @@
 Classical RK4 with a fixed step everywhere -- determinism and bit-reproducible
 CSVs matter more than efficiency at this scale.  The state is a list of
 Python complex, and every field takes and returns a list: on vectors of two
-or four components, numpy's per-operation overhead cost more than the
+or four components, numpy's per-operation overhead costs more than the
 arithmetic.  Each stage does numpy's elementwise operations one element at a
 time in numpy's order (``a + (dt/2)*b``, ``a + (dt/6)*(b1 + 2*b2 + 2*b3 +
 b4)``), so the states are bit-identical to those of the same loop on numpy
 arrays.  numpy holds only the stored trajectories.
 
-Where numpy returned inf, Python's ``complex ** int`` and ``float ** int``
-raise OverflowError.  The RK4 step, the initial state of the conjugate-pair
+Python's ``complex ** int`` and ``float ** int`` raise OverflowError where
+numpy would give inf.  The RK4 step, the initial state of the conjugate-pair
 pipeline and ``reconstruct`` turn it into ``NumericOverflowError`` naming
 the time whose state it would have spoiled, the same message a non-finite
 state gets; an initial state that is already non-finite is reported at t0.
@@ -95,7 +95,7 @@ def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Traje
             y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         except OverflowError:
-            # Python's ** raises where numpy's gave inf
+            # Python's ** raises where numpy's would give inf
             raise _non_finite(grid[i + 1]) from None
         if not all(map(isfinite, y)):
             raise _non_finite(grid[i + 1])
