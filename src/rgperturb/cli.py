@@ -15,7 +15,7 @@ import random
 import sys
 
 from .gaussrat import GaussianRational
-from .poly import MultiPoly, HarmonicSeries, PolyContext
+from .poly import MultiPoly, HarmonicSeries, PolyContext, PolyError
 from .systems import SpecError, parse_spec
 from .engine import expand_table, make_context
 from .renorm import (
@@ -55,7 +55,7 @@ def poly_from_data(ctx: PolyContext, data) -> MultiPoly:
     terms = {}
     for exps, (re, im) in data:
         terms[tuple(exps)] = GaussianRational(Fraction(re), Fraction(im))
-    return MultiPoly(ctx, terms)
+    return ctx.from_terms(terms)
 
 
 def table_to_machine(table) -> dict:
@@ -456,7 +456,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, OSError, json.JSONDecodeError, diffmod.WindowError) as exc:
+    # PolyError: an exponent past poly.MAX_EXP, which its message names
+    except (SpecError, PolyError, OSError, json.JSONDecodeError, diffmod.WindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolarPairingError as exc:

@@ -277,7 +277,7 @@ def _shift_carrier(vp: HarmonicSeries, weights, offset) -> HarmonicSeries:
         for e, c in p.terms.items():
             m = l - offset + sum(w * k for w, k in zip(weights, e[3:3 + n]))
             out.setdefault(m, {})[e] = c
-    return HarmonicSeries(vp.ctx, {m: MultiPoly(vp.ctx, terms) for m, terms in out.items()})
+    return HarmonicSeries(vp.ctx, {m: vp.ctx.from_terms(terms) for m, terms in out.items()})
 
 
 def gauge_reduce_nilpotent(vp: HarmonicSeries, m: int) -> HarmonicSeries:

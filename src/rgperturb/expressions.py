@@ -320,10 +320,10 @@ def _carrier_monomial(hs: HarmonicSeries):
     if len(hs.entries) != 1:
         return None
     (l, p), = hs.entries.items()
-    if len(p.terms) != 1:
+    if len(p.packed) != 1:
         return None
-    (e, c), = p.terms.items()
-    return None if any(e) else (c, l)
+    (e, c), = p.packed.items()
+    return None if e else (c, l)
 
 
 def expand(node, ctx: PolyContext, names, carrier: bool) -> HarmonicSeries:

@@ -7,10 +7,26 @@ with the truncation order K.  Every monomial with an eps-exponent above K is
 identically zero; truncation is applied eagerly at every multiplication so a
 MultiPoly is always an element of the quotient ring mod eps^(K+1).
 
-MultiPoly terms are stored as a sparse map {exponent tuple: GaussianRational};
+A monomial's exponent vector is packed into one int, a FIELD-bit field per
+symbol, with eps in the most significant field and then t, s, the amplitudes
+and the parameters in symbol order (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
+order is then lexicographic order of the exponent tuples, the key of a
+product is the sum of the keys, and the eps-order of a key is
+``key >> ctx.eps_shift``.  The top bit of every field is a guard bit: an
+exponent above MAX_EXP raises PolyError wherever a key is built (``var``,
+``monomial``, ``pack``, every product, ``antidiff_t``), so a key never wraps
+into the neighbouring field.  FIELD is the same for every context, so
+contexts with as many symbols share one layout.
+
+MultiPoly terms are stored as a sparse map {packed key: GaussianRational};
 no zero coefficients are kept, so equality of the term maps is structural
-equality of the polynomials.  A HarmonicSeries is a finite-support map from
-the harmonic index m to a MultiPoly, representing  sum_m P_m(eps,t,A) e^{imt}.
+equality of the polynomials.  ``MultiPoly.terms`` is a read-only view of the
+same map keyed by exponent tuples, in the same order, built on first use;
+it is for readers at the boundary (rendering, serialization, numeric
+compilation), not for the ring operations.  A HarmonicSeries is a
+finite-support map from the harmonic index m to a MultiPoly, representing
+sum_m P_m(eps,t,A) e^{imt}.
 
 All values are immutable after construction and safe to share.
 """
@@ -18,6 +34,9 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+from types import MappingProxyType
 
 from .gaussrat import GaussianRational, ONE
 
@@ -25,21 +44,32 @@ EPS = 0
 T = 1
 S = 2
 
+FIELD = 32  # bits per symbol in a packed key
+MAX_EXP = (1 << (FIELD - 1)) - 1  # the largest exponent; the field's top bit is the guard
+_MASK = (1 << FIELD) - 1
+
 
 class PolyError(ValueError):
     pass
 
 
-class PolyContext:
-    """Shared symbol table and eps-truncation order."""
+def _exp_error(k) -> PolyError:
+    return PolyError(f"exponent {k} exceeds the limit {MAX_EXP}")
 
-    __slots__ = ("amplitudes", "params", "order", "symbols", "_index", "nvars")
+
+class PolyContext:
+    """Shared symbol table, eps-truncation order and packed-key layout."""
+
+    __slots__ = ("amplitudes", "params", "order", "symbols", "_index", "nvars",
+                 "shifts", "eps_shift", "guard")
 
     def __init__(self, amplitudes, params=(), order=0):
         amplitudes = tuple(amplitudes)
         params = tuple(params)
         if order < 0:
             raise PolyError("truncation order must be >= 0")
+        if order > MAX_EXP:
+            raise _exp_error(order)
         symbols = ("eps", "t", "s") + amplitudes + params
         if len(set(symbols)) != len(symbols):
             raise PolyError("symbol names must be unique")
@@ -49,6 +79,10 @@ class PolyContext:
         self.symbols = symbols
         self.nvars = len(symbols)
         self._index = {name: k for k, name in enumerate(symbols)}
+        # shifts[i]: the low bit of symbol i's field; eps is the top field
+        self.shifts = tuple(FIELD * (self.nvars - 1 - i) for i in range(self.nvars))
+        self.eps_shift = self.shifts[EPS]
+        self.guard = sum(1 << (sh + FIELD - 1) for sh in self.shifts)
 
     def index(self, name: str) -> int:
         try:
@@ -60,6 +94,30 @@ class PolyContext:
         return self is other or (
             self.symbols == other.symbols and self.order == other.order
         )
+
+    # -- packed keys -----------------------------------------------------------
+    def pack(self, exps) -> int:
+        """The packed key of an exponent vector."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise PolyError("exponent vector has wrong length")
+        key = 0
+        for k in exps:
+            if k < 0:
+                raise PolyError("negative powers are not representable")
+            if k > MAX_EXP:
+                raise _exp_error(k)
+            key = key << FIELD | k
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent vector of a packed key."""
+        return tuple(key >> sh & _MASK for sh in self.shifts)
+
+    def _check_keys(self, keys) -> None:
+        """Raise PolyError if any key has a guard bit set (an exponent past MAX_EXP)."""
+        if reduce(or_, keys, 0) & self.guard:
+            raise _exp_error(max(max(self.unpack(k)) for k in keys if k & self.guard))
 
     # -- constructors --------------------------------------------------------
     def zero(self) -> "MultiPoly":
@@ -73,7 +131,7 @@ class PolyContext:
             c = GaussianRational(c)
         if c.is_zero():
             return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * self.nvars: c})
+        return MultiPoly(self, {0: c})
 
     def var(self, name: str, power: int = 1) -> "MultiPoly":
         i = self.index(name)
@@ -81,9 +139,9 @@ class PolyContext:
             raise PolyError("negative powers are not representable")
         if i == EPS and power > self.order:
             return self.zero()
-        e = [0] * self.nvars
-        e[i] = power
-        return MultiPoly(self, {tuple(e): ONE})
+        if power > MAX_EXP:
+            raise _exp_error(power)
+        return MultiPoly(self, {power << self.shifts[i]: ONE})
 
     def monomial(self, c: GaussianRational, exps) -> "MultiPoly":
         exps = tuple(exps)
@@ -91,7 +149,11 @@ class PolyContext:
             raise PolyError("exponent vector has wrong length")
         if c.is_zero() or exps[EPS] > self.order:
             return self.zero()
-        return MultiPoly(self, {exps: c})
+        return MultiPoly(self, {self.pack(exps): c})
+
+    def from_terms(self, terms: dict) -> "MultiPoly":
+        """The polynomial of a {exponent tuple: coefficient} map, in its order."""
+        return MultiPoly(self, {self.pack(e): c for e, c in terms.items()})
 
     def __repr__(self):
         return f"PolyContext(amplitudes={self.amplitudes}, params={self.params}, order={self.order})"
@@ -119,63 +181,88 @@ def _add_terms(out: dict, terms: dict) -> None:
 class MultiPoly:
     """Element of Q(i)[t, s, A..., params...][[eps]] / eps^(K+1)."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "packed", "_view")
 
-    def __init__(self, ctx: PolyContext, terms: dict):
+    def __init__(self, ctx: PolyContext, packed: dict):
         self.ctx = ctx
-        self.terms = terms
+        self.packed = packed
+        self._view = None
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient} view, in the packed map's order."""
+        view = self._view
+        if view is None:
+            unpack = self.ctx.unpack
+            view = self._view = MappingProxyType(
+                {unpack(k): c for k, c in self.packed.items()})
+        return view
 
     # -- basic queries --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def degree(self, name: str) -> int:
         """Largest exponent of `name`; -1 for the zero polynomial."""
-        i = self.ctx.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        sh = self.ctx.shifts[self.ctx.index(name)]
+        return max((e >> sh & _MASK for e in self.packed), default=-1)
 
     def min_eps_order(self):
         """Smallest eps-exponent present, or None for the zero polynomial."""
-        return min((e[EPS] for e in self.terms), default=None)
+        return min(self.packed) >> self.ctx.eps_shift if self.packed else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ctx.compatible(other.ctx) and self.terms == other.terms
+        return self.ctx.compatible(other.ctx) and self.packed == other.packed
 
     __hash__ = None
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         _check_ctx(self, other)
-        out = dict(self.terms)
-        _add_terms(out, other.terms)
+        out = dict(self.packed)
+        _add_terms(out, other.packed)
         return MultiPoly(self.ctx, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.ctx, {e: -c for e, c in self.packed.items()})
 
     def scale(self, c) -> "MultiPoly":
         if isinstance(c, (int, Fraction)):
             c = GaussianRational(c)
         if c.is_zero():
             return self.ctx.zero()
-        return MultiPoly(self.ctx, {e: v * c for e, v in self.terms.items()})
+        return MultiPoly(self.ctx, {e: v * c for e, v in self.packed.items()})
 
     def mul(self, other: "MultiPoly", trunc: int | None = None) -> "MultiPoly":
-        """Product, eps-truncated at `trunc` (defaults to the context order)."""
+        """Product, eps-truncated at `trunc` (defaults to the context order).
+
+        Each term of `self` meets only the terms of `other` within the cut:
+        per eps-order of `self`, those terms of `other` are listed once, in
+        `other`'s order, so the kept pairs are visited in the order of the
+        full double loop.
+        """
         _check_ctx(self, other)
-        cut = self.ctx.order if trunc is None else min(trunc, self.ctx.order)
+        ctx = self.ctx
+        cut = ctx.order if trunc is None else min(trunc, ctx.order)
+        sh = ctx.eps_shift
+        inner = other.packed.items()
+        rows = {}  # eps-room -> the terms of `other` of eps-order <= room
         out = {}
-        for e1, c1 in self.terms.items():
-            k1 = e1[EPS]
-            for e2, c2 in other.terms.items():
-                if k1 + e2[EPS] > cut:
-                    continue
-                key = tuple(map(int.__add__, e1, e2))
+        for e1, c1 in self.packed.items():
+            room = cut - (e1 >> sh)
+            if room < 0:
+                continue
+            row = rows.get(room)
+            if row is None:
+                lim = (room + 1) << sh
+                row = rows[room] = [t for t in inner if t[0] < lim]
+            for e2, c2 in row:
+                key = e1 + e2
                 c = c1 * c2
                 acc = out.get(key)
                 if acc is None:
@@ -186,7 +273,8 @@ class MultiPoly:
                         del out[key]
                     else:
                         out[key] = acc
-        return MultiPoly(self.ctx, out)
+        ctx._check_keys(out)
+        return MultiPoly(ctx, out)
 
     __mul__ = mul
 
@@ -207,45 +295,46 @@ class MultiPoly:
 
     # -- calculus in t --------------------------------------------------------
     def diff(self, name: str) -> "MultiPoly":
-        i = self.ctx.index(name)
+        sh = self.ctx.shifts[self.ctx.index(name)]
+        one = 1 << sh
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if not k:
-                continue
-            key = e[:i] + (k - 1,) + e[i + 1:]
-            c2 = c.scale(k)
-            acc = out.get(key)
-            out[key] = c2 if acc is None else acc + c2
-        return MultiPoly(self.ctx, {e: c for e, c in out.items() if not c.is_zero()})
+        for e, c in self.packed.items():
+            k = e >> sh & _MASK
+            if k:
+                out[e - one] = c.scale(k)
+        return MultiPoly(self.ctx, out)
 
     def diff_t(self) -> "MultiPoly":
         return self.diff("t")
 
     def antidiff_t(self) -> "MultiPoly":
         """Unique antiderivative in t with zero constant term."""
+        sh = self.ctx.shifts[T]
+        one = 1 << sh
         out = {}
-        for e, c in self.terms.items():
-            k = e[T]
-            out[e[:T] + (k + 1,) + e[T + 1:]] = c.scale(Fraction(1, k + 1))
+        for e, c in self.packed.items():
+            k = e >> sh & _MASK
+            if k == MAX_EXP:
+                raise _exp_error(k + 1)
+            out[e + one] = c.scale(Fraction(1, k + 1))
         return MultiPoly(self.ctx, out)
 
     # -- coefficient extraction ----------------------------------------------
     def coeff_power(self, name: str, k: int) -> "MultiPoly":
         """Coefficient of name^k (the symbol is removed from the result)."""
-        i = self.ctx.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out[e[:i] + (0,) + e[i + 1:]] = c
-        return MultiPoly(self.ctx, out)
+        sh = self.ctx.shifts[self.ctx.index(name)]
+        field = _MASK << sh
+        want = k << sh
+        return MultiPoly(
+            self.ctx, {e - want: c for e, c in self.packed.items() if e & field == want})
 
     def eps_coeff(self, k: int) -> "MultiPoly":
         return self.coeff_power("eps", k)
 
     def trunc(self, k: int) -> "MultiPoly":
         """Drop all terms of eps-order above k."""
-        return MultiPoly(self.ctx, {e: c for e, c in self.terms.items() if e[EPS] <= k})
+        lim = (k + 1) << self.ctx.eps_shift
+        return MultiPoly(self.ctx, {e: c for e, c in self.packed.items() if e < lim})
 
     def rehome(self, ctx: PolyContext) -> "MultiPoly":
         """The same exponent vectors read in `ctx`, dropping eps-orders above its order.
@@ -255,39 +344,40 @@ class MultiPoly:
         """
         if ctx.nvars != self.ctx.nvars:
             raise PolyError("rehome needs a context with as many symbols")
-        return MultiPoly(ctx, {e: c for e, c in self.terms.items() if e[EPS] <= ctx.order})
+        lim = (ctx.order + 1) << ctx.eps_shift
+        return MultiPoly(ctx, {e: c for e, c in self.packed.items() if e < lim})
 
     def set_zero(self, name: str) -> "MultiPoly":
         """Substitute name -> 0."""
-        i = self.ctx.index(name)
-        return MultiPoly(self.ctx, {e: c for e, c in self.terms.items() if not e[i]})
+        field = _MASK << self.ctx.shifts[self.ctx.index(name)]
+        return MultiPoly(self.ctx, {e: c for e, c in self.packed.items() if not e & field})
 
     def negate_symbol(self, name: str) -> "MultiPoly":
         """Substitute name -> -name."""
-        i = self.ctx.index(name)
-        return MultiPoly(
-            self.ctx,
-            {e: (c if e[i] % 2 == 0 else -c) for e, c in self.terms.items()},
-        )
+        odd = 1 << self.ctx.shifts[self.ctx.index(name)]
+        return MultiPoly(self.ctx, {e: (-c if e & odd else c) for e, c in self.packed.items()})
 
     def conj_coeffs(self) -> "MultiPoly":
         """Conjugate every coefficient (the formal i -> -i map)."""
-        return MultiPoly(self.ctx, {e: c.conj() for e, c in self.terms.items()})
+        return MultiPoly(self.ctx, {e: c.conj() for e, c in self.packed.items()})
 
     def rename(self, mapping: dict) -> "MultiPoly":
         """Permute symbols by name (images must be context symbols)."""
-        idx = {self.ctx.index(a): self.ctx.index(b) for a, b in mapping.items()}
+        ctx = self.ctx
+        shifts = ctx.shifts
+        moves = [(shifts[ctx.index(a)], shifts[ctx.index(b)]) for a, b in mapping.items()]
+        keep = ~sum(_MASK << si for si, _ in moves)
+        guard = ctx.guard
         out = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            for i in idx:
-                le[i] = 0
-            for i, j in idx.items():
-                le[j] += e[i]
-            key = tuple(le)
+        for e, c in self.packed.items():
+            key = e & keep
+            for si, sj in moves:
+                key += (e >> si & _MASK) << sj
+                if key & guard:  # checked per move, before a carry could reach the next field
+                    raise _exp_error(max(ctx.unpack(key)))
             acc = out.get(key)
             out[key] = c if acc is None else acc + c
-        return MultiPoly(self.ctx, {e: c for e, c in out.items() if not c.is_zero()})
+        return MultiPoly(ctx, {e: c for e, c in out.items() if not c.is_zero()})
 
     # -- substitution ----------------------------------------------------------
     def substitute(self, bindings: dict) -> "MultiPoly":
@@ -318,12 +408,13 @@ class MultiPoly:
 
     def render(self) -> str:
         """Canonical text form: deterministic term order, `i` unit, `^` powers."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = self.ctx.symbols
         parts = []
-        for e in sorted(self.terms, key=self._sort_key):
-            c = self.terms[e]
+        for e in sorted(terms, key=self._sort_key):
+            c = terms[e]
             mono = "*".join(
                 (names[i] if k == 1 else f"{names[i]}^{k}")
                 for i, k in enumerate(e)
@@ -355,51 +446,51 @@ class Substitution:
     """Simultaneous substitution name -> MultiPoly, reusable across polynomials.
 
     Calling it on P groups P's terms by the exponents of the bound symbols
-    (the group's key).  A group with an all-zero key is kept as it is; any
-    other group's unbound remainder R, of lowest eps-order e, is multiplied
-    once by image(key, K - e), the product of the bound images raised to the
-    key's exponents mod eps^(K-e+1).  Truncation mod eps^(cut+1) is a ring
-    homomorphism and every term of R carries at least eps^e, so the result is
-    the full substitution mod eps^(K+1).  Images are cached per (key, cut) on
-    the object: one Substitution applied to every entry of a table builds
-    each image once.
+    (the group's key: the bound fields of the packed key).  A group with an
+    all-zero key is kept as it is; any other group's unbound remainder R, of
+    lowest eps-order e, is multiplied once by image(key, K - e), the product
+    of the bound images raised to the key's exponents mod eps^(K-e+1).
+    Truncation mod eps^(cut+1) is a ring homomorphism and every term of R
+    carries at least eps^e, so the result is the full substitution mod
+    eps^(K+1).  Images are cached per (key, cut) on the object: one
+    Substitution applied to every entry of a table builds each image once.
     """
 
-    __slots__ = ("ctx", "_index", "_images", "_cache")
+    __slots__ = ("ctx", "_mask", "_images", "_cache")
 
     def __init__(self, ctx: PolyContext, bindings: dict):
-        bound = []
+        images = {}
         for name, img in bindings.items():
             i = ctx.index(name)
             if i == EPS:
                 raise PolyError("eps cannot be substituted")
             if not ctx.compatible(img.ctx):
                 raise PolyError("context mismatch")
-            bound.append((i, img))
-        bound.sort(key=lambda b: b[0])
+            images[ctx.shifts[i]] = img
         self.ctx = ctx
-        self._index = tuple(i for i, _ in bound)
-        self._images = tuple(img for _, img in bound)
+        self._mask = sum(_MASK << sh for sh in images)  # the bound fields
+        self._images = images  # field shift -> image
         self._cache = {}
 
-    def image(self, key: tuple, cut: int) -> MultiPoly:
-        """Product of images[j]^key[j] mod eps^(cut+1), for a nonzero key."""
+    def image(self, key: int, cut: int) -> MultiPoly:
+        """Product of the images raised to the key's exponents mod eps^(cut+1), key != 0."""
         cache = self._cache
         p = cache.get((key, cut))
         if p is not None:
             return p
-        # peel one factor at a time off the key, down to a cached image or a
+        # peel one factor of the lowest bound symbol (the most significant
+        # nonzero field) at a time off the key, down to a cached image or a
         # single factor, then multiply back up caching every step
         chain = []
         while p is None:
-            j = min(k for k, n in enumerate(key) if n)
-            chain.append((key, j))
-            key = key[:j] + (key[j] - 1,) + key[j + 1:]
-            if not any(key):
+            sh = (key.bit_length() - 1) // FIELD * FIELD
+            chain.append((key, sh))
+            key -= 1 << sh
+            if not key:
                 break
             p = cache.get((key, cut))
-        for key, j in reversed(chain):
-            img = self._images[j]
+        for key, sh in reversed(chain):
+            img = self._images[sh]
             p = img.trunc(cut) if p is None else p.mul(img, cut)
             cache[key, cut] = p
         return p
@@ -408,23 +499,21 @@ class Substitution:
         ctx = poly.ctx
         if not ctx.compatible(self.ctx):
             raise PolyError("context mismatch")
-        index = self._index
-        if not index:
+        mask = self._mask
+        if not mask:
             return poly
         out = {}
         groups = {}
-        for e, c in poly.terms.items():
-            key = tuple(e[i] for i in index)
-            if not any(key):
+        for e, c in poly.packed.items():
+            key = e & mask
+            if not key:
                 out[e] = c
                 continue
-            rest = list(e)
-            for i in index:
-                rest[i] = 0
-            groups.setdefault(key, {})[tuple(rest)] = c
+            groups.setdefault(key, {})[e - key] = c
+        sh = ctx.eps_shift
         for key, rest in groups.items():
-            cut = ctx.order - min(r[EPS] for r in rest)
-            _add_terms(out, MultiPoly(ctx, rest).mul(self.image(key, cut)).terms)
+            cut = ctx.order - (min(rest) >> sh)
+            _add_terms(out, MultiPoly(ctx, rest).mul(self.image(key, cut)).packed)
         return MultiPoly(ctx, out)
 
 
@@ -465,7 +554,7 @@ class HarmonicSeries:
 
     def __init__(self, ctx: PolyContext, entries: dict):
         self.ctx = ctx
-        self.entries = {m: p for m, p in entries.items() if p.terms}
+        self.entries = {m: p for m, p in entries.items() if p.packed}
 
     @classmethod
     def zero(cls, ctx: PolyContext) -> "HarmonicSeries":

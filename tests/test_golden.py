@@ -1,8 +1,9 @@
 """Byte-level goldens of the command-line output for every built-in.
 
 Each case pins the SHA-256 of stdout and the exit code of one command at the
-built-in's default order, plus ``verify`` of ex_cd at order 8, of the
-cosine difference equation at order 6, window 16 (a spec file), and
+built-in's default order, plus ``verify`` of ex_cd at orders 8 and 10, of
+ex_bt at order 4, of the cosine difference equation at order 6, window 16
+(a spec file, 36 symbols: the widest exponent vector), and
 ``expand`` of ex_cd, ex_bt and ex_third at orders 12, 5 and 6, one per ODE
 engine, deeper than any other case.  A refactor of the engine, the
 renormalization layer or the checks must leave all of them unchanged.  The ``verify --corrupt`` cases pin the FAIL detail text of
@@ -42,6 +43,9 @@ COMMANDS = {
     # the benchmark's order: reaches image degrees the default orders do not
     "verify8": ("verify", "--order", "8"),
     "corrupt8": ("verify", "--order", "8", "--corrupt"),
+    # deep verify of the semisimple and nilpotent engines
+    "verify10": ("verify", "--order", "10"),
+    "verify4": ("verify", "--order", "4"),
     # deep orders of the semisimple, nilpotent and scalar engines
     "expand5": ("expand", "--format", "machine", "--order", "5"),
     "expand6": ("expand", "--format", "machine", "--order", "6"),
@@ -56,11 +60,13 @@ GOLDEN = {
     ("ex_bt", "expand"): (0, "bc16841b949144d20205e873b5808ebc26165203c650f644331d2ca56d7ab5e4"),
     ("ex_bt", "rg"): (0, "a5849a094291daf3f9b21bca26e9350f1cbc9a7367bcf8e1942107a3b0153c2b"),
     ("ex_bt", "corrupt"): (1, "15d3ba3b9b9bd6481cae96797f75e6f2ad552ebefbcc94467153c25a819130b6"),
+    ("ex_bt", "verify4"): (0, "9a5ef373b432b5785e13e392f8d5c16c5ed98922559755183a5c1114d5f9a5f7"),
     ("ex_bt", "expand5"): (0, "08fc6749778f50664a813f08f24d353bb4037346b36b33cfef4cbcf124137d28"),
     ("ex_cd", "expand"): (0, "22acbcc59ebf77f74a13158d39e44ac680ed2feb61dfde4d937846aa8cb816fe"),
     ("ex_cd", "rg"): (0, "11cdc8279312d379b5defebe6ec6e50a722986578e9999f5e3276c52b225385a"),
     ("ex_cd", "corrupt"): (1, "024f72aa9015f4e3acc2d753a00c7d48debc763f27272002e63f718a151c71f0"),
     ("ex_cd", "verify8"): (0, "db199622b566698d1f17625d0b44f1fe4d9b3cb3d79edebd88e1bdb4b8740226"),
+    ("ex_cd", "verify10"): (0, "ff55f1f743487125dedb619c4d7dac2c4291d43e59871bfc114d5246a88ba4ce"),
     ("ex_cd", "corrupt8"): (1, "aaeeeb06f0de069db888a6ce1f07f9593ea3174bb472b22180b213eec7cd7974"),
     ("ex_cd", "expand12"): (0, "6b689daa1c5cb4ff73cf4e7e694bd7a68df2d269823d1d23fb1566f9c50d45e5"),
     ("ex_difference", "expand"): (0, "e1f601cf35201a53bd1e11c4376b33ada2633119cdd12a163f0023cce110ac4a"),

@@ -172,7 +172,7 @@ def reference_substitute(p, bindings):
             if e[i]:
                 base[i] = 0
                 factors.append(img_pow(i, e[i]))
-        term = MultiPoly(ctx, {tuple(base): c})
+        term = ctx.monomial(c, base)
         for f in factors:
             term = term * f
         out = out + term
