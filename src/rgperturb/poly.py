@@ -14,10 +14,11 @@ using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Int
 order is then lexicographic order of the exponent tuples, the key of a
 product is the sum of the keys, and the eps-order of a key is
 ``key >> ctx.eps_shift``.  The top bit of every field is a guard bit: an
-exponent above MAX_EXP raises PolyError wherever a key is built (``var``,
-``monomial``, ``pack``, every product, ``antidiff_t``), so a key never wraps
-into the neighbouring field.  FIELD is the same for every context, so
-contexts with as many symbols share one layout.
+exponent above MAX_EXP raises PolyError wherever a key is built or grows
+(``var``, ``monomial``, ``pack``, every product, ``antidiff_t``,
+``rename``), so a key never wraps into the neighbouring field.  FIELD is
+the same for every context, so contexts with as many symbols share one
+layout.
 
 MultiPoly terms are stored as a sparse map {packed key: GaussianRational};
 no zero coefficients are kept, so equality of the term maps is structural

@@ -83,6 +83,26 @@ class TestExpand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and repr(name) in err
 
+    @pytest.mark.parametrize("command", ["expand", "rg", "verify"])
+    def test_exponent_past_the_limit_exit_2(self, capsys, tmp_path, command):
+        # a packed key holds exponents up to 2^31 - 1 per symbol
+        doc = {"class": "semisimple", "linear_part": [1, -1], "params": ["a"],
+               "V": ["a^5000000000*y1*y2 + E^-1*y2", "a*y1*y2 + E*y1"], "order": 4}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: exponent 2147483648 exceeds the limit 2147483647\n"
+
+    def test_high_state_degree_expands(self, capsys, tmp_path):
+        doc = {"class": "semisimple", "linear_part": [1, -1], "order": 3,
+               "V": ["y1^1000 + y2", "y1*y2 + E*y1"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "expand", "--spec", str(path))
+        assert code == 0 and err == ""
+        assert "P[1,2998] = 999500/2991008997*i*eps^3*A1^2998" in out
+
 
 class TestRG:
     def test_cd_polar_reference_lines(self, capsys):

@@ -7,10 +7,11 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rgperturb.gaussrat import gq, ONE
 from rgperturb.poly import (
+    MAX_EXP,
     PolyContext,
     MultiPoly,
     HarmonicSeries,
@@ -396,3 +397,285 @@ class TestHarmonicSeries:
         for m, p in y.entries.items():
             assert p.min_eps_order() >= max(abs(m) - 2, 0)
         assert hs_pow(x, 3).get(12).is_zero()
+
+
+# -- packed keys against the tuple-keyed originals ------------------------------
+#
+# The reference_* functions below are the tuple-keyed forms of the MultiPoly
+# operations, on {exponent tuple: coefficient} maps.  The packed operations
+# must give the same terms in the same insertion order (numeric sums and FAIL
+# lines follow that order), with the same Q(i) products and sums.
+
+
+def reference_mul(a: dict, b: dict, cut: int) -> dict:
+    """The original product loop: every pair visited, the cut tested per pair."""
+    out = {}
+    for e1, c1 in a.items():
+        k1 = e1[0]
+        for e2, c2 in b.items():
+            if k1 + e2[0] > cut:
+                continue
+            key = tuple(map(int.__add__, e1, e2))
+            c = c1 * c2
+            acc = out.get(key)
+            if acc is None:
+                out[key] = c
+            else:
+                acc = acc + c
+                if acc.is_zero():
+                    del out[key]
+                else:
+                    out[key] = acc
+    return out
+
+
+def reference_add_into(out: dict, terms: dict) -> None:
+    for e, c in terms.items():
+        acc = out.get(e)
+        if acc is None:
+            out[e] = c
+        else:
+            acc = acc + c
+            if acc.is_zero():
+                del out[e]
+            else:
+                out[e] = acc
+
+
+def reference_diff(terms: dict, i: int) -> dict:
+    out = {}
+    for e, c in terms.items():
+        k = e[i]
+        if not k:
+            continue
+        key = e[:i] + (k - 1,) + e[i + 1:]
+        c2 = c.scale(k)
+        acc = out.get(key)
+        out[key] = c2 if acc is None else acc + c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def reference_antidiff_t(terms: dict) -> dict:
+    return {e[:1] + (e[1] + 1,) + e[2:]: c.scale(Fraction(1, e[1] + 1))
+            for e, c in terms.items()}
+
+
+def reference_coeff_power(terms: dict, i: int, k: int) -> dict:
+    return {e[:i] + (0,) + e[i + 1:]: c for e, c in terms.items() if e[i] == k}
+
+
+def reference_trunc(terms: dict, k: int) -> dict:
+    return {e: c for e, c in terms.items() if e[0] <= k}
+
+
+def reference_set_zero(terms: dict, i: int) -> dict:
+    return {e: c for e, c in terms.items() if not e[i]}
+
+
+def reference_negate_symbol(terms: dict, i: int) -> dict:
+    return {e: (c if e[i] % 2 == 0 else -c) for e, c in terms.items()}
+
+
+def reference_rename(terms: dict, idx: dict) -> dict:
+    out = {}
+    for e, c in terms.items():
+        le = list(e)
+        for i in idx:
+            le[i] = 0
+        for i, j in idx.items():
+            le[j] += e[i]
+        key = tuple(le)
+        acc = out.get(key)
+        out[key] = c if acc is None else acc + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def reference_grouped_substitute(ctx, bindings: dict, terms: dict) -> dict:
+    """The original grouped Substitution on tuple keys, images cached per (key, cut)."""
+    bound = sorted((ctx.index(name), img.terms) for name, img in bindings.items())
+    index = tuple(i for i, _ in bound)
+    images = tuple(img for _, img in bound)
+    cache = {}
+
+    def image(key, cut):
+        p = cache.get((key, cut))
+        if p is not None:
+            return p
+        chain = []
+        while p is None:
+            j = min(k for k, n in enumerate(key) if n)
+            chain.append((key, j))
+            key = key[:j] + (key[j] - 1,) + key[j + 1:]
+            if not any(key):
+                break
+            p = cache.get((key, cut))
+        for key, j in reversed(chain):
+            img = images[j]
+            p = reference_trunc(img, cut) if p is None else reference_mul(p, img, cut)
+            cache[key, cut] = p
+        return p
+
+    if not index:
+        return dict(terms)
+    out, groups = {}, {}
+    for e, c in terms.items():
+        key = tuple(e[i] for i in index)
+        if not any(key):
+            out[e] = c
+            continue
+        rest = list(e)
+        for i in index:
+            rest[i] = 0
+        groups.setdefault(key, {})[tuple(rest)] = c
+    for key, rest in groups.items():
+        cut = ctx.order - min(r[0] for r in rest)
+        reference_add_into(out, reference_mul(rest, image(key, cut), ctx.order))
+    return out
+
+
+def items(p: MultiPoly) -> list:
+    return list(p.terms.items())
+
+
+class TestPackedKeys:
+    # +-1 and +-i make cancelling sums likely; the others keep the products tall
+    UNITS = (gq(1), gq(-1), gq(0, 1), gq(0, -1), gq(Fraction(2, 3), Fraction(-1, 5)))
+
+    @staticmethod
+    @st.composite
+    def contexts(draw):
+        namps = draw(st.integers(0, 3))
+        nparams = draw(st.integers(0, 2))
+        return PolyContext([f"A{k + 1}" for k in range(namps)],
+                           [f"p{k + 1}" for k in range(nparams)],
+                           order=draw(st.integers(0, 4)))
+
+    @staticmethod
+    def polys(draw, ctx, nterms=6, maxdeg=3):
+        """A polynomial built with from_terms, so its term order is the drawn order."""
+        terms = {}
+        for _ in range(draw(st.integers(0, nterms))):
+            e = (draw(st.integers(0, ctx.order)),)
+            e += tuple(draw(st.integers(0, maxdeg)) for _ in range(ctx.nvars - 1))
+            terms[e] = draw(st.sampled_from(TestPackedKeys.UNITS))
+        p = ctx.from_terms(terms)
+        assert items(p) == list(terms.items())
+        return p
+
+    @staticmethod
+    @st.composite
+    def pairs(draw):
+        ctx = draw(TestPackedKeys.contexts())
+        p, q = TestPackedKeys.polys(draw, ctx), TestPackedKeys.polys(draw, ctx)
+        return ctx, p, q, draw(st.one_of(st.none(), st.integers(-1, ctx.order + 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pack_roundtrip_and_lex_order(self, data):
+        ctx = data.draw(self.contexts())
+        exps = st.tuples(*[st.integers(0, MAX_EXP)] * ctx.nvars)
+        e, f = data.draw(exps), data.draw(exps)
+        assert ctx.unpack(ctx.pack(e)) == e
+        assert (ctx.pack(e) < ctx.pack(f)) == (e < f)
+        assert ctx.pack(e) >> ctx.eps_shift == e[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs())
+    def test_mul_matches_reference(self, case):
+        ctx, p, q, trunc = case
+        cut = ctx.order if trunc is None else min(trunc, ctx.order)
+        assert items(p.mul(q, trunc)) == list(reference_mul(p.terms, q.terms, cut).items())
+        assert items(p * q) == list(reference_mul(p.terms, q.terms, ctx.order).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unary_operations_match_reference(self, data):
+        ctx = data.draw(self.contexts())
+        p = self.polys(data.draw, ctx)
+        terms = p.terms
+        name = data.draw(st.sampled_from(ctx.symbols))
+        i = ctx.index(name)
+        k = data.draw(st.integers(-1, 4))
+        assert items(p.diff(name)) == list(reference_diff(terms, i).items())
+        assert items(p.antidiff_t()) == list(reference_antidiff_t(terms).items())
+        assert items(p.coeff_power(name, k)) == list(reference_coeff_power(terms, i, k).items())
+        assert items(p.trunc(k)) == list(reference_trunc(terms, k).items())
+        assert items(p.set_zero(name)) == list(reference_set_zero(terms, i).items())
+        assert items(p.negate_symbol(name)) == list(reference_negate_symbol(terms, i).items())
+        other = PolyContext([f"B{n}" for n in range(ctx.nvars - 3)], order=max(k, 0))
+        assert items(p.rehome(other)) == list(reference_trunc(terms, other.order).items())
+        sources = data.draw(st.lists(st.sampled_from(ctx.symbols[1:]), unique=True))
+        targets = data.draw(st.permutations(sources))
+        idx = {ctx.index(a): ctx.index(b) for a, b in zip(sources, targets)}
+        assert items(p.rename(dict(zip(sources, targets)))) == list(
+            reference_rename(terms, idx).items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_substitution_matches_reference(self, data):
+        ctx = data.draw(self.contexts())
+        names = data.draw(st.lists(st.sampled_from(ctx.symbols[1:]), unique=True))
+        bindings = {name: self.polys(data.draw, ctx, nterms=3, maxdeg=1) for name in names}
+        sub = Substitution(ctx, bindings)
+        for _ in range(data.draw(st.integers(1, 3))):
+            p = self.polys(data.draw, ctx)
+            want = reference_grouped_substitute(ctx, bindings, p.terms)
+            assert items(sub(p)) == list(want.items())
+
+    def test_terms_view_is_read_only(self, ctx):
+        p = P(ctx, "A1 + eps*t")
+        assert p.terms is p.terms
+        with pytest.raises(TypeError):
+            p.terms[(0,) * ctx.nvars] = ONE
+
+
+class TestExponentLimit:
+    """An exponent past MAX_EXP raises PolyError; it never carries into a neighbour."""
+
+    @staticmethod
+    def ctx():
+        return PolyContext(("A1", "A2"), ("p",), order=3)
+
+    # the other fields stay below half the limit, so only field i can overflow
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, MAX_EXP), st.integers(0, MAX_EXP),
+           st.tuples(*[st.integers(0, MAX_EXP // 2)] * 5),
+           st.tuples(*[st.integers(0, MAX_EXP // 2)] * 5))
+    @example(3, MAX_EXP, 1, (0,) * 5, (0,) * 5)
+    @example(3, MAX_EXP - 1, 1, (MAX_EXP // 2,) * 5, (MAX_EXP // 2,) * 5)
+    def test_product_at_the_guard_bit(self, i, a, b, e, f):
+        ctx = self.ctx()
+        e = (0,) + e[:i - 1] + (a,) + e[i:]
+        f = (0,) + f[:i - 1] + (b,) + f[i:]
+        p, q = ctx.monomial(ONE, e), ctx.monomial(ONE, f)
+        total = tuple(x + y for x, y in zip(e, f))
+        if max(total) > MAX_EXP:
+            with pytest.raises(PolyError, match=f"exceeds the limit {MAX_EXP}"):
+                p * q
+        else:
+            assert items(p * q) == [(total, ONE)]
+
+    def test_constructors_reject(self):
+        ctx = self.ctx()
+        big = [0, 0, 0, 0, MAX_EXP + 1, 0]
+        for build in (lambda: ctx.var("A2", MAX_EXP + 1), lambda: ctx.monomial(ONE, big),
+                      lambda: ctx.pack(big), lambda: ctx.pack([0, 0, 0, 0, -1, 0]),
+                      lambda: PolyContext(("A1",), order=MAX_EXP + 1)):
+            with pytest.raises(PolyError):
+                build()
+        top = ctx.var("A2", MAX_EXP)
+        assert top.terms == {(0, 0, 0, 0, MAX_EXP, 0): ONE}
+        with pytest.raises(PolyError):
+            top * ctx.var("A2")
+        assert top * ctx.var("A1") == ctx.monomial(ONE, [0, 0, 0, 1, MAX_EXP, 0])
+
+    def test_antidiff_and_rename_reject(self):
+        ctx = self.ctx()
+        t = ctx.var("t", MAX_EXP)
+        assert t.diff_t().degree("t") == MAX_EXP - 1
+        with pytest.raises(PolyError):
+            t.antidiff_t()
+        p = ctx.var("A1", MAX_EXP) * ctx.var("A2", 1)
+        with pytest.raises(PolyError):
+            p.rename({"A1": "A2"})
+        assert p.rename({"A1": "A2", "A2": "A1"}) == ctx.monomial(ONE, [0, 0, 0, 1, MAX_EXP, 0])
