@@ -351,14 +351,20 @@ def _v_src(rng, states) -> str:
 _CLASS_SALT = {"semisimple": 1, "nilpotent": 2, "scalar": 3}
 
 
-def random_spec(klass: str, seed: int) -> ODESystemSpec:
-    """Deterministic small random spec: n <= 2, V degree <= 2, K <= 3."""
+def random_spec(klass: str, seed: int, order: int | None = None) -> ODESystemSpec:
+    """Deterministic small random spec: n <= 2, V degree <= 2, K <= 3.
+
+    `order`, when given, replaces the drawn truncation order; the draw still
+    happens, so the rest of the spec is the same at every order.
+    """
     import json
 
     if klass not in _CLASS_SALT:
         raise SpecError(f"no random generator for class {klass!r}")
     rng = random.Random(_CLASS_SALT[klass] * 100003 + seed)
-    order = rng.randint(1, 3)
+    drawn = rng.randint(1, 3)
+    if order is None:
+        order = drawn
     if klass == "semisimple":
         n = rng.randint(1, 2)
         states = [f"y{j + 1}" for j in range(n)]

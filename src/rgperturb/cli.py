@@ -285,7 +285,7 @@ def _numeric_smoke(table, rng) -> tuple:
 def cmd_verify(args) -> int:
     if args.random:
         seed = args.seed if args.seed is not None else 0
-        spec = _with_order(random_spec(args.random, seed), args.order)
+        spec = random_spec(args.random, seed, args.order)
         label = f"random-{args.random}-{seed}"
     else:
         spec, label = load_spec(args)
@@ -320,7 +320,12 @@ def cmd_verify(args) -> int:
         # identity known to fail has no verdict to add
         print(f"SKIP {smoke} :: exact checks failed")
         return 1
-    smoke_ok, smoke_detail = _numeric_smoke(table, random.Random(seed))
+    try:
+        smoke_ok, smoke_detail = _numeric_smoke(table, random.Random(seed))
+    except OverflowError:
+        # the exact checks passed and decide the exit code
+        print(f"SKIP {smoke} :: a coefficient is outside the floating-point range")
+        return 0
     print(f"{'PASS' if smoke_ok else 'FAIL'} {smoke} {smoke_detail}")
     return 0 if smoke_ok else 1
 
@@ -452,8 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+# exact results are printed in full: lift the cap on int -> str digits
+# (Python 3.10.7 and later) while a command runs
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda n: None)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    digits = _get_digits()
+    _set_digits(0)
     try:
         return args.func(args)
     # PolyError: an exponent past poly.MAX_EXP, which its message names
@@ -466,6 +479,8 @@ def main(argv=None) -> int:
     except NumericOverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _set_digits(digits)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ layer each order needs comes from `ForcingLayers`, a relaxed cache of the
 eps-layers of the state powers that lives for one `_expand` call, so every
 layer is computed once.  `governing_residual` substitutes series back into
 the class's equation; its forcing goes through `eval_vpoly_hs`, the
-from-scratch reference evaluator the engine does not use.
+from-scratch evaluator on whole series that the engine does not use, so the
+residual check stays independent of `ForcingLayers`.  Its cache holds each
+state-monomial product y^se once for all components of one residual.
 """
 
 from __future__ import annotations
@@ -116,29 +118,43 @@ def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
     V's context has the states where `ctx` has the amplitudes, one for one,
     so a term's exponent vector with the states zeroed is a monomial of
     `ctx`.  Harmonics and terms are visited in insertion order.
+
+    `cache` maps a state exponent tuple se to y^se truncated at `trunc`; one
+    cache may serve every component of one system of series at one `trunc`,
+    as in `governing_residual`.  y^se is built left to right from the
+    per-state powers y_j^k, themselves the cached tuples with one nonzero
+    entry, so each term of V costs one product by its coefficient monomial.
     """
     if cache is None:
         cache = {}
-
-    def state_pow(j, e):
-        key = (j, e)
-        p = cache.get(key)
-        if p is None:
-            p = hs_pow(comps[j], e, trunc)
-            cache[key] = p
-        return p
-
     n = len(ctx.amplitudes)
     no_states = (0,) * n
+
+    def state_product(se):
+        p = None  # y^prefix, the states before j kept and the rest zeroed
+        for j, k in enumerate(se):
+            if not k:
+                continue
+            prefix = se[:j + 1] + no_states[j + 1:]
+            q = cache.get(prefix)
+            if q is None:
+                if p is None:
+                    q = hs_pow(comps[j], k, trunc)
+                else:
+                    q = p.mul(state_product(no_states[:j] + (k,) + no_states[j + 1:]), trunc)
+                cache[prefix] = q
+            p = q
+        return p
+
     out = HarmonicSeries.zero(ctx)
     for l, poly in vp.entries.items():
         for e, c in poly.terms.items():
             if e[EPS] > trunc:
                 continue
             hs = HarmonicSeries.single(l, ctx.monomial(c, e[:3] + no_states + e[3 + n:]))
-            for j, k in enumerate(e[3:3 + n]):
-                if k:
-                    hs = hs.mul(state_pow(j, k), trunc)
+            se = e[3:3 + n]
+            if any(se):
+                hs = hs.mul(state_product(se), trunc)
             out = out + hs
     return out
 

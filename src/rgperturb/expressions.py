@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational, ONE, ZERO, I
-from .poly import PolyContext, MultiPoly, HarmonicSeries, hs_pow, EPS
+from .poly import PolyContext, MultiPoly, HarmonicSeries, hs_pow, EPS, MAX_EXP, _exp_error
 
 
 class ExprSyntaxError(ValueError):
@@ -369,6 +369,12 @@ def expand(node, ctx: PolyContext, names, carrier: bool) -> HarmonicSeries:
         if kind is Pow:
             base = go(n.base)
             if n.exponent >= 0:
+                # an eps-free non-constant term of the base is raised to the
+                # exponent itself: name it here, not a power on the way to it
+                free = 1 << ctx.eps_shift  # the keys below it carry no eps
+                keys = (k for p in base.entries.values() for k in p.packed)
+                if n.exponent > MAX_EXP and any(0 < k < free for k in keys):
+                    raise _exp_error(n.exponent)
                 return hs_pow(base, n.exponent)
             mono = _carrier_monomial(base)
             if mono is None:

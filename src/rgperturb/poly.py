@@ -22,12 +22,16 @@ layout.
 
 MultiPoly terms are stored as a sparse map {packed key: GaussianRational};
 no zero coefficients are kept, so equality of the term maps is structural
-equality of the polynomials.  ``MultiPoly.terms`` is a read-only view of the
-same map keyed by exponent tuples, in the same order, built on first use;
-it is for readers at the boundary (rendering, serialization, numeric
-compilation), not for the ring operations.  A HarmonicSeries is a
-finite-support map from the harmonic index m to a MultiPoly, representing
-sum_m P_m(eps,t,A) e^{imt}.
+equality of the polynomials.  ``MultiPoly.terms`` is a read-only view of
+the same map keyed by exponent tuples, in the same order, built on first
+use; it is for readers at the boundary (rendering, serialization, numeric
+compilation), not for the ring operations.  ``MultiPoly.mul`` works on the
+integer triples of the coefficients: it keeps one unnormalised (a, b, d)
+per output key, cross-multiplying denominators only where two differ, and
+builds each canonical coefficient once at the end, so a product costs one
+gcd per output term rather than two per kept term pair.  A HarmonicSeries
+is a finite-support map from the harmonic index m to a MultiPoly,
+representing sum_m P_m(eps,t,A) e^{imt}.
 
 All values are immutable after construction and safe to share.
 """
@@ -39,7 +43,7 @@ from functools import reduce
 from operator import or_
 from types import MappingProxyType
 
-from .gaussrat import GaussianRational, ONE
+from .gaussrat import GaussianRational, ONE, _canonical
 
 EPS = 0
 T = 1
@@ -245,16 +249,37 @@ class MultiPoly:
         Each term of `self` meets only the terms of `other` within the cut:
         per eps-order of `self`, those terms of `other` are listed once, in
         `other`'s order, so the kept pairs are visited in the order of the
-        full double loop.
+        full double loop.  The pair loop works on the integer triples
+        (a, b, d) of the coefficients and keeps one unnormalised triple per
+        output key, cross-multiplying denominators only where they differ;
+        each key is normalised once at the end.  A sum is zero exactly when
+        a == b == 0, normalised or not, so a key that cancels is dropped, and
+        re-inserted at the end if a later pair reaches it, as the
+        coefficient-by-coefficient loop does.
         """
         _check_ctx(self, other)
         ctx = self.ctx
         cut = ctx.order if trunc is None else min(trunc, ctx.order)
         sh = ctx.eps_shift
-        inner = other.packed.items()
+        packed = self.packed
+        if len(packed) == 1:
+            # one term: the keys of the product are distinct, nothing accumulates
+            (e1, c1), = packed.items()
+            lim = (cut - (e1 >> sh) + 1) << sh
+            if c1.is_one():
+                out = {e1 + e2: c2 for e2, c2 in other.packed.items() if e2 < lim}
+            else:
+                a1, b1, d1 = c1.a, c1.b, c1.d
+                out = {e1 + e2: _canonical(a1 * c2.a - b1 * c2.b, a1 * c2.b + b1 * c2.a,
+                                           d1 * c2.d)
+                       for e2, c2 in other.packed.items() if e2 < lim}
+            ctx._check_keys(out)
+            return MultiPoly(ctx, out)
+        inner = [(e2, c2.a, c2.b, c2.d) for e2, c2 in other.packed.items()]
         rows = {}  # eps-room -> the terms of `other` of eps-order <= room
-        out = {}
-        for e1, c1 in self.packed.items():
+        acc = {}  # key -> unnormalised (a, b, d)
+        get = acc.get
+        for e1, c1 in packed.items():
             room = cut - (e1 >> sh)
             if room < 0:
                 continue
@@ -262,20 +287,30 @@ class MultiPoly:
             if row is None:
                 lim = (room + 1) << sh
                 row = rows[room] = [t for t in inner if t[0] < lim]
-            for e2, c2 in row:
+            a1, b1, d1 = c1.a, c1.b, c1.d
+            for e2, a2, b2, d2 in row:
                 key = e1 + e2
-                c = c1 * c2
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = c
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+                d = d1 * d2
+                old = get(key)
+                if old is None:
+                    acc[key] = (a, b, d)
+                    continue
+                a0, b0, d0 = old
+                if d0 == d:
+                    a += a0
+                    b += b0
                 else:
-                    acc = acc + c
-                    if acc.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = acc
-        ctx._check_keys(out)
-        return MultiPoly(ctx, out)
+                    a = a * d0 + a0 * d
+                    b = b * d0 + b0 * d
+                    d *= d0
+                if a or b:
+                    acc[key] = (a, b, d)
+                else:
+                    del acc[key]
+        ctx._check_keys(acc)
+        return MultiPoly(ctx, {k: _canonical(a, b, d) for k, (a, b, d) in acc.items()})
 
     __mul__ = mul
 

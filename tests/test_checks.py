@@ -283,6 +283,18 @@ class TestRandomSuite:
         # hash seed, so two children that printed nothing cannot pass
         assert outs == {random_spec("nilpotent", 11).to_json() + "\n"}
 
+    @pytest.mark.parametrize("klass", ["semisimple", "nilpotent", "scalar"])
+    def test_requested_order_keeps_the_rest(self, klass):
+        # the order is still drawn, so V and the linear part do not move
+        for seed in range(30):
+            drawn = random_spec(klass, seed)
+            for order in (0, drawn.order, 5):
+                spec = random_spec(klass, seed, order)
+                doc = drawn.to_document()
+                doc["order"] = order
+                assert spec.to_document() == doc
+                assert spec.v_polys == drawn.v_polys
+
     def test_distinct_seeds_differ(self):
         docs = {random_spec("scalar", s).to_json() for s in range(8)}
         assert len(docs) > 1

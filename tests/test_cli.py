@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import sys
 import tempfile
 import warnings
 
@@ -92,7 +94,43 @@ class TestExpand:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, command, "--spec", str(path))
         assert code == 2 and out == ""
-        assert err == "error: exponent 2147483648 exceeds the limit 2147483647\n"
+        # the exponent as written, not the first square past the limit
+        assert err == "error: exponent 5000000000 exceeds the limit 2147483647\n"
+
+    def test_nested_power_past_the_limit_exit_2(self, capsys, tmp_path):
+        # each exponent is within the limit; the product of the two is not
+        doc = {"class": "semisimple", "linear_part": [1, -1],
+               "V": ["(y1^65536)^65536 + y2", "y1*y2 + E*y1"], "order": 2}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "expand", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: exponent ") and "exceeds the limit 2147483647" in err
+
+    @pytest.mark.parametrize("command", ["expand", "rg", "verify"])
+    def test_huge_exact_coefficient_is_printed(self, capsys, tmp_path, command):
+        # 3^10000 has 4772 decimal digits, past Python's default cap of 4300
+        # for int -> str, and past the float range
+        doc = {"class": "semisimple", "linear_part": [1, -1],
+               "V": ["3^10000*y1", "y1*y2 + E*y1"], "order": 2}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, command, "--spec", str(path))
+        assert sys.get_int_max_str_digits() == cap
+        assert code == 0 and err == ""
+        if command != "verify":
+            sys.set_int_max_str_digits(0)
+            try:
+                want = str(3 ** 10000)
+            finally:
+                sys.set_int_max_str_digits(cap)
+            assert want in re.findall(r"\d+", out)
+        else:
+            lines = out.splitlines()
+            assert sum(ln.startswith("PASS check_") for ln in lines) == 5
+            assert lines[-1] == ("SKIP numeric_smoke [spec.json K=2] "
+                                 ":: a coefficient is outside the floating-point range")
 
     def test_high_state_degree_expands(self, capsys, tmp_path):
         doc = {"class": "semisimple", "linear_part": [1, -1], "order": 3,
@@ -181,6 +219,29 @@ class TestVerify:
                            "--order", "3")
         assert code == 0, out
         assert "PASS check_residual" in out
+
+    def test_random_spec_is_parsed_once(self, capsys, monkeypatch):
+        import rgperturb.checks
+        import rgperturb.cli
+
+        calls = []
+
+        def counting(text, parse=rgperturb.checks.parse_spec):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(rgperturb.checks, "parse_spec", counting)
+        monkeypatch.setattr(rgperturb.cli, "parse_spec", counting)
+        code, out, _ = run(capsys, "verify", "--random", "nilpotent", "--seed", "5",
+                           "--order", "2")
+        assert code == 0, out
+        assert len(calls) == 1 and json.loads(calls[0])["order"] == 2
+
+    def test_random_spec_negative_order_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--random", "scalar", "--seed", "1",
+                             "--order", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: order must be an integer >= 0\n"
 
     def test_corrupted_table_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "ex_cd", "--order", "3",

@@ -4,7 +4,7 @@ import pytest
 
 from rgperturb.checks import random_spec
 from rgperturb.demos import load_builtin
-from rgperturb.poly import from_expression
+from rgperturb.poly import EPS, HarmonicSeries, from_expression, hs_pow
 from rgperturb.systems import parse_spec
 from rgperturb.engine import (
     ForcingLayers,
@@ -336,3 +336,63 @@ class TestForcingLayers:
             "class": "semisimple", "linear_part": [1, -1], "order": 3,
             "V": ["y1^1000 + y2", "y1*y2 + E*y1"],
         }))
+
+
+def reference_eval_vpoly_hs(vp, comps, ctx, trunc):
+    """The per-term evaluator: each term's monomial times each of its state powers in turn."""
+    cache = {}
+
+    def state_pow(j, e):
+        key = (j, e)
+        p = cache.get(key)
+        if p is None:
+            p = cache[key] = hs_pow(comps[j], e, trunc)
+        return p
+
+    n = len(ctx.amplitudes)
+    no_states = (0,) * n
+    out = HarmonicSeries.zero(ctx)
+    for l, poly in vp.entries.items():
+        for e, c in poly.terms.items():
+            if e[EPS] > trunc:
+                continue
+            hs = HarmonicSeries.single(l, ctx.monomial(c, e[:3] + no_states + e[3 + n:]))
+            for j, k in enumerate(e[3:3 + n]):
+                if k:
+                    hs = hs.mul(state_pow(j, k), trunc)
+            out = out + hs
+    return out
+
+
+class TestEvalVpoly:
+    """`eval_vpoly_hs` with its shared state products against the per-term evaluator.
+
+    One cache serves every component at one truncation, as in
+    `governing_residual`.
+    """
+
+    @staticmethod
+    def assert_matches_reference(spec):
+        table = expand_table(spec)
+        ctx, K = table.ctx, table.order
+        v_polys = spec.v_polys
+        if spec.klass == "nilpotent":
+            v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in v_polys]
+        for trunc in sorted({max(K - 1, 0), K // 2}):
+            cache = {}
+            for vp in v_polys:
+                want = reference_eval_vpoly_hs(vp, table.components, ctx, trunc)
+                got = eval_vpoly_hs(vp, table.components, ctx, trunc, cache)
+                assert got == want, f"{spec.v_srcs} at trunc {trunc}"
+
+    @pytest.mark.parametrize("name,order", [
+        ("ex_cd", 8), ("ex_bt", 4), ("ex_third", 5), ("ex_oscillators", 4), ("ex_scalar1", 8),
+    ])
+    def test_builtins(self, name, order):
+        self.assert_matches_reference(load_builtin(name, order))
+
+    @pytest.mark.parametrize("klass", ["semisimple", "nilpotent", "scalar"])
+    def test_random_specs(self, klass):
+        for seed in range(30):
+            self.assert_matches_reference(random_spec(klass, seed, 4))
+

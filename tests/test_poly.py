@@ -537,9 +537,25 @@ def items(p: MultiPoly) -> list:
     return list(p.terms.items())
 
 
+def cancel_and_reappear():
+    """A product whose key A1^2 cancels on the fifth pair and returns on the ninth.
+
+    The summands of A1^2 have denominators 2 and 6 (unnormalised), so the
+    cancellation is found across unequal denominators.
+    """
+    ctx = PolyContext(("A1",), order=2)
+    a1, a1sq, one = (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 0)
+    p = ctx.from_terms({a1: gq(Fraction(1, 2)), a1sq: gq(Fraction(-1, 3)), one: gq(1)})
+    q = ctx.from_terms({a1: gq(1), one: gq(Fraction(3, 2)), a1sq: gq(Fraction(1, 6))})
+    return ctx, p, q, None
+
+
 class TestPackedKeys:
-    # +-1 and +-i make cancelling sums likely; the others keep the products tall
-    UNITS = (gq(1), gq(-1), gq(0, 1), gq(0, -1), gq(Fraction(2, 3), Fraction(-1, 5)))
+    # +-1 and +-i make cancelling sums likely; the others keep the products
+    # tall, and their denominators 2, 3, 5 and 6 meet unequal on one key
+    UNITS = (gq(1), gq(-1), gq(0, 1), gq(0, -1), gq(Fraction(2, 3), Fraction(-1, 5)),
+             gq(Fraction(1, 2)), gq(0, Fraction(-1, 3)), gq(Fraction(5, 6), Fraction(1, 6)),
+             gq(Fraction(-1, 2), Fraction(1, 2)))
 
     @staticmethod
     @st.composite
@@ -581,6 +597,7 @@ class TestPackedKeys:
 
     @settings(max_examples=200, deadline=None)
     @given(pairs())
+    @example(cancel_and_reappear())
     def test_mul_matches_reference(self, case):
         ctx, p, q, trunc = case
         cut = ctx.order if trunc is None else min(trunc, ctx.order)
@@ -654,6 +671,21 @@ class TestExponentLimit:
                 p * q
         else:
             assert items(p * q) == [(total, ONE)]
+
+    @pytest.mark.parametrize("c", [ONE, gq(Fraction(2, 3), -1)])
+    def test_one_term_operand_at_the_guard_bit(self, c):
+        # a one-term operand takes its own path through mul; the guard holds there
+        ctx = self.ctx()
+        top = ctx.monomial(c, [0, 0, 0, 0, MAX_EXP, 0])
+        for q in (ctx.var("A2") + ctx.var("p"), ctx.var("p") + ctx.var("A2")):
+            with pytest.raises(PolyError, match=f"exponent {MAX_EXP + 1} exceeds"):
+                top * q
+            with pytest.raises(PolyError, match=f"exponent {MAX_EXP + 1} exceeds"):
+                q * top
+        q = ctx.var("A1") + ctx.var("p", 2)
+        want = [((0, 0, 0, 1, MAX_EXP, 0), c), ((0, 0, 0, 0, MAX_EXP, 2), c)]
+        assert items(top * q) == want
+        assert items(q * top) == want
 
     def test_constructors_reject(self):
         ctx = self.ctx()
