@@ -36,7 +36,11 @@ def _canonical(a: int, b: int, d: int) -> "GaussianRational":
         a //= g
         b //= g
         d //= g
-    return _raw(a, b, d)
+    v = _alloc(GaussianRational)  # _raw, inlined: this is the hottest allocator
+    v.a = a
+    v.b = b
+    v.d = d
+    return v
 
 
 class GaussianRational:

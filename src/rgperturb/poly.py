@@ -29,9 +29,10 @@ compilation), not for the ring operations.  ``MultiPoly.mul`` works on the
 integer triples of the coefficients: it keeps one unnormalised (a, b, d)
 per output key, cross-multiplying denominators only where two differ, and
 builds each canonical coefficient once at the end, so a product costs one
-gcd per output term rather than two per kept term pair.  A HarmonicSeries
-is a finite-support map from the harmonic index m to a MultiPoly,
-representing sum_m P_m(eps,t,A) e^{imt}.
+gcd per output term rather than two per kept term pair; a sum adds the
+triples the same way, with one gcd per key the two maps share.  A
+HarmonicSeries is a finite-support map from the harmonic index m to a
+MultiPoly, representing sum_m P_m(eps,t,A) e^{imt}.
 
 All values are immutable after construction and safe to share.
 """
@@ -170,17 +171,26 @@ def _check_ctx(a, b):
 
 
 def _add_terms(out: dict, terms: dict) -> None:
-    """Add a term map into `out` in place, dropping cancelled terms."""
+    """Add a term map into `out` in place, dropping cancelled terms.
+
+    Each sum is built from the integer triples, as `mul` does: zero exactly
+    when a == b == 0, otherwise normalised once.
+    """
+    get = out.get
     for e, c in terms.items():
-        acc = out.get(e)
-        if acc is None:
+        old = get(e)
+        if old is None:
             out[e] = c
+            continue
+        d0, d = old.d, c.d
+        if d0 == d:
+            a, b = old.a + c.a, old.b + c.b
         else:
-            acc = acc + c
-            if acc.is_zero():
-                del out[e]
-            else:
-                out[e] = acc
+            a, b, d = old.a * d + c.a * d0, old.b * d + c.b * d0, d0 * d
+        if a or b:
+            out[e] = _canonical(a, b, d)
+        else:
+            del out[e]
 
 
 class MultiPoly:

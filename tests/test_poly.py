@@ -550,6 +550,15 @@ def cancel_and_reappear():
     return ctx, p, q, None
 
 
+def cancelling_sum():
+    """Two polynomials whose A1 terms cancel and whose constants have denominators 1 and 3."""
+    ctx = PolyContext(("A1",), order=2)
+    a1, a1sq, one = (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 0)
+    p = ctx.from_terms({a1: gq(Fraction(1, 2)), one: gq(1)})
+    q = ctx.from_terms({one: gq(Fraction(1, 3)), a1: gq(Fraction(-1, 2)), a1sq: gq(0, 1)})
+    return ctx, p, q, None
+
+
 class TestPackedKeys:
     # +-1 and +-i make cancelling sums likely; the others keep the products
     # tall, and their denominators 2, 3, 5 and 6 meet unequal on one key
@@ -603,6 +612,15 @@ class TestPackedKeys:
         cut = ctx.order if trunc is None else min(trunc, ctx.order)
         assert items(p.mul(q, trunc)) == list(reference_mul(p.terms, q.terms, cut).items())
         assert items(p * q) == list(reference_mul(p.terms, q.terms, ctx.order).items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs())
+    @example(cancelling_sum())
+    def test_add_matches_reference(self, case):
+        ctx, p, q, _ = case
+        want = dict(p.terms)
+        reference_add_into(want, q.terms)
+        assert items(p + q) == list(want.items())
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
