@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussrat import GaussianRational
-from .poly import MultiPoly, HarmonicSeries, PolyContext, Substitution
+from .gaussrat import ZERO
+from .poly import MultiPoly, HarmonicSeries, PolyContext, Substitution, monomial_text
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
     SecularTable,
@@ -57,30 +57,23 @@ class CheckReport:
         return f"{status} {self.name} [{self.spec_id} K={self.order}{seed}]{tail}"
 
 
-def _first_mismatch(lhs: MultiPoly, rhs: MultiPoly):
-    keys = set(lhs.terms) | set(rhs.terms)
-    if not keys:
-        return None
-    zero = GaussianRational(0)
-    for e in sorted(keys, key=lambda e: (e[0], sum(e[1:]), e)):
-        a = lhs.terms.get(e, zero)
-        b = rhs.terms.get(e, zero)
-        if a != b:
-            names = lhs.ctx.symbols
-            mono = "*".join(
-                (names[i] if k == 1 else f"{names[i]}^{k}") for i, k in enumerate(e) if k
-            ) or "1"
-            return f"monomial {mono}: lhs={a}, rhs={b}"
-    return None
+def _first_mismatch(lhs: MultiPoly, rhs: MultiPoly) -> str:
+    """The first monomial, in the canonical order, where two unequal sides differ.
+
+    The terms of lhs - rhs are exactly the monomials where the sides differ.
+    """
+    e, _ = (lhs - rhs).sorted_terms()[0]
+    mono = monomial_text(lhs.ctx.symbols, e) or "1"
+    return f"monomial {mono}: lhs={lhs.terms.get(e, ZERO)}, rhs={rhs.terms.get(e, ZERO)}"
 
 
-def _compare_tables(pairs, name, spec_id, order, seed=None) -> CheckReport:
+def _compare_tables(pairs, name, spec_id, order) -> CheckReport:
     """pairs: iterable of (label, lhs poly, rhs poly)."""
     for label, lhs, rhs in pairs:
         if lhs != rhs:
             detail = f"{label}; {_first_mismatch(lhs, rhs)}"
-            return CheckReport(name, spec_id, order, False, detail=detail, seed=seed)
-    return CheckReport(name, spec_id, order, True, seed=seed)
+            return CheckReport(name, spec_id, order, False, detail=detail)
+    return CheckReport(name, spec_id, order, True)
 
 
 def _at_s(ctx: PolyContext, amps: dict) -> dict:
@@ -89,8 +82,7 @@ def _at_s(ctx: PolyContext, amps: dict) -> dict:
     return {name: t_to_s(p) for name, p in amps.items()}
 
 
-def functional_relation(ctx: PolyContext, amplitudes: dict, entries, label,
-                        seed=None) -> CheckReport:
+def functional_relation(ctx: PolyContext, amplitudes: dict, entries, label) -> CheckReport:
     """P(eps,t,A) = P(eps,t-s, A_ren(eps,s,A)) as a (t,s,A)-identity.
 
     amplitudes: symbol name -> A_ren(eps,t,A); entries: iterable of
@@ -102,11 +94,11 @@ def functional_relation(ctx: PolyContext, amplitudes: dict, entries, label,
     shift = Substitution(ctx, bindings)
     return _compare_tables(
         ((where, p, shift(p)) for where, p in entries),
-        "check_functional_relation", label, ctx.order, seed,
+        "check_functional_relation", label, ctx.order,
     )
 
 
-def check_functional_relation(table: SecularTable, seed=None) -> CheckReport:
+def check_functional_relation(table: SecularTable) -> CheckReport:
     """P_{j,m}(eps,t,A) = P_{j,m}(eps,t-s, A_ren(eps,s,A)) for the secular table."""
     entries = (
         (f"component {j + 1}, harmonic {m}", p)
@@ -114,11 +106,11 @@ def check_functional_relation(table: SecularTable, seed=None) -> CheckReport:
         for m, p in comp.entries.items()
     )
     return functional_relation(
-        table.ctx, renormalized_amplitudes(table), entries, table.label, seed
+        table.ctx, renormalized_amplitudes(table), entries, table.label
     )
 
 
-def check_group_property(table: SecularTable, seed=None) -> CheckReport:
+def check_group_property(table: SecularTable) -> CheckReport:
     """A_ren(eps,t+s,A) = A_ren(eps,s,A_ren(eps,t,A))."""
     ctx = table.ctx
     amps = renormalized_amplitudes(table)
@@ -130,19 +122,17 @@ def check_group_property(table: SecularTable, seed=None) -> CheckReport:
         for name in ctx.amplitudes:
             yield f"amplitude {name}", advance(amps[name]), compose(amps_s[name])
 
-    return _compare_tables(gen(), "check_group_property", table.label, ctx.order, seed)
+    return _compare_tables(gen(), "check_group_property", table.label, ctx.order)
 
 
-def check_no_secular(ren: RenExpansion, label="", seed=None) -> CheckReport:
+def check_no_secular(ren: RenExpansion, label="") -> CheckReport:
     """Every renormalized-expansion entry is free of bare t (and s)."""
     for j, comp in enumerate(ren.components):
         for m, p in comp.entries.items():
             if p.degree("t") > 0 or p.degree("s") > 0:
                 detail = f"component {j + 1}, harmonic {m}: t-degree {p.degree('t')}"
-                return CheckReport(
-                    "check_no_secular", label, ren.ctx.order, False, detail=detail, seed=seed
-                )
-    return CheckReport("check_no_secular", label, ren.ctx.order, True, seed=seed)
+                return CheckReport("check_no_secular", label, ren.ctx.order, False, detail=detail)
+    return CheckReport("check_no_secular", label, ren.ctx.order, True)
 
 
 def chain_derivative(hs: HarmonicSeries, rg: RGSystem) -> HarmonicSeries:
@@ -161,7 +151,7 @@ def renormalized_residuals(table: SecularTable) -> list:
     return governing_residual(table.spec, comps, lambda hs: chain_derivative(hs, rg))
 
 
-def check_residual(table: SecularTable, seed=None) -> CheckReport:
+def check_residual(table: SecularTable) -> CheckReport:
     """Both residuals: the naive table and the RG-driven renormalized form."""
     for kind, residuals in (
         ("naive", table_residuals(table)),
@@ -175,13 +165,12 @@ def check_residual(table: SecularTable, seed=None) -> CheckReport:
                     f"{res.entries[m].render()}"
                 )
                 return CheckReport(
-                    "check_residual", table.label, table.ctx.order, False,
-                    detail=detail, seed=seed,
+                    "check_residual", table.label, table.ctx.order, False, detail=detail
                 )
-    return CheckReport("check_residual", table.label, table.ctx.order, True, seed=seed)
+    return CheckReport("check_residual", table.label, table.ctx.order, True)
 
 
-def check_inversion(table: SecularTable, seed=None) -> CheckReport:
+def check_inversion(table: SecularTable) -> CheckReport:
     """Both A(eps,t,A_ren(eps,t,A)) = A and A_ren(eps,t,A(eps,t,A_ren)) = A_ren."""
     ctx = table.ctx
     amps = renormalized_amplitudes(table)
@@ -193,53 +182,46 @@ def check_inversion(table: SecularTable, seed=None) -> CheckReport:
             yield f"bare {name}", to_ren(inv[name]), ctx.var(name)
             yield f"renormalized {name}", to_bare(amps[name]), ctx.var(name)
 
-    return _compare_tables(gen(), "check_inversion", table.label, ctx.order, seed)
+    return _compare_tables(gen(), "check_inversion", table.label, ctx.order)
 
 
-def check_homogeneity(table: SecularTable, seed=None) -> CheckReport:
+def check_homogeneity(table: SecularTable) -> CheckReport:
     """Autonomous semisimple weight rule: every monomial has sum r_k m_k = m."""
     spec = table.spec
     if spec.klass != "semisimple" or not spec.is_autonomous():
         return CheckReport(
             "check_homogeneity", table.label, table.ctx.order, True,
             applicable=False, detail="not applicable (needs autonomous semisimple)",
-            seed=seed,
         )
     ctx = table.ctx
-    namp = len(ctx.amplitudes)
     modes = spec.modes
-    names = ctx.symbols
+
+    def weight(e):
+        return sum(k * mode for k, mode in zip(ctx.split(e)[3], modes))
+
     for j, comp in enumerate(table.components):
         for m, p in comp.entries.items():
             for e in p.terms:
-                weight = sum(e[3 + i] * modes[i] for i in range(namp))
-                if weight != m:
-                    mono = "*".join(
-                        (names[i] if k == 1 else f"{names[i]}^{k}")
-                        for i, k in enumerate(e) if k
-                    )
+                if (w := weight(e)) != m:
                     return CheckReport(
                         "check_homogeneity", table.label, ctx.order, False,
                         detail=(
-                            f"component {j + 1}, harmonic {m}, monomial {mono}: "
-                            f"weight {weight} != {m}"
+                            f"component {j + 1}, harmonic {m}, monomial "
+                            f"{monomial_text(ctx.symbols, e)}: weight {w} != {m}"
                         ),
-                        seed=seed,
                     )
     rg = derive_rg(table)
     for j, f in enumerate(rg.fields):
         for e in f.terms:
-            weight = sum(e[3 + i] * modes[i] for i in range(namp))
-            if weight != modes[j]:
+            if (w := weight(e)) != modes[j]:
                 return CheckReport(
                     "check_homogeneity", table.label, ctx.order, False,
-                    detail=f"RG field {ctx.amplitudes[j]}: weight {weight} != {modes[j]}",
-                    seed=seed,
+                    detail=f"RG field {ctx.amplitudes[j]}: weight {w} != {modes[j]}",
                 )
-    return CheckReport("check_homogeneity", table.label, ctx.order, True, seed=seed)
+    return CheckReport("check_homogeneity", table.label, ctx.order, True)
 
 
-def check_autonomous_reduction(table: SecularTable, seed=None) -> CheckReport:
+def check_autonomous_reduction(table: SecularTable) -> CheckReport:
     """For autonomous V with zero linear modes the RG equation is the system itself.
 
     Semisimple M=0: field_j = eps*V_j(eps, A_ren) exactly; nilpotent (mode 0):
@@ -254,7 +236,6 @@ def check_autonomous_reduction(table: SecularTable, seed=None) -> CheckReport:
         return CheckReport(
             "check_autonomous_reduction", table.label, table.ctx.order, True,
             applicable=False, detail="not applicable (needs autonomous, zero modes)",
-            seed=seed,
         )
     ctx = table.ctx
     for j, comp in enumerate(table.components):
@@ -262,7 +243,7 @@ def check_autonomous_reduction(table: SecularTable, seed=None) -> CheckReport:
         if extra:
             return CheckReport(
                 "check_autonomous_reduction", table.label, ctx.order, False,
-                detail=f"component {j + 1} has harmonics {extra}", seed=seed,
+                detail=f"component {j + 1} has harmonics {extra}",
             )
     rg = derive_rg(table)
     eps = ctx.var("eps")
@@ -276,9 +257,7 @@ def check_autonomous_reduction(table: SecularTable, seed=None) -> CheckReport:
                 expect = expect + ctx.var(ctx.amplitudes[j + 1])
             yield f"field {ctx.amplitudes[j]}", rg.fields[j], expect
 
-    return _compare_tables(
-        gen(), "check_autonomous_reduction", table.label, ctx.order, seed
-    )
+    return _compare_tables(gen(), "check_autonomous_reduction", table.label, ctx.order)
 
 
 def corrupt_table(table: SecularTable) -> SecularTable:
@@ -288,23 +267,24 @@ def corrupt_table(table: SecularTable) -> SecularTable:
     j, m = table.resonant[0]
     bump = ctx.var("eps") * ctx.var("t")
     comps[j] = comps[j] + HarmonicSeries.single(m, bump)
-    return SecularTable(
-        table.spec, ctx, comps, table.resonant,
-        label=table.label + "#corrupted", gauge_mode=table.gauge_mode,
-    )
+    return SecularTable(table.spec, ctx, comps, table.resonant, label=table.label + "#corrupted")
 
 
 def run_all_checks(table: SecularTable, seed=None) -> list:
+    """Every identity check of the table, each report stamped with `seed`."""
     ren = renormalized_expansion(table)
-    return [
-        check_functional_relation(table, seed),
-        check_group_property(table, seed),
-        check_no_secular(ren, table.label, seed),
-        check_residual(table, seed),
-        check_inversion(table, seed),
-        check_homogeneity(table, seed),
-        check_autonomous_reduction(table, seed),
+    reports = [
+        check_functional_relation(table),
+        check_group_property(table),
+        check_no_secular(ren, table.label),
+        check_residual(table),
+        check_inversion(table),
+        check_homogeneity(table),
+        check_autonomous_reduction(table),
     ]
+    for r in reports:
+        r.seed = seed
+    return reports
 
 
 # --------------------------------------------------------------------------

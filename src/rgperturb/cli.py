@@ -7,6 +7,7 @@ Exit codes: 0 success; 1 at least one check failed; 2 bad spec or usage;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -16,7 +17,7 @@ import sys
 
 from .gaussrat import GaussianRational
 from .poly import MultiPoly, HarmonicSeries, PolyContext, PolyError
-from .systems import SpecError, parse_spec
+from .systems import SpecError, check_order, parse_spec
 from .engine import expand_table, make_context
 from .renorm import (
     derive_rg,
@@ -42,11 +43,7 @@ from . import difference as diffmod
 # --------------------------------------------------------------------------
 
 def poly_to_data(p: MultiPoly):
-    out = []
-    for e in sorted(p.terms, key=lambda e: (e[0], sum(e[1:]), e)):
-        c = p.terms[e]
-        out.append([list(e), [str(c.re), str(c.im)]])
-    return out
+    return [[list(e), [str(c.re), str(c.im)]] for e, c in p.sorted_terms()]
 
 
 def poly_from_data(ctx: PolyContext, data) -> MultiPoly:
@@ -115,17 +112,12 @@ def rg_from_machine(text: str):
 # Input resolution
 # --------------------------------------------------------------------------
 
-def _with_order(spec, order):
-    """The spec re-parsed at another truncation order, or itself for None."""
-    if order is None:
-        return spec
-    doc = spec.to_document()
-    doc["order"] = order
-    return parse_spec(json.dumps(doc))
-
-
 def load_spec(args) -> tuple:
-    """Returns (spec, label); enforces exactly one input source."""
+    """Returns (spec, label); enforces exactly one input source.
+
+    `--order` replaces the truncation order of a spec file after one parse:
+    nothing else in a spec depends on the order.
+    """
     builtin = getattr(args, "builtin", None)
     path = getattr(args, "spec", None)
     if builtin and path:
@@ -134,8 +126,10 @@ def load_spec(args) -> tuple:
         return demos.load_builtin(builtin, args.order), builtin
     if path:
         with open(path) as fh:
-            text = fh.read()
-        return _with_order(parse_spec(text), args.order), os.path.basename(path)
+            spec = parse_spec(fh.read())
+        if args.order is not None:
+            spec = dataclasses.replace(spec, order=check_order(args.order))
+        return spec, os.path.basename(path)
     raise SpecError("an input is required: --builtin NAME or --spec PATH")
 
 
@@ -283,6 +277,8 @@ def _numeric_smoke(table, rng) -> tuple:
 
 
 def cmd_verify(args) -> int:
+    if args.random and (args.builtin or args.spec):
+        raise SpecError("give either --random or an input (--builtin/--spec), not both")
     if args.random:
         seed = args.seed if args.seed is not None else 0
         spec = random_spec(args.random, seed, args.order)

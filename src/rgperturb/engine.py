@@ -39,7 +39,6 @@ from .poly import (
     HarmonicSeries,
     hs_pow,
     resolve_shift,
-    EPS,
 )
 from .expressions import render_forcing
 from .systems import ODESystemSpec, SpecError
@@ -48,13 +47,17 @@ from .systems import ODESystemSpec, SpecError
 class SecularTable:
     """Secular coefficients P_{j,m}(eps,t,A) of one expansion."""
 
-    def __init__(self, spec, ctx, components, resonant, label="", gauge_mode=0):
+    def __init__(self, spec, ctx, components, resonant, label=""):
         self.spec = spec
         self.ctx = ctx
         self.components = components  # list[HarmonicSeries]
         self.resonant = resonant      # list[(component, harmonic)]
         self.label = label or spec.klass
-        self.gauge_mode = gauge_mode  # nilpotent only: original block eigenvalue
+
+    @property
+    def gauge_mode(self) -> int:
+        """The block eigenvalue the nilpotent engine reduced away; 0 otherwise."""
+        return self.spec.block_mode if self.spec.klass == "nilpotent" else 0
 
     @property
     def order(self) -> int:
@@ -127,8 +130,7 @@ def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
     """
     if cache is None:
         cache = {}
-    n = len(ctx.amplitudes)
-    no_states = (0,) * n
+    no_states = (0,) * len(ctx.amplitudes)
 
     def state_product(se):
         p = None  # y^prefix, the states before j kept and the rest zeroed
@@ -146,13 +148,14 @@ def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
             p = q
         return p
 
+    split = vp.ctx.split
     out = HarmonicSeries.zero(ctx)
     for l, poly in vp.entries.items():
         for e, c in poly.terms.items():
-            if e[EPS] > trunc:
+            eps, t, s, se, pe = split(e)
+            if eps > trunc:
                 continue
-            hs = HarmonicSeries.single(l, ctx.monomial(c, e[:3] + no_states + e[3 + n:]))
-            se = e[3:3 + n]
+            hs = HarmonicSeries.single(l, ctx.monomial(c, (eps, t, s) + no_states + pe))
             if any(se):
                 hs = hs.mul(state_product(se), trunc)
             out = out + hs
@@ -208,19 +211,18 @@ class ForcingLayers:
         ctx = self.ctx
         n = len(self._layers)
         self._layers.append([c.eps_coeff(n) for c in comps])
-        ns = len(ctx.amplitudes)
-        no_states = (0,) * ns
+        no_states = (0,) * len(ctx.amplitudes)
         out = []
         for vp in self.v_polys:
+            split = vp.ctx.split
             acc = HarmonicSeries.zero(ctx)
             for l, poly in vp.entries.items():
                 for e, c in poly.terms.items():
-                    a = e[EPS]
+                    a, t, s, se, pe = split(e)
                     if a > n:
                         continue
-                    mono = ctx.monomial(c, (0,) + e[1:3] + no_states + e[3 + ns:])
-                    acc = acc + HarmonicSeries.single(l, mono).mul(
-                        self._power(e[3:3 + ns], n - a))
+                    mono = ctx.monomial(c, (0, t, s) + no_states + pe)
+                    acc = acc + HarmonicSeries.single(l, mono).mul(self._power(se, n - a))
             out.append(acc)
         return out
 
@@ -266,7 +268,7 @@ def _free_solution(ctx: PolyContext, names) -> MultiPoly:
     return g
 
 
-def _expand(spec, label, comps, v_polys, solve, resonant, gauge_mode=0) -> SecularTable:
+def _expand(spec, label, comps, v_polys, solve, resonant) -> SecularTable:
     """The order-by-order recursion shared by the three classes.
 
     At order k, `solve` maps the eps^(k-1) layer of V on the table so far,
@@ -278,7 +280,7 @@ def _expand(spec, label, comps, v_polys, solve, resonant, gauge_mode=0) -> Secul
     for k in range(1, spec.order + 1):
         step = solve(forcing.next_layer(comps), eps ** k)
         comps = [c + d for c, d in zip(comps, step)]
-    return SecularTable(spec, ctx, comps, resonant, label=label, gauge_mode=gauge_mode)
+    return SecularTable(spec, ctx, comps, resonant, label=label)
 
 
 def _shift_carrier(vp: HarmonicSeries, weights, offset) -> HarmonicSeries:
@@ -287,11 +289,11 @@ def _shift_carrier(vp: HarmonicSeries, weights, offset) -> HarmonicSeries:
     A term E^l y^se moves to harmonic l + sum_j w_j se_j - offset with its
     exponents unchanged, so no two terms meet.
     """
-    n = len(weights)
+    split = vp.ctx.split
     out = {}
     for l, p in vp.entries.items():
         for e, c in p.terms.items():
-            m = l - offset + sum(w * k for w, k in zip(weights, e[3:3 + n]))
+            m = l - offset + sum(w * k for w, k in zip(weights, split(e)[3]))
             out.setdefault(m, {})[e] = c
     return HarmonicSeries(vp.ctx, {m: vp.ctx.from_terms(terms) for m, terms in out.items()})
 
@@ -334,8 +336,7 @@ def expand_nilpotent(spec: ODESystemSpec, label="") -> SecularTable:
         return [HarmonicSeries(ctx, d) for d in new]
 
     resonant = [(j, 0) for j in range(n)]
-    return _expand(spec, label, _derivative_chain(g, n), v_polys, solve, resonant,
-                   spec.block_mode)
+    return _expand(spec, label, _derivative_chain(g, n), v_polys, solve, resonant)
 
 
 def expand_scalar(spec: ODESystemSpec, label="") -> SecularTable:

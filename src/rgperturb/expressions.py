@@ -32,7 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational, ONE, ZERO, I
-from .poly import PolyContext, MultiPoly, HarmonicSeries, hs_pow, EPS, MAX_EXP, _exp_error
+from .poly import (
+    PolyContext, MultiPoly, HarmonicSeries, hs_pow, join_signed, monomial_text, MAX_EXP,
+    _exp_error,
+)
 
 
 class ExprSyntaxError(ValueError):
@@ -427,15 +430,14 @@ def render_forcing(vp: HarmonicSeries) -> str:
     exponents); the state and parameter names are those of the context.
     """
     ctx = vp.ctx
-    n = len(ctx.amplitudes)
-    terms = sorted(
-        ((e[EPS], l, e[3:3 + n], e[3 + n:]), c)
-        for l, p in vp.entries.items() for e, c in p.terms.items()
-    )
-    if not terms:
-        return "0"
+    names = ("eps", "E") + ctx.amplitudes + ctx.params
+    terms = []
+    for l, p in vp.entries.items():
+        for e, c in p.terms.items():
+            k, _, _, se, pe = ctx.split(e)
+            terms.append(((k, l, se, pe), c))
     parts = []
-    for (k, l, se, pe), c in terms:
+    for (k, l, se, pe), c in sorted(terms):
         factors = []
         if not c.im:
             q = c.re
@@ -445,17 +447,10 @@ def render_forcing(vp: HarmonicSeries) -> str:
         else:
             factors.append(f"({c})")
             q = Fraction(1)
-        if k:
-            factors.append("eps" if k == 1 else f"eps^{k}")
-        if l:
-            factors.append("E" if l == 1 else f"E^{l}")
-        for name, e in zip(ctx.amplitudes + ctx.params, se + pe):
-            if e:
-                factors.append(name if e == 1 else f"{name}^{e}")
+        mono = monomial_text(names, (k, l) + se + pe)
+        if mono:
+            factors.append(mono)
         if abs(q) != 1 or not factors:
             factors.insert(0, str(abs(q)))
         parts.append(("-" if q < 0 else "") + "*".join(factors))
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    return join_signed(parts)

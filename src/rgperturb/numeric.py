@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import MultiPoly, EPS
+from .poly import MultiPoly
 from .systems import ODESystemSpec, SpecError
 from .renorm import COS, RGSystem, RenExpansion, PolarRG, TrigSeries
 
@@ -176,19 +176,19 @@ def compile_vpoly(v_polys, eps: float, param_values: dict) -> callable:
     sums = []
     for vp in v_polys:
         ctx = vp.ctx
-        n = len(ctx.amplitudes)
         products = []
         for l, p in vp.entries.items():
             for e, c in p.terms.items():
+                k_eps, _, _, se, pe = ctx.split(e)
                 coeff = complex(c)
-                for name, k in zip(ctx.params, e[3 + n:]):
+                for name, k in zip(ctx.params, pe):
                     coeff *= complex(param_values[name]) ** k
-                if e[EPS]:
-                    coeff *= eps ** e[EPS]
+                if k_eps:
+                    coeff *= eps ** k_eps
                 factors = [g.const(coeff)]
                 if l:
                     factors.append(g.harmonic(l))
-                factors += [g.power(f"y[{j}]", k) for j, k in enumerate(e[3:3 + n]) if k]
+                factors += [g.power(f"y[{j}]", k) for j, k in enumerate(se) if k]
                 products.append(factors)
         sums.append(g.sum("0j", products))
     return g.function("t, y", f"({', '.join(sums)},)")
@@ -256,19 +256,19 @@ def _poly_sum(g: _StraightLine, p: MultiPoly, eps: float, param_values: dict,
 
     coeff * params * eps**k is folded at build time.
     """
-    namp = len(p.ctx.amplitudes)
     products = []
     for e, c in p.terms.items():
-        if e[1] or e[2]:
+        k_eps, t, s, ae, pe = p.ctx.split(e)
+        if t or s:
             raise ValueError("polynomial must be autonomous (no t or s)")
         coeff = complex(c)
-        for name, k in zip(p.ctx.params, e[3 + namp:]):
+        for name, k in zip(p.ctx.params, pe):
             if k:
                 coeff *= complex(param_values[name]) ** k
-        if e[EPS]:
-            coeff *= eps ** e[EPS]
+        if k_eps:
+            coeff *= eps ** k_eps
         products.append([g.const(coeff)] + [
-            g.power(f"{amps}[{j}]", a) for j, a in enumerate(e[3:3 + namp]) if a
+            g.power(f"{amps}[{j}]", a) for j, a in enumerate(ae) if a
         ])
     return g.sum("0j", products)
 

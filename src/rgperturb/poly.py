@@ -34,6 +34,13 @@ triples the same way, with one gcd per key the two maps share.  A
 HarmonicSeries is a finite-support map from the harmonic index m to a
 MultiPoly, representing sum_m P_m(eps,t,A) e^{imt}.
 
+This module is the only one that knows the monomial format.  Outside it,
+an exponent tuple is read through ``PolyContext.split`` (its eps, t and s
+exponents, then the amplitude and the parameter exponents), terms are
+listed in the canonical order by ``MultiPoly.sorted_terms``, and term text
+is written by ``monomial_text`` (``name^k`` factors) and ``join_signed``
+(the `` + ``/`` - `` sum).
+
 All values are immutable after construction and safe to share.
 """
 
@@ -53,6 +60,7 @@ S = 2
 FIELD = 32  # bits per symbol in a packed key
 MAX_EXP = (1 << (FIELD - 1)) - 1  # the largest exponent; the field's top bit is the guard
 _MASK = (1 << FIELD) - 1
+_MINUS_ONE = GaussianRational(-1)
 
 
 class PolyError(ValueError):
@@ -120,6 +128,11 @@ class PolyContext:
         """The exponent vector of a packed key."""
         return tuple(key >> sh & _MASK for sh in self.shifts)
 
+    def split(self, e) -> tuple:
+        """(eps, t, s, amplitude exponents, parameter exponents) of an exponent tuple."""
+        cut = 3 + len(self.amplitudes)
+        return e[EPS], e[T], e[S], e[3:cut], e[cut:]
+
     def _check_keys(self, keys) -> None:
         """Raise PolyError if any key has a guard bit set (an exponent past MAX_EXP)."""
         if reduce(or_, keys, 0) & self.guard:
@@ -163,6 +176,24 @@ class PolyContext:
 
     def __repr__(self):
         return f"PolyContext(amplitudes={self.amplitudes}, params={self.params}, order={self.order})"
+
+
+def monomial_text(names, exps) -> str:
+    """The `name^k` factors of the nonzero exponents joined by `*`; "" for none."""
+    return "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, exps) if k)
+
+
+def join_signed(parts) -> str:
+    """Signed term texts as a sum: a term "-x" joins as " - x"; "0" for none."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+                              for p in parts[1:])
+
+
+def _canonical_order(item):
+    e = item[0]
+    return e[EPS], sum(e[1:]), e
 
 
 def _check_ctx(a, b):
@@ -449,38 +480,29 @@ class MultiPoly:
         return total
 
     # -- rendering ---------------------------------------------------------------
-    def _sort_key(self, e):
-        return (e[EPS], sum(e[1:]), e)
+    def sorted_terms(self) -> list:
+        """(exponent tuple, coefficient) pairs in the canonical order.
+
+        The order is by eps-order, then total degree in the other symbols,
+        then the exponent tuples themselves.
+        """
+        return sorted(self.terms.items(), key=_canonical_order)
 
     def render(self) -> str:
         """Canonical text form: deterministic term order, `i` unit, `^` powers."""
-        terms = self.terms
-        if not terms:
-            return "0"
         names = self.ctx.symbols
         parts = []
-        for e in sorted(terms, key=self._sort_key):
-            c = terms[e]
-            mono = "*".join(
-                (names[i] if k == 1 else f"{names[i]}^{k}")
-                for i, k in enumerate(e)
-                if k
-            )
-            cs = str(c)
-            if mono:
-                if c.is_one():
-                    txt = mono
-                elif c == GaussianRational(-1):
-                    txt = f"-{mono}"
-                else:
-                    txt = f"{cs}*{mono}"
+        for e, c in self.sorted_terms():
+            mono = monomial_text(names, e)
+            if not mono:
+                parts.append(str(c))
+            elif c.is_one():
+                parts.append(mono)
+            elif c == _MINUS_ONE:
+                parts.append(f"-{mono}")
             else:
-                txt = cs
-            parts.append(txt)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+                parts.append(f"{c}*{mono}")
+        return join_signed(parts)
 
     __str__ = render
 

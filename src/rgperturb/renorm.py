@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .poly import PolyContext, MultiPoly, HarmonicSeries
+from .poly import PolyContext, MultiPoly, HarmonicSeries, join_signed, monomial_text
 from .systems import SpecError
 from .engine import SecularTable
 
@@ -215,25 +215,17 @@ class TrigSeries:
         return "".join(parts)
 
     def render(self, radius_names=None, theta_names=None, param_names=()) -> str:
-        if not self.terms:
-            return "0"
         if radius_names is None:
             radius_names = ["R"] if self.npairs == 1 else [f"R{a+1}" for a in range(self.npairs)]
         if theta_names is None:
             theta_names = ["theta"] if self.npairs == 1 else [f"theta{a+1}" for a in range(self.npairs)]
+        names = ("eps", *radius_names, *param_names)
         parts = []
         for key in sorted(self.terms, key=lambda k: (k[0], k[3], k[4], k[1], k[2], k[5])):
             eps, rexps, pexps, m, w, kind = key
             q = self.terms[key]
-            factors = []
-            if eps:
-                factors.append("eps" if eps == 1 else f"eps^{eps}")
-            for name, e in zip(radius_names, rexps):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            for name, e in zip(param_names, pexps):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
+            mono = monomial_text(names, (eps,) + rexps + pexps)
+            factors = [mono] if mono else []
             if m or any(w):
                 fn = "cos" if kind == COS else "sin"
                 factors.append(f"{fn}({self.phase_name(m, w, theta_names)})")
@@ -242,10 +234,7 @@ class TrigSeries:
             if q != 1 or not factors:
                 factors.insert(0, str(q))
             parts.append(("-" if neg else "") + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_signed(parts)
 
 
 class PolarRG:
@@ -306,12 +295,9 @@ def check_pair_symmetry(rg: RGSystem, pairs) -> None:
 
 def _complex_terms_polar(poly: MultiPoly, pairs, npairs):
     """Yield (coeff, eps, rexps, pexps, w) for poly under A -> R e^{±i theta}."""
-    ctx = poly.ctx
-    namp = len(ctx.amplitudes)
+    split = poly.ctx.split
     for e, c in poly.terms.items():
-        eps = e[0]
-        aexp = e[3:3 + namp]
-        pexp = e[3 + namp:]
+        eps, _, _, aexp, pexp = split(e)
         rexps = [0] * npairs
         w = [0] * npairs
         for a, (p, q) in enumerate(pairs):

@@ -147,6 +147,21 @@ def _expand_v(srcs, state_names, params):
     return polys
 
 
+def check_order(order) -> int:
+    """The truncation order, if it is an integer >= 0."""
+    if not isinstance(order, int) or order < 0:
+        raise SpecError("order must be an integer >= 0")
+    return order
+
+
+def _strings(doc: dict, key: str) -> tuple:
+    """Field `key` of a spec document, a list of strings, as a tuple; () if absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SpecError(f"{key} must be a list of strings")
+    return tuple(value)
+
+
 def parse_spec(text: str) -> ODESystemSpec:
     """Parse and validate a spec document (JSON text)."""
     try:
@@ -158,16 +173,14 @@ def parse_spec(text: str) -> ODESystemSpec:
     klass = doc.get("class")
     if klass not in ("semisimple", "nilpotent", "scalar", "difference", "oscillator"):
         raise SpecError(f"unknown class {klass!r}")
-    order = doc.get("order")
-    if not isinstance(order, int) or order < 0:
-        raise SpecError("order must be an integer >= 0")
-    params = tuple(doc.get("params", ()))
+    order = check_order(doc.get("order"))
+    params = _strings(doc, "params")
 
     if klass == "oscillator":
         masses = doc.get("masses")
         if not masses or any(not isinstance(m, int) or m < 1 for m in masses):
             raise SpecError("oscillator masses must be positive integers")
-        vsrcs = doc.get("V", ())
+        vsrcs = _strings(doc, "V")
         if len(vsrcs) != len(masses):
             raise SpecError("need one V per oscillator")
         return oscillator_to_firstorder(masses, vsrcs, params, order)
@@ -194,7 +207,7 @@ def parse_spec(text: str) -> ODESystemSpec:
             amplitude_names=(),
         )
 
-    vsrcs = tuple(doc.get("V", ()))
+    vsrcs = _strings(doc, "V")
     lp = doc.get("linear_part")
     if klass == "semisimple":
         if not isinstance(lp, list) or not lp or any(not isinstance(m, int) for m in lp):
@@ -239,13 +252,13 @@ def parse_spec(text: str) -> ODESystemSpec:
             klass=klass, order=order, params=params, factors=tuple(factors)
         )
 
-    names = doc.get("amplitude_names")
-    if names is None:
+    if doc.get("amplitude_names") is None:
         spec.amplitude_names = default_amplitude_names(klass, lmeta)
     else:
+        names = _strings(doc, "amplitude_names")
         if len(names) != len(default_amplitude_names(klass, lmeta)):
             raise SpecError("wrong number of amplitude names")
-        spec.amplitude_names = tuple(names)
+        spec.amplitude_names = names
     _check_names(spec.state_names, params, spec.amplitude_names)
     spec.v_srcs = vsrcs
     spec.v_polys = _expand_v(vsrcs, spec.state_names, params)

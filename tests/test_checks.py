@@ -140,7 +140,7 @@ class TestNonResonantCorruption:
         bump = table.ctx.var("eps") * table.ctx.var("t")
         comps[j] = comps[j] + HarmonicSeries.single(m, bump)
         return SecularTable(table.spec, table.ctx, comps, table.resonant,
-                            label=table.label + "#bumped", gauge_mode=table.gauge_mode)
+                            label=table.label + "#bumped")
 
     @pytest.mark.parametrize("name", ["ex_cd", "ex_bt", "ex_third", "ex_oscillators"])
     def test_naive_checks_catch_it(self, name):
@@ -171,7 +171,7 @@ class TestTopOrderCorruption:
         comps = list(table.components)
         comps[j] = comps[j] + HarmonicSeries.single(m, bump)
         return SecularTable(table.spec, ctx, comps, table.resonant,
-                            label=name + "#top", gauge_mode=table.gauge_mode)
+                            label=name + "#top")
 
     @pytest.mark.parametrize("name", ["ex_cd", "ex_bt"])
     @pytest.mark.parametrize("with_amplitude", [False, True])

@@ -85,6 +85,52 @@ class TestExpand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and repr(name) in err
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"class": "semisimple", "linear_part": [1, -1], "V": [3, "y1"]}, "V"),
+        ({"class": "semisimple", "linear_part": [1, -1], "V": [None, "y1"]}, "V"),
+        ({"class": "semisimple", "linear_part": [1, -1], "V": "ab"}, "V"),
+        ({"class": "oscillator", "masses": [1], "V": [3]}, "V"),
+        ({"class": "oscillator", "masses": [1], "V": [None]}, "V"),
+        ({"class": "semisimple", "linear_part": [1, -1], "V": ["y1", "y2"],
+          "amplitude_names": [5, "A2"]}, "amplitude_names"),
+        ({"class": "semisimple", "linear_part": [1, -1], "V": ["y1", "y2"],
+          "amplitude_names": "AB"}, "amplitude_names"),
+        ({"class": "semisimple", "linear_part": [1, -1], "V": ["a*y1", "b*y2"],
+          "params": "ab"}, "params"),
+        ({"class": "oscillator", "masses": [1], "V": ["a*q1"], "params": "a"}, "params"),
+    ])
+    def test_field_not_a_list_of_strings_exit_2(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**doc, "order": 2}))
+        code, out, err = run(capsys, "expand", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {field} must be a list of strings\n"
+
+    def test_spec_file_with_order_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        import rgperturb.cli
+
+        calls = []
+
+        def counting(text, parse=rgperturb.cli.parse_spec):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(rgperturb.cli, "parse_spec", counting)
+        path = tmp_path / "ex_cd.json"
+        path.write_text(load_builtin("ex_cd").to_json())
+        code, out, _ = run(capsys, "expand", "--spec", str(path), "--order", "3")
+        assert code == 0
+        assert len(calls) == 1
+        assert out.splitlines()[0] == "# ex_cd.json: class semisimple, order 3"
+        assert out.splitlines()[1:] == expand_table(load_builtin("ex_cd", 3)).render().splitlines()
+
+    def test_spec_file_negative_order_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "ex_cd.json"
+        path.write_text(load_builtin("ex_cd").to_json())
+        code, out, err = run(capsys, "expand", "--spec", str(path), "--order", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: order must be an integer >= 0\n"
+
     @pytest.mark.parametrize("command", ["expand", "rg", "verify"])
     def test_exponent_past_the_limit_exit_2(self, capsys, tmp_path, command):
         # a packed key holds exponents up to 2^31 - 1 per symbol
@@ -242,6 +288,15 @@ class TestVerify:
                              "--order", "-1")
         assert code == 2 and out == ""
         assert err == "error: order must be an integer >= 0\n"
+
+    @pytest.mark.parametrize("source", [["--builtin", "ex_cd"], ["--spec", "SPEC"]])
+    def test_random_with_an_input_exit_2(self, capsys, tmp_path, source):
+        path = tmp_path / "ex_cd.json"
+        path.write_text(load_builtin("ex_cd").to_json())
+        source = [str(path) if a == "SPEC" else a for a in source]
+        code, out, err = run(capsys, "verify", "--random", "scalar", *source)
+        assert code == 2 and out == ""
+        assert err == "error: give either --random or an input (--builtin/--spec), not both\n"
 
     def test_corrupted_table_exit_1(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "ex_cd", "--order", "3",

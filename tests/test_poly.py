@@ -729,3 +729,118 @@ class TestExponentLimit:
         with pytest.raises(PolyError):
             p.rename({"A1": "A2"})
         assert p.rename({"A1": "A2", "A2": "A1"}) == ctx.monomial(ONE, [0, 0, 0, 1, MAX_EXP, 0])
+
+
+def reference_render(p: MultiPoly) -> str:
+    """MultiPoly.render as written before the term writers moved into poly's helpers."""
+    terms = p.terms
+    if not terms:
+        return "0"
+    names = p.ctx.symbols
+    parts = []
+    for e in sorted(terms, key=lambda e: (e[0], sum(e[1:]), e)):
+        c = terms[e]
+        mono = "*".join(
+            (names[i] if k == 1 else f"{names[i]}^{k}") for i, k in enumerate(e) if k
+        )
+        if mono:
+            if c.is_one():
+                txt = mono
+            elif c == gq(-1):
+                txt = f"-{mono}"
+            else:
+                txt = f"{c}*{mono}"
+        else:
+            txt = str(c)
+        parts.append(txt)
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
+def reference_first_mismatch(lhs: MultiPoly, rhs: MultiPoly):
+    """The checks' mismatch text, from a loop over the union of both sides' monomials."""
+    keys = set(lhs.terms) | set(rhs.terms)
+    zero = gq(0)
+    for e in sorted(keys, key=lambda e: (e[0], sum(e[1:]), e)):
+        a = lhs.terms.get(e, zero)
+        b = rhs.terms.get(e, zero)
+        if a != b:
+            names = lhs.ctx.symbols
+            mono = "*".join(
+                (names[i] if k == 1 else f"{names[i]}^{k}") for i, k in enumerate(e) if k
+            ) or "1"
+            return f"monomial {mono}: lhs={a}, rhs={b}"
+    return None
+
+
+class TestTermFormatMatchesReference:
+    """split, sorted_terms and the term writers agree with the slot-by-slot code."""
+
+    @staticmethod
+    def tied(draw, ctx, nterms=4):
+        """A polynomial whose terms share an eps-order and a total degree.
+
+        The exponents past eps are permutations of one drawn tuple, so the
+        canonical order is decided by the exponent tuples alone.
+        """
+        e = (draw(st.integers(0, ctx.order)),)
+        e += tuple(draw(st.integers(0, 3)) for _ in range(ctx.nvars - 1))
+        coeffs = st.one_of(st.sampled_from(TestPackedKeys.UNITS), gaussians)
+        terms = {}
+        for _ in range(draw(st.integers(1, nterms))):
+            c = draw(coeffs)
+            if not c.is_zero():
+                terms[e[:1] + tuple(draw(st.permutations(e[1:])))] = c
+        return ctx.from_terms(terms)
+
+    @classmethod
+    def poly(cls, draw, ctx):
+        return TestPackedKeys.polys(draw, ctx) + cls.tied(draw, ctx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_render_matches_reference(self, data):
+        ctx = data.draw(TestPackedKeys.contexts())
+        p = self.poly(data.draw, ctx)
+        assert p.render() == reference_render(p)
+        assert [e for e, _ in p.sorted_terms()] == sorted(
+            p.terms, key=lambda e: (e[0], sum(e[1:]), e))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_first_mismatch_matches_reference(self, data):
+        from rgperturb.checks import _first_mismatch
+
+        ctx = data.draw(TestPackedKeys.contexts())
+        p = self.poly(data.draw, ctx)
+        kind = data.draw(st.sampled_from(["other", "one coefficient", "one term more"]))
+        if kind == "other":
+            q = self.poly(data.draw, ctx)
+        else:
+            # differ from p in a single coefficient, possibly one p lacks
+            terms = dict(p.terms)
+            if kind == "one term more" or not terms:
+                e = (data.draw(st.integers(0, ctx.order)),)
+                e += tuple(data.draw(st.integers(0, 3)) for _ in range(ctx.nvars - 1))
+            else:
+                e = data.draw(st.sampled_from(sorted(terms)))
+            c = terms.get(e, gq(0)) + data.draw(st.sampled_from(TestPackedKeys.UNITS))
+            if c.is_zero():
+                del terms[e]
+            else:
+                terms[e] = c
+            q = ctx.from_terms(terms)
+        if p != q:
+            assert _first_mismatch(p, q) == reference_first_mismatch(p, q)
+            assert _first_mismatch(q, p) == reference_first_mismatch(q, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_split_concatenates_back(self, data):
+        ctx = data.draw(TestPackedKeys.contexts())
+        e = data.draw(st.tuples(*[st.integers(0, MAX_EXP)] * ctx.nvars))
+        eps, t, s, amps, params = ctx.split(e)
+        assert (eps, t, s) + amps + params == e
+        assert len(amps) == len(ctx.amplitudes) and len(params) == len(ctx.params)
