@@ -363,23 +363,23 @@ def cmd_simulate(args) -> int:
     emit_csv(direct, os.path.join(outdir, f"{label}_direct.csv"))
     emit_csv(polar, os.path.join(outdir, f"{label}_rg_polar.csv"))
     emit_csv(recon, os.path.join(outdir, f"{label}_reconstruction.csv"))
-    ts = direct.times.tolist()
-    re_y1 = direct.component(0).real.tolist()
+    ts = direct.times
+    re_y1 = [z.real for z in direct.component(0)]
     emit_svg(
         [("Re y1", ts, re_y1),
-         ("Im y1", ts, direct.component(0).imag.tolist())],
+         ("Im y1", ts, [z.imag for z in direct.component(0)])],
         os.path.join(outdir, f"{label}_direct.svg"),
         title=f"direct integration, eps={args.eps}",
     )
     emit_svg(
-        [("R", ts, polar.component(0).real.tolist()),
-         ("theta", ts, polar.component(1).real.tolist())],
+        [("R", ts, [z.real for z in polar.component(0)]),
+         ("theta", ts, [z.real for z in polar.component(1)])],
         os.path.join(outdir, f"{label}_rg.svg"),
         title=f"RG flow (order eps^{args.rg_order})",
     )
     emit_svg(
         [("Re y1 (direct)", ts, re_y1),
-         ("Re Y1 (reconstruction)", ts, recon.component(0).real.tolist())],
+         ("Re Y1 (reconstruction)", ts, [z.real for z in recon.component(0)])],
         os.path.join(outdir, f"{label}_overlay.svg"),
         title=f"reconstruction overlay, eps={args.eps}",
     )

@@ -2,32 +2,31 @@
 
 Classical RK4 with a fixed step everywhere -- determinism and bit-reproducible
 CSVs matter more than efficiency at this scale.  The state is a list of
-Python complex, and every field takes and returns a list: on vectors of two
-or four components, numpy's per-operation overhead costs more than the
-arithmetic.  Each stage does numpy's elementwise operations one element at a
-time in numpy's order (``a + (dt/2)*b``, ``a + (dt/6)*(b1 + 2*b2 + 2*b3 +
-b4)``), so the states are bit-identical to those of the same loop on numpy
-arrays.  numpy holds only the stored trajectories.
+Python complex, every field takes and returns a list, and a trajectory is a
+list of times and a list of rows.  Each stage is computed element by element
+in one fixed order (``a + (dt/2)*b``, ``a + (dt/6)*(b1 + 2*b2 + 2*b3 +
+b4)``), and the time grid is ``t0 + dt*k``; the golden trajectory digests pin
+both.
 
-Python's ``complex ** int`` and ``float ** int`` raise OverflowError where
-numpy would give inf.  The RK4 step, the initial state of the conjugate-pair
+Python's ``complex ** int`` and ``float ** int`` raise OverflowError instead
+of giving inf.  The RK4 step, the initial state of the conjugate-pair
 pipeline and ``reconstruct`` turn it into ``NumericOverflowError`` naming
 the time whose state it would have spoiled, the same message a non-finite
 state gets; an initial state that is already non-finite is reported at t0.
 
 Every numeric field -- the direct equation's forcing, the complex and polar RG
-fields, the reconstruction and the initial state -- is compiled once, before
-its integration, into one generated straight-line Python function
-(`_StraightLine`).  Its sums follow the insertion order of the term dicts (V
-harmonic by harmonic, then each polynomial's terms), so the output depends on
-that order.  The generated code does the same floating-point operations, in
-the same order and on the same operand types, as the term-by-term loops it
-replaced (kept in tests/test_numeric.py as references), so its output is
-bit-identical to theirs by construction.
+fields and the reconstruction, which at t = 0 also gives the initial state --
+is compiled once, before its integration, into one generated straight-line
+Python function (`_StraightLine`).  Its sums follow the insertion order of the
+term dicts (V harmonic by harmonic, then each polynomial's terms), so the
+output depends on that order.  The generated code does the same
+floating-point operations, in the same order and on the same operand types,
+as the term-by-term loops it replaced (kept in tests/test_numeric.py as
+references), so its output is bit-identical to theirs by construction.
 
-CSV columns are
-``t, re_1, im_1, ...`` with 17 significant digits and LF line endings; SVG
-output is a dependency-free, self-contained line plot for human inspection.
+CSV columns are ``t, re_1, im_1, ...`` with 17 significant digits and LF line
+endings; SVG output is a dependency-free, self-contained line plot for human
+inspection.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .poly import MultiPoly
 from .systems import ODESystemSpec, SpecError
@@ -49,16 +46,16 @@ class NumericOverflowError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim), complex
+    times: list    # float
+    states: list   # one row (a list of complex) per time
     meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
-        return self.states.shape[1]
+        return len(self.states[0])
 
-    def component(self, j: int) -> np.ndarray:
-        return self.states[:, j]
+    def component(self, j: int) -> list:
+        return [row[j] for row in self.states]
 
 
 def _non_finite(t: float) -> NumericOverflowError:
@@ -68,22 +65,18 @@ def _non_finite(t: float) -> NumericOverflowError:
 def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Trajectory:
     """Classical RK4 on a state held as a list of Python complex.
 
-    f(t, y) takes and returns a sequence of complex (or float) values.  Each
-    stage does numpy's elementwise operations on a complex vector one
-    element at a time, in numpy's order, so the states are bit-identical to
-    those of the same loop on numpy arrays.
+    f(t, y) takes and returns a sequence of complex (or float) values; each
+    stage is computed one element at a time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = max(1, int(round((t_end - t0) / dt)))
     isfinite = cmath.isfinite
-    y = np.asarray(y0, dtype=complex).ravel().tolist()
+    y = [complex(v) for v in y0]
     if not all(map(isfinite, y)):
         raise _non_finite(t0)
-    times = t0 + dt * np.arange(n + 1)
-    grid = times.tolist()
-    states = np.empty((n + 1, len(y)), dtype=complex)
-    states[0] = y
+    grid = [t0 + dt * k for k in range(n + 1)]
+    states = [y]
     h2, h6 = dt / 2, dt / 6
     for i in range(n):
         t = grid[i]
@@ -95,12 +88,12 @@ def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Traje
             y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         except OverflowError:
-            # Python's ** raises where numpy's would give inf
+            # Python's ** raises where it would overflow to inf
             raise _non_finite(grid[i + 1]) from None
         if not all(map(isfinite, y)):
             raise _non_finite(grid[i + 1])
-        states[i + 1] = y
-    return Trajectory(times, states, dict(meta or {}))
+        states.append(y)
+    return Trajectory(grid, states, dict(meta or {}))
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +154,7 @@ class _StraightLine:
         body = "".join(f"    {ln}\n" for ln in self.lines)
         source = f"def field({args}):\n{body}    return {result}\n"
         env = {f"c{i}": c for i, c in enumerate(self.consts)}
-        env.update(math=math, np=np)
+        env["math"] = math
         exec(compile(source, "<rgperturb.numeric field>", "exec"), env)
         return env["field"]
 
@@ -225,13 +218,15 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
     if spec.klass == "scalar":
         N = spec.n_states
         # expand prod_r (x - i m_r)^{n_r} = x^N + lower-order terms
-        poly = np.array([1.0 + 0j])
+        poly = [1.0 + 0j]
         for m_r, n_r in spec.factors:
+            root = -1j * m_r
             for _ in range(n_r):
-                poly = np.convolve(poly, np.array([1.0 + 0j, -1j * m_r]))
+                # times (x + root): the convolution with [1, root]
+                poly = [a + root * b for a, b in zip(poly + [0j], [0j] + poly)]
         # poly[0] x^N + ... + poly[N]; the coefficient of x^l is poly[N-l],
         # and it multiplies y[l]
-        lower = [(N - 1 - i, c) for i, c in enumerate(poly[1:].tolist()) if c]
+        lower = [(N - 1 - i, c) for i, c in enumerate(poly[1:]) if c]
 
         def f(t, y):
             acc = eps * vs(t, y)[0]
@@ -341,20 +336,9 @@ def amplitudes_from_polar(state, npairs):
     return out
 
 
-def _entry_sums(g: _StraightLine, ren: RenExpansion, eps: float, cut: int,
-                params: dict) -> list:
-    """Per component, (m, name of P_{j,m}(eps, 0, amps)) for each entry nonzero after the cut."""
-    out = []
-    for comp in ren.components:
-        entries = [(m, p.trunc(cut)) for m, p in comp.entries.items()]
-        out.append([(m, _poly_sum(g, p, eps, params, "amps"))
-                    for m, p in entries if not p.is_zero()])
-    return out
-
-
 def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
                          params=None) -> callable:
-    """Generated (t, amps) -> tuple of Y_j = sum_m P_{j,m}(eps, 0, amps) e^{imt}.
+    """Generated (t, amps) -> list of Y_j = sum_m P_{j,m}(eps, 0, amps) e^{imt}.
 
     Entries that are zero after the cut are left out.  Each would add
     0j * e^{imt}, whose parts are +-0.0, to a total that starts at 0j; a sum
@@ -363,9 +347,16 @@ def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
     """
     params = dict(params or {})
     g = _StraightLine()
-    sums = [g.sum("0j", [[s, g.harmonic(m)] if m else [s] for m, s in entries])
-            for entries in _entry_sums(g, ren, eps, eps_order, params)]
-    return g.function("t, amps", f"({', '.join(sums)},)")
+    sums = []
+    for comp in ren.components:
+        products = []
+        for m, p in comp.entries.items():
+            p = p.trunc(eps_order)
+            if not p.is_zero():
+                s = _poly_sum(g, p, eps, params, "amps")
+                products.append([s, g.harmonic(m)] if m else [s])
+        sums.append(g.sum("0j", products))
+    return g.function("t, amps", f"[{', '.join(sums)}]")
 
 
 def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
@@ -379,24 +370,23 @@ def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
     cut = ren.ctx.order if eps_order is None else eps_order
     namp = len(ren.ctx.amplitudes)
     values = reconstruction_field(ren, eps, cut, params)
-    n = len(rg_traj.times)
-    states = np.empty((n, len(ren.components)), dtype=complex)
-    for i, t in enumerate(rg_traj.times.tolist()):
-        row = rg_traj.states[i].tolist()
+    states = []
+    for t, row in zip(rg_traj.times, rg_traj.states):
         amps = row if pairs is None else amplitudes_from_polar(row, pairs)
         if len(amps) != namp:
             raise SpecError("amplitude dimension mismatch in reconstruction")
         try:
-            states[i] = values(t, amps)
+            states.append(values(t, amps))
         except OverflowError:
             raise _non_finite(t) from None
     meta = dict(rg_traj.meta)
     meta["system"] = "reconstruction"
-    return Trajectory(rg_traj.times.copy(), states, meta)
+    return Trajectory(list(rg_traj.times), states, meta)
 
 
-def sup_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+def sup_deviation(a, b) -> float:
+    """max |a_i - b_i| over two equally long sequences of numbers."""
+    return max(abs(x - y) for x, y in zip(a, b))
 
 
 # --------------------------------------------------------------------------
@@ -404,16 +394,16 @@ def sup_deviation(a: np.ndarray, b: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 def emit_csv(traj: Trajectory, path) -> None:
-    cols = ["t"]
+    cols, parts = ["t"], []
     for j in range(traj.dim):
+        zs = traj.component(j)
         cols += [f"re_{j + 1}", f"im_{j + 1}"]
+        parts += ([z.real for z in zs], [z.imag for z in zs])
     row = ",".join(["%.17g"] * len(cols)) + "\n"
-    # (re_1, im_1, re_2, ...) of each row
-    parts = np.ascontiguousarray(traj.states, dtype=complex).view(float)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for t, values in zip(traj.times.tolist(), parts):
-            fh.write(row % (t, *values.tolist()))
+        for values in zip(traj.times, *parts):
+            fh.write(row % values)
 
 
 _PALETTE = ("#cc0000", "#0033cc", "#000000", "#008833", "#aa6600", "#7700aa")
@@ -523,14 +513,12 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
     polar = polar_transform(rg, [(0, 1)])
     ren = renormalized_expansion(table)
 
-    # Y_j(0) = sum_m P_{j,m}(eps, 0, A(0)), summed from int 0 as builtins.sum
-    # does; zero entries are left out as in reconstruction_field
+    # Y_j(0) = sum_m P_{j,m}(eps, 0, A(0)): at t = 0 every harmonic is
+    # complex(1.0, +-0.0), which changes no nonzero part of a term, and each
+    # sum starts at +0.0, so the sign of a zero part is washed out
     amps0 = amplitudes_from_polar([r0, theta0], 1)
-    g = _StraightLine()
-    sums = [g.sum("0", [[s] for _, s in entries])
-            for entries in _entry_sums(g, ren, eps, ren_order, params)]
     try:
-        y0 = np.array(g.function("amps", f"[{', '.join(sums)}]")(amps0), dtype=complex)
+        y0 = reconstruction_field(ren, eps, ren_order, params)(0.0, amps0)
     except OverflowError:
         raise _non_finite(0.0) from None
 
@@ -539,8 +527,9 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
     recon = reconstruct(ren, polar_traj, eps, pairs=1, params=params,
                         eps_order=ren_order)
 
-    conj_dev = sup_deviation(direct.component(1), np.conj(direct.component(0)))
-    recon_dev = sup_deviation(direct.component(0).real, recon.component(0).real)
+    y1 = direct.component(0)
+    conj_dev = sup_deviation(direct.component(1), [z.conjugate() for z in y1])
+    recon_dev = sup_deviation([z.real for z in y1], [z.real for z in recon.component(0)])
     return {
         "direct": direct,
         "polar": polar_traj,

@@ -109,8 +109,13 @@ class ODESystemSpec:
         return json.dumps(self.to_document(), indent=2)
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer; JSON true/false are bools, which are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_constant(src) -> GaussianRational:
-    if isinstance(src, int):
+    if _is_int(src):
         return GaussianRational(src)
     try:
         c = constant_value(ast_to_vpoly(parse_expression(str(src)), (), ()))
@@ -149,7 +154,7 @@ def _expand_v(srcs, state_names, params):
 
 def check_order(order) -> int:
     """The truncation order, if it is an integer >= 0."""
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise SpecError("order must be an integer >= 0")
     return order
 
@@ -178,7 +183,8 @@ def parse_spec(text: str) -> ODESystemSpec:
 
     if klass == "oscillator":
         masses = doc.get("masses")
-        if not masses or any(not isinstance(m, int) or m < 1 for m in masses):
+        if (not isinstance(masses, list) or not masses
+                or any(not _is_int(m) or m < 1 for m in masses)):
             raise SpecError("oscillator masses must be positive integers")
         vsrcs = _strings(doc, "V")
         if len(vsrcs) != len(masses):
@@ -189,18 +195,20 @@ def parse_spec(text: str) -> ODESystemSpec:
         if "V" in doc:
             raise SpecError("the difference class only supports the linear form; no V field")
         alpha_raw = doc.get("alpha", [])
+        if not isinstance(alpha_raw, list):
+            raise SpecError("alpha must be a list of [l, coeff] pairs")
         alpha = {}
         for entry in alpha_raw:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise SpecError("alpha entries must be [l, coeff] pairs")
             l, c = entry
-            if not isinstance(l, int):
+            if not _is_int(l):
                 raise SpecError("alpha powers must be integers")
             cv = _parse_constant(c)
             if not cv.is_zero():
                 alpha[l] = cv
         window = doc.get("window", 0)
-        if not isinstance(window, int) or window < 0:
+        if not _is_int(window) or window < 0:
             raise SpecError("window must be an integer >= 0")
         return ODESystemSpec(
             klass="difference", order=order, alpha=alpha, window=window,
@@ -210,7 +218,7 @@ def parse_spec(text: str) -> ODESystemSpec:
     vsrcs = _strings(doc, "V")
     lp = doc.get("linear_part")
     if klass == "semisimple":
-        if not isinstance(lp, list) or not lp or any(not isinstance(m, int) for m in lp):
+        if not isinstance(lp, list) or not lp or any(not _is_int(m) for m in lp):
             raise SpecError("semisimple linear_part must be a nonempty list of integers")
         modes = tuple(lp)
         n = len(modes)
@@ -223,7 +231,7 @@ def parse_spec(text: str) -> ODESystemSpec:
             raise SpecError('nilpotent linear_part must be {"mode": m, "size": n}')
         size = lp["size"]
         mode = lp.get("mode", 0)
-        if not isinstance(size, int) or size < 1 or not isinstance(mode, int):
+        if not _is_int(size) or size < 1 or not _is_int(mode):
             raise SpecError("nilpotent size must be >= 1 and mode an integer")
         if len(vsrcs) != size:
             raise SpecError(f"need {size} V components, got {len(vsrcs)}")
@@ -239,7 +247,7 @@ def parse_spec(text: str) -> ODESystemSpec:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise SpecError("scalar factors must be [m_r, n_r] pairs")
             m, n = entry
-            if not isinstance(m, int) or not isinstance(n, int) or n < 1:
+            if not _is_int(m) or not _is_int(n) or n < 1:
                 raise SpecError("scalar factor multiplicities must be >= 1")
             factors.append((m, n))
         ms = [m for m, _ in factors]
@@ -274,7 +282,7 @@ def oscillator_to_firstorder(masses, v_srcs, params=(), order=0) -> ODESystemSpe
     """
     n = len(masses)
     for m in masses:
-        if not isinstance(m, int) or m < 1:
+        if not _is_int(m) or m < 1:
             raise SpecError("oscillator masses must be positive integers")
     qp_names = tuple(f"q{j + 1}" for j in range(n)) + tuple(f"p{j + 1}" for j in range(n))
     y_names = tuple(f"y{j + 1}" for j in range(2 * n))

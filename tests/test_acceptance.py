@@ -346,7 +346,7 @@ def test_criterion_6():
 
     def err(dt):
         traj = integrate_ode(control, y0, 0.0, 2.0, dt)
-        return sup_deviation(traj.states[:, 0], np.exp(1j * traj.times))
+        return sup_deviation(traj.component(0), np.exp(1j * np.asarray(traj.times)))
 
     conv = err(0.02) / err(0.01)
     assert 14 <= conv <= 18, conv

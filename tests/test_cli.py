@@ -106,6 +106,37 @@ class TestExpand:
         assert code == 2 and out == ""
         assert err == f"error: {field} must be a list of strings\n"
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"class": "semisimple", "linear_part": [1, -1], "V": ["y1*y2", "y1*y2"],
+          "order": True}, "order must be an integer >= 0"),
+        ({"class": "semisimple", "linear_part": [True, -1], "V": ["y1*y2", "y1*y2"],
+          "order": 2}, "semisimple linear_part must be a nonempty list of integers"),
+        ({"class": "nilpotent", "linear_part": {"mode": False, "size": 1}, "V": ["y1^2"],
+          "order": 2}, "nilpotent size must be >= 1 and mode an integer"),
+        ({"class": "nilpotent", "linear_part": {"mode": 0, "size": True}, "V": ["y1^2"],
+          "order": 2}, "nilpotent size must be >= 1 and mode an integer"),
+        ({"class": "scalar", "linear_part": [[True, 1]], "V": ["y^2"], "order": 2},
+         "scalar factor multiplicities must be >= 1"),
+        ({"class": "scalar", "linear_part": [[0, True]], "V": ["y^2"], "order": 2},
+         "scalar factor multiplicities must be >= 1"),
+        ({"class": "difference", "alpha": [[2, "1"], [-2, "1"]], "order": 2,
+          "window": True}, "window must be an integer >= 0"),
+        ({"class": "difference", "alpha": [[True, "1"], [-2, "1"]], "order": 2,
+          "window": 10}, "alpha powers must be integers"),
+        ({"class": "difference", "alpha": [[2, True], [-2, "1"]], "order": 2,
+          "window": 10}, "bad coefficient True: unknown symbol 'True'"),
+        ({"class": "oscillator", "masses": [True], "V": ["q1^2"], "order": 2},
+         "oscillator masses must be positive integers"),
+    ], ids=["order", "modes", "nilpotent-mode", "nilpotent-size", "scalar-m", "scalar-n",
+            "window", "alpha-power", "alpha-coeff", "masses"])
+    def test_boolean_for_an_integer_exit_2(self, capsys, tmp_path, doc, message):
+        # JSON true/false are Python bools, a subclass of int
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "expand", "--spec", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_spec_file_with_order_is_parsed_once(self, capsys, tmp_path, monkeypatch):
         import rgperturb.cli
 

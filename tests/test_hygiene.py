@@ -1,9 +1,15 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the package runs on the standard library alone."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+from rgperturb.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rgperturb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -40,3 +46,44 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported and never used: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    outside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            outside |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            outside.add(node.module.split(".")[0])
+    outside -= set(sys.stdlib_module_names) | {"__future__", "rgperturb"}
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+# a child interpreter in which `import numpy` raises ImportError
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                 "from rgperturb.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--builtin", "ex_cd"],
+    ["verify", "--builtin", "ex_third", "--order", "3"],
+    ["simulate", "--t-end", "2"],
+], ids=lambda argv: argv[0])
+def test_runs_without_numpy(capsys, tmp_path, argv):
+    def command(out_dir):
+        return argv + ["--out-dir", str(out_dir)] if argv[0] == "simulate" else argv
+
+    def written(stdout, out_dir):
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+        return stdout.replace(str(out_dir), "OUT"), files
+
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    child = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *command(tmp_path / "child")],
+                           capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    assert main(command(tmp_path / "here")) == 0
+    here = capsys.readouterr().out
+    assert written(child.stdout, tmp_path / "child") == written(here, tmp_path / "here")

@@ -8,12 +8,16 @@ class's original equation
 
     semisimple: y_j' = i m_j y_j + eps V_j(y)
     nilpotent:  y_j' = i m y_j + y_{j+1} + eps V_j(y)
+    scalar:     prod_r (d/dt - i m_r)^{n_r} y = eps V(y, y', y'', ...)
 
-must hold mod eps^(K+1).  No engine arithmetic is shared beyond reading the
-table's coefficients.  Small specs only: n <= 2 states and K <= 3.
+must hold mod eps^(K+1).  For the scalar class only slot 0 (y) enters the
+equation, its derivatives are taken in sympy, and each slot l+1 of the table
+must be the t-derivative of slot l.  No engine arithmetic is shared beyond
+reading the table's coefficients.  Small specs only: n <= 3 states and K <= 3.
 """
 
 import json
+import re
 
 import pytest
 
@@ -64,6 +68,16 @@ def _sin(arg):
     return (E ** k - E ** -k) / (2 * I)
 
 
+def _ddt(x):
+    """d/dt of an expression in t and E = e^{it}."""
+    return sympy.diff(x, T) + I * E * sympy.diff(x, E)
+
+
+def _numbered(src):
+    """A scalar V with y, y', y'', ... written as y1, y2, y3, ..."""
+    return re.sub(r"(?<![\w'])y('*)(?![\w'])", lambda m: f"y{len(m.group(1)) + 1}", src)
+
+
 def _forcing(src, ys, syms, n):
     """The first n eps-layers of V(y), V parsed by sympy from its source."""
     states = sympy.symbols(f"y1:{len(ys) + 1}")
@@ -98,6 +112,8 @@ def ode_residual(table):
     n = spec.n_states
     ys = [_layers(table, syms, j) for j in range(n)]
     zero = [sympy.Integer(0)] * (K + 1)
+    if spec.klass == "scalar":
+        return _scalar_residual(spec, ys, syms, K)
     if spec.klass == "semisimple":
         linear = [[I * m * x for x in y] for m, y in zip(spec.modes, ys)]
     elif spec.klass == "nilpotent":
@@ -110,9 +126,26 @@ def ode_residual(table):
     for j, y in enumerate(ys):
         forcing = [sympy.Integer(0)] + _forcing(spec.v_srcs[j], ys, syms, K)
         for k in range(K + 1):
-            dy = sympy.diff(y[k], T) + I * E * sympy.diff(y[k], E)
-            if sympy.expand(dy - linear[j][k] - forcing[k]) != 0:
+            if sympy.expand(_ddt(y[k]) - linear[j][k] - forcing[k]) != 0:
                 bad.append((j, k))
+    return bad
+
+
+def _scalar_residual(spec, slots, syms, K):
+    """(0, k) where the scalar equation fails at eps^k; (l, k) where slot l is
+    not the t-derivative of slot l-1 at eps^k."""
+    derivs = [slots[0]]
+    for _ in range(spec.n_states - 1):
+        derivs.append([_ddt(x) for x in derivs[-1]])
+    lhs = slots[0]
+    for m_r, n_r in spec.factors:
+        for _ in range(n_r):
+            lhs = [_ddt(x) - I * m_r * x for x in lhs]
+    forcing = [sympy.Integer(0)] + _forcing(_numbered(spec.v_srcs[0]), derivs, syms, K)
+    bad = [(0, k) for k in range(K + 1) if sympy.expand(lhs[k] - forcing[k]) != 0]
+    for l in range(1, spec.n_states):
+        bad += [(l, k) for k in range(K + 1)
+                if sympy.expand(slots[l][k] - _ddt(slots[l - 1][k])) != 0]
     return bad
 
 
@@ -126,7 +159,16 @@ def small_specs():
             yield f"random-{klass}-{seed}", random_spec(klass, seed)
 
 
+def scalar_specs():
+    # ex_third's sympy products at K=3 cost about 11 s, so it runs at K=2
+    for name, order in (("ex_third", 2), ("ex_scalar1", 3)):
+        yield name, load_builtin(name, order)
+    for seed in range(20):
+        yield f"random-scalar-{seed}", random_spec("scalar", seed)
+
+
 SPECS = dict(small_specs())
+SCALAR_SPECS = dict(scalar_specs())
 
 
 @pytest.mark.parametrize("label", sorted(SPECS))
@@ -136,6 +178,26 @@ def test_table_solves_the_original_ode(label):
     table = expand_table(spec)
     assert ode_residual(table) == []
     assert ode_residual(corrupt_table(table)) != []
+
+
+@pytest.mark.parametrize("label", sorted(SCALAR_SPECS))
+def test_scalar_table_solves_the_original_ode(label):
+    spec = SCALAR_SPECS[label]
+    assert spec.n_states <= 3 and spec.order <= 3
+    table = expand_table(spec)
+    assert ode_residual(table) == []
+    assert ode_residual(corrupt_table(table)) != []
+
+
+def test_scalar_oracle_reads_derivative_slots():
+    # V in y and y'' of the third-order equation; a slot that is not the
+    # derivative of the one before it fails even when slot 0 is right
+    assert _numbered("2*y*y''*cos(t) + y'") == "2*y1*y3*cos(t) + y2"
+    table = expand_table(load_builtin("ex_third", 2))
+    comps = list(table.components)
+    comps[2] = comps[1]
+    bent = type(table)(table.spec, table.ctx, comps, table.resonant)
+    assert ode_residual(bent) == [(2, k) for k in range(3)]
 
 
 def test_gauge_mode_is_exercised():

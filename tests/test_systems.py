@@ -129,6 +129,11 @@ class TestOscillator:
         with pytest.raises(SpecError):
             oscillator_to_firstorder([0], ["0"], (), 1)
 
+    @pytest.mark.parametrize("mass", [True, 1.0])
+    def test_boolean_or_float_mass_rejected(self, mass):
+        with pytest.raises(SpecError, match="masses must be positive integers"):
+            oscillator_to_firstorder([mass], ["0"], (), 1)
+
     def test_oscillator_document(self):
         doc = json.dumps(
             {"class": "oscillator", "masses": [1, 1], "V": ["-4*q2*p1", "-4*q1*p2"], "order": 4}
