@@ -255,8 +255,31 @@ class _Parser:
 
 
 def parse_expression(src: str):
-    """Parse an expression into its AST."""
-    return _Parser(src).parse()
+    """Parse an expression into its AST.
+
+    The parser recurses once per parenthesis level; nesting deeper than the
+    interpreter's recursion limit allows is a syntax error.
+    """
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:
+        pos = parser.tokens[min(parser.k, len(parser.tokens) - 1)][2]
+        raise ExprSyntaxError("parentheses nested too deeply", pos) from None
+
+
+def _chain(node, kinds):
+    """A left-deep chain x0 op1 x1 ... opn xn of `kinds` nodes, without recursion.
+
+    Returns (x0, [(op1, x1), ..., (opn, xn)]); x0 is not one of `kinds`.
+    A flat sum or product parses into such a chain, one node per operator.
+    """
+    rest = []
+    while type(node) in kinds:
+        rest.append((type(node), node.rhs))
+        node = node.lhs
+    rest.reverse()
+    return node, rest
 
 
 # --------------------------------------------------------------------------
@@ -293,14 +316,14 @@ def render_expression(node) -> str:
         return node.name
     if isinstance(node, Neg):
         return "-" + wrap(node.operand, _LVL_MUL)
-    if isinstance(node, Add):
-        return f"{wrap(node.lhs, _LVL_ADD)} + {wrap(node.rhs, _LVL_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{wrap(node.lhs, _LVL_ADD)} - {wrap(node.rhs, _LVL_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{wrap(node.lhs, _LVL_MUL)}*{wrap(node.rhs, _LVL_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{wrap(node.lhs, _LVL_MUL)}/{wrap(node.rhs, _LVL_MUL + 1)}"
+    if isinstance(node, (Add, Sub)):
+        first, rest = _chain(node, (Add, Sub))
+        return "".join([wrap(first, _LVL_ADD)] + [
+            f" {'+' if op is Add else '-'} {wrap(x, _LVL_ADD + 1)}" for op, x in rest])
+    if isinstance(node, (Mul, Div)):
+        first, rest = _chain(node, (Mul, Div))
+        return "".join([wrap(first, _LVL_MUL)] + [
+            f"{'*' if op is Mul else '/'}{wrap(x, _LVL_MUL + 1)}" for op, x in rest])
     if isinstance(node, Pow):
         return f"{wrap(node.base, _LVL_ATOM)}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")
@@ -337,6 +360,14 @@ def expand(node, ctx: PolyContext, names, carrier: bool) -> HarmonicSeries:
     E-monomials and division only by nonzero constants, so the result stays
     polynomial.  Products are eps-truncated at the context order.
     """
+    def reciprocal(n):
+        denom = constant_value(go(n))
+        if denom is None:
+            raise ExprSemanticError("division only by constants (V must stay polynomial)")
+        if denom.is_zero():
+            raise ExprSemanticError("division by zero")
+        return ONE / denom
+
     def go(n) -> HarmonicSeries:
         kind = type(n)
         if kind is Rat:
@@ -355,20 +386,25 @@ def expand(node, ctx: PolyContext, names, carrier: bool) -> HarmonicSeries:
             return HarmonicSeries.single(0, ctx.var(n.name))
         if kind is Neg:
             return -go(n.operand)
-        if kind is Add:
-            return go(n.lhs) + go(n.rhs)
-        if kind is Sub:
-            return go(n.lhs) - go(n.rhs)
-        if kind is Mul:
-            return go(n.lhs) * go(n.rhs)
-        if kind is Div:
-            denom = constant_value(go(n.rhs))
-            if denom is None:
-                raise ExprSemanticError("division only by constants (V must stay polynomial)")
-            if denom.is_zero():
-                raise ExprSemanticError("division by zero")
-            inv = ONE / denom
-            return go(n.lhs).map_entries(lambda p: p.scale(inv))
+        if kind is Add or kind is Sub:
+            first, rest = _chain(n, (Add, Sub))
+            acc = go(first)
+            for op, x in rest:
+                acc = acc + go(x) if op is Add else acc - go(x)
+            return acc
+        if kind is Mul or kind is Div:
+            first, rest = _chain(n, (Mul, Div))
+            # in the order of a recursion over lhs: the divisors from the
+            # right end inwards, then x0, then the factors left to right
+            inverses = {k: reciprocal(x) for k, (op, x) in reversed(list(enumerate(rest)))
+                        if op is Div}
+            acc = go(first)
+            for k, (op, x) in enumerate(rest):
+                if op is Mul:
+                    acc = acc * go(x)
+                else:
+                    acc = acc.map_entries(lambda p, inv=inverses[k]: p.scale(inv))
+            return acc
         if kind is Pow:
             base = go(n.base)
             if n.exponent >= 0:
@@ -397,9 +433,11 @@ def _eps_bound(node) -> int:
     if kind is EpsSym:
         return 1
     if kind is Add or kind is Sub:
-        return max(_eps_bound(node.lhs), _eps_bound(node.rhs))
+        first, rest = _chain(node, (Add, Sub))
+        return max([_eps_bound(first)] + [_eps_bound(x) for _, x in rest])
     if kind is Mul or kind is Div:
-        return _eps_bound(node.lhs) + _eps_bound(node.rhs)
+        first, rest = _chain(node, (Mul, Div))
+        return _eps_bound(first) + sum(_eps_bound(x) for _, x in rest)
     if kind is Pow:
         return node.exponent * _eps_bound(node.base) if node.exponent > 0 else 0
     if kind is Neg:

@@ -3,10 +3,11 @@
 Classical RK4 with a fixed step everywhere -- determinism and bit-reproducible
 CSVs matter more than efficiency at this scale.  The state is a list of
 Python complex, every field takes and returns a list, and a trajectory is a
-list of times and a list of rows.  Each stage is computed element by element
-in one fixed order (``a + (dt/2)*b``, ``a + (dt/6)*(b1 + 2*b2 + 2*b3 +
-b4)``), and the time grid is ``t0 + dt*k``; the golden trajectory digests pin
-both.
+list of times and a list of rows.  The RK4 loop is generated for the state's
+dimension on every call, each component a local; each stage is computed
+element by element in one fixed order (``y + (dt/2)*a``, ``y + (dt/6)*(a +
+2*b + 2*c + d)``), and the time grid is ``t0 + dt*k``; the golden trajectory
+digests pin both.  The field is still called four times per step with a list.
 
 Python's ``complex ** int`` and ``float ** int`` raise OverflowError instead
 of giving inf.  The RK4 step, the initial state of the conjugate-pair
@@ -14,12 +15,12 @@ pipeline and ``reconstruct`` turn it into ``NumericOverflowError`` naming
 the time whose state it would have spoiled, the same message a non-finite
 state gets; an initial state that is already non-finite is reported at t0.
 
-Every numeric field -- the direct equation's forcing, the complex and polar RG
-fields and the reconstruction, which at t = 0 also gives the initial state --
-is compiled once, before its integration, into one generated straight-line
-Python function (`_StraightLine`).  Its sums follow the insertion order of the
-term dicts (V harmonic by harmonic, then each polynomial's terms), so the
-output depends on that order.  The generated code does the same
+Every numeric field -- the direct equation (linear part and forcing), the
+complex and polar RG fields and the reconstruction, which at t = 0 also gives
+the initial state -- is compiled once, before its integration, into one
+generated straight-line Python function (`_StraightLine`).  Its sums follow
+the insertion order of the term dicts (V harmonic by harmonic, then each
+polynomial's terms), so the output depends on that order.  The generated code does the same
 floating-point operations, in the same order and on the same operand types,
 as the term-by-term loops it replaced (kept in tests/test_numeric.py as
 references), so its output is bit-identical to theirs by construction.
@@ -62,37 +63,62 @@ def _non_finite(t: float) -> NumericOverflowError:
     return NumericOverflowError(f"state became non-finite at t={t:.6g}")
 
 
+def _rk4_loop(n: int):
+    """Generated RK4 loop for an n-component state, every stage unrolled.
+
+    Component j is the local yj, with the slopes aj, bj, cj, dj of the four
+    calls of f, each made with a list.  The stages ``yj + h2 * aj``,
+    ``yj + h2 * bj``, ``yj + dt * cj`` and ``yj + h6 * (aj + 2 * bj + 2 * cj
+    + dj)`` are the operations of the list-comprehension loop kept in the
+    tests as the reference.
+    """
+    def each(fmt, sep=", "):
+        return sep.join(fmt.format(j) for j in range(n))
+
+    lines = [
+        "def rk4_loop(f, row, grid, steps, h2, h6, dt, states):",
+        f"    {each('y{}')}, = row",
+        "    for i in range(steps):",
+        "        t = grid[i]",
+        "        th = t + h2",
+        "        try:",
+        f"            {each('a{}')}, = f(t, row)",
+        f"            {each('b{}')}, = f(th, [{each('y{0} + h2 * a{0}')}])",
+        f"            {each('c{}')}, = f(th, [{each('y{0} + h2 * b{0}')}])",
+        f"            {each('d{}')}, = f(t + dt, [{each('y{0} + dt * c{0}')}])",
+        *[f"            y{j} = y{j} + h6 * (a{j} + 2 * b{j} + 2 * c{j} + d{j})"
+          for j in range(n)],
+        "        except OverflowError:",
+        "            # Python's ** raises where it would overflow to inf",
+        "            raise _non_finite(grid[i + 1]) from None",
+        f"        if not ({each('isfinite(y{})', ' and ')}):",
+        "            raise _non_finite(grid[i + 1])",
+        f"        row = [{each('y{}')}]",
+        "        states.append(row)",
+    ]
+    source = "\n".join(lines) + "\n"
+    env = {"isfinite": cmath.isfinite, "_non_finite": _non_finite}
+    exec(compile(source, "<rgperturb.numeric rk4>", "exec"), env)
+    return env["rk4_loop"]
+
+
 def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Trajectory:
     """Classical RK4 on a state held as a list of Python complex.
 
-    f(t, y) takes and returns a sequence of complex (or float) values; each
-    stage is computed one element at a time.
+    f(t, y) takes a list and returns a sequence of complex (or float) values,
+    one per component; the loop is generated for the state's dimension.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = max(1, int(round((t_end - t0) / dt)))
-    isfinite = cmath.isfinite
     y = [complex(v) for v in y0]
-    if not all(map(isfinite, y)):
+    if not y:
+        raise ValueError("the state needs at least one component")
+    if not all(map(cmath.isfinite, y)):
         raise _non_finite(t0)
     grid = [t0 + dt * k for k in range(n + 1)]
     states = [y]
-    h2, h6 = dt / 2, dt / 6
-    for i in range(n):
-        t = grid[i]
-        try:
-            k1 = f(t, y)
-            k2 = f(t + h2, [a + h2 * b for a, b in zip(y, k1)])
-            k3 = f(t + h2, [a + h2 * b for a, b in zip(y, k2)])
-            k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
-            y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        except OverflowError:
-            # Python's ** raises where it would overflow to inf
-            raise _non_finite(grid[i + 1]) from None
-        if not all(map(isfinite, y)):
-            raise _non_finite(grid[i + 1])
-        states.append(y)
+    _rk4_loop(len(y))(f, y, grid, n, dt / 2, dt / 6, dt, states)
     return Trajectory(grid, states, dict(meta or {}))
 
 
@@ -128,9 +154,11 @@ class _StraightLine:
         return f"c{len(self.consts) - 1}"
 
     def local(self, expr: str) -> str:
+        """Name of a local holding expr; a local's own name stands for itself."""
         name = self.names.get(expr)
         if name is None:
-            name = self.names[expr] = f"v{len(self.names)}"
+            name = f"v{len(self.lines)}"
+            self.names[expr] = self.names[name] = name
             self.lines.append(f"{name} = {expr}")
         return name
 
@@ -159,13 +187,12 @@ class _StraightLine:
         return env["field"]
 
 
-def compile_vpoly(v_polys, eps: float, param_values: dict) -> callable:
-    """Generated function (t, y) -> tuple of the forcing series' values.
+def _vpoly_sums(g: _StraightLine, v_polys, eps: float, param_values: dict) -> list:
+    """Emit the forcing series at (t, y); names of their sums.
 
     Each series is summed harmonic by harmonic, each in insertion order;
     coeff * params * eps**k is folded at build time.
     """
-    g = _StraightLine()
     sums = []
     for vp in v_polys:
         ctx = vp.ctx
@@ -184,7 +211,7 @@ def compile_vpoly(v_polys, eps: float, param_values: dict) -> callable:
                 factors += [g.power(f"y[{j}]", k) for j, k in enumerate(se) if k]
                 products.append(factors)
         sums.append(g.sum("0j", products))
-    return g.function("t, y", f"({', '.join(sums)},)")
+    return sums
 
 
 def _check_params(spec, params):
@@ -196,26 +223,27 @@ def _check_params(spec, params):
 
 
 def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
-    """Numeric RHS of the original equation as a first-order complex system."""
+    """Generated RHS (t, y) of the original equation as a first-order complex system.
+
+    Component j is L_j(y) + eps * V_j(t, y), with the linear part L of the
+    spec's class written out in front of the forcing sum.
+    """
     params = _check_params(spec, params)
-    vs = compile_vpoly(spec.v_polys, eps, params)
+    if spec.klass not in ("semisimple", "nilpotent", "scalar"):
+        raise SpecError(f"class {spec.klass!r} is not numerically integrable here")
+    g = _StraightLine()
+    vs = _vpoly_sums(g, spec.v_polys, eps, params)
+    ys = [g.local(f"y[{j}]") for j in range(spec.n_states)]
+    c_eps = g.const(eps)
     if spec.klass == "semisimple":
-        rates = [1j * float(m) for m in spec.modes]
-
-        def f(t, y):
-            return [r * a + eps * v for r, a, v in zip(rates, y, vs(t, y))]
-
-        return f
-    if spec.klass == "nilpotent":
-        im = 1j * spec.block_mode
-
-        def f(t, y):
-            out = [im * a + b for a, b in zip(y, y[1:])]
-            out.append(im * y[-1])
-            return [o + eps * v for o, v in zip(out, vs(t, y))]
-
-        return f
-    if spec.klass == "scalar":
+        out = [f"{g.const(1j * float(m))} * {y} + {c_eps} * {v}"
+               for m, y, v in zip(spec.modes, ys, vs)]
+    elif spec.klass == "nilpotent":
+        c_im = g.const(1j * spec.block_mode)
+        lin = [f"{c_im} * {a} + {b}" for a, b in zip(ys, ys[1:])]
+        lin.append(f"{c_im} * {ys[-1]}")
+        out = [f"{o} + {c_eps} * {v}" for o, v in zip(lin, vs)]
+    else:
         N = spec.n_states
         # expand prod_r (x - i m_r)^{n_r} = x^N + lower-order terms
         poly = [1.0 + 0j]
@@ -227,15 +255,10 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
         # poly[0] x^N + ... + poly[N]; the coefficient of x^l is poly[N-l],
         # and it multiplies y[l]
         lower = [(N - 1 - i, c) for i, c in enumerate(poly[1:]) if c]
-
-        def f(t, y):
-            acc = eps * vs(t, y)[0]
-            for l, c in lower:
-                acc -= c * y[l]
-            return y[1:] + [acc]
-
-        return f
-    raise SpecError(f"class {spec.klass!r} is not numerically integrable here")
+        acc = " - ".join([f"{c_eps} * {vs[0]}"]
+                         + [f"{g.const(c)} * {ys[l]}" for l, c in lower])
+        out = ys[1:] + [acc]
+    return g.function("t, y", f"[{', '.join(out)}]")
 
 
 def integrate_ode(spec, initial, eps: float, t_end: float, dt: float,
@@ -246,8 +269,10 @@ def integrate_ode(spec, initial, eps: float, t_end: float, dt: float,
 
 
 def _poly_sum(g: _StraightLine, p: MultiPoly, eps: float, param_values: dict,
-              amps: str) -> str:
-    """Emit an autonomous RG-side poly at the amplitudes `amps`; name of its sum.
+              amps: list) -> str:
+    """Emit an autonomous RG-side poly; name of its sum.
+
+    amps[j] is the expression of amplitude j.
 
     coeff * params * eps**k is folded at build time.
     """
@@ -263,7 +288,7 @@ def _poly_sum(g: _StraightLine, p: MultiPoly, eps: float, param_values: dict,
         if k_eps:
             coeff *= eps ** k_eps
         products.append([g.const(coeff)] + [
-            g.power(f"{amps}[{j}]", a) for j, a in enumerate(ae) if a
+            g.power(amps[j], a) for j, a in enumerate(ae) if a
         ])
     return g.sum("0j", products)
 
@@ -272,7 +297,8 @@ def rg_field(rg: RGSystem, eps: float, eps_order: int, params=None) -> callable:
     """Generated RHS (t, y) of the complex RG system truncated at eps_order."""
     params = dict(params or {})
     g = _StraightLine()
-    sums = [_poly_sum(g, f.trunc(eps_order), eps, params, "y") for f in rg.fields]
+    ys = [f"y[{j}]" for j in range(len(rg.ctx.amplitudes))]
+    sums = [_poly_sum(g, f.trunc(eps_order), eps, params, ys) for f in rg.fields]
     return g.function("t, y", f"[{', '.join(sums)}]")
 
 
@@ -325,20 +351,13 @@ def integrate_polar(polar: PolarRG, radii0, thetas0, eps: float, t_end: float,
     return rk4_integrate(f, list(radii0) + list(thetas0), t0, t_end, dt, meta)
 
 
-def amplitudes_from_polar(state, npairs):
-    """Complex amplitudes [R e^{i theta}, R e^{-i theta}, ...] from a polar state."""
-    out = []
-    for a in range(npairs):
-        r = state[a].real
-        th = state[npairs + a].real
-        z = r * complex(math.cos(th), math.sin(th))
-        out += (z, z.conjugate())
-    return out
-
-
 def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
-                         params=None) -> callable:
+                         params=None, pairs: int | None = None) -> callable:
     """Generated (t, amps) -> list of Y_j = sum_m P_{j,m}(eps, 0, amps) e^{imt}.
+
+    With `pairs`, the second argument is a polar state (R_1..R_p,
+    theta_1..theta_p) and the amplitudes are R e^{i theta}, R e^{-i theta},
+    pair by pair, the conjugate taken of the first.
 
     Entries that are zero after the cut are left out.  Each would add
     0j * e^{imt}, whose parts are +-0.0, to a total that starts at 0j; a sum
@@ -347,13 +366,22 @@ def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
     """
     params = dict(params or {})
     g = _StraightLine()
+    if pairs is None:
+        amps = [f"amps[{j}]" for j in range(len(ren.ctx.amplitudes))]
+    else:
+        amps = []
+        for a in range(pairs):
+            r = g.local(f"amps[{a}].real")
+            th = g.local(f"amps[{pairs + a}].real")
+            z = g.local(f"{r} * complex(math.cos({th}), math.sin({th}))")
+            amps += (z, g.local(f"{z}.conjugate()"))
     sums = []
     for comp in ren.components:
         products = []
         for m, p in comp.entries.items():
             p = p.trunc(eps_order)
             if not p.is_zero():
-                s = _poly_sum(g, p, eps, params, "amps")
+                s = _poly_sum(g, p, eps, params, amps)
                 products.append([s, g.harmonic(m)] if m else [s])
         sums.append(g.sum("0j", products))
     return g.function("t, amps", f"[{', '.join(sums)}]")
@@ -368,17 +396,16 @@ def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
     None if it already carries complex amplitudes.
     """
     cut = ren.ctx.order if eps_order is None else eps_order
-    namp = len(ren.ctx.amplitudes)
-    values = reconstruction_field(ren, eps, cut, params)
+    namp = 2 * pairs if pairs is not None else rg_traj.dim
+    if namp != len(ren.ctx.amplitudes):
+        raise SpecError("amplitude dimension mismatch in reconstruction")
+    values = reconstruction_field(ren, eps, cut, params, pairs)
     states = []
-    for t, row in zip(rg_traj.times, rg_traj.states):
-        amps = row if pairs is None else amplitudes_from_polar(row, pairs)
-        if len(amps) != namp:
-            raise SpecError("amplitude dimension mismatch in reconstruction")
-        try:
-            states.append(values(t, amps))
-        except OverflowError:
-            raise _non_finite(t) from None
+    try:
+        for t, row in zip(rg_traj.times, rg_traj.states):
+            states.append(values(t, row))
+    except OverflowError:
+        raise _non_finite(t) from None
     meta = dict(rg_traj.meta)
     meta["system"] = "reconstruction"
     return Trajectory(list(rg_traj.times), states, meta)
@@ -471,8 +498,9 @@ def emit_svg(series, path, title: str = "", width: int = 720, height: int = 440)
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # px and py, inlined
-        pts = " ".join("%.2f,%.2f" % (ml + pw * (x - x0) / dx, mt + ph * (1 - (y - y0) / dy))
-                       for x, y in zip(xs, ys))
+        pxs = [ml + pw * (x - x0) / dx for x in xs]
+        pys = [mt + ph * (1 - (y - y0) / dy) for y in ys]
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(pxs, pys)))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )
@@ -516,9 +544,8 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
     # Y_j(0) = sum_m P_{j,m}(eps, 0, A(0)): at t = 0 every harmonic is
     # complex(1.0, +-0.0), which changes no nonzero part of a term, and each
     # sum starts at +0.0, so the sign of a zero part is washed out
-    amps0 = amplitudes_from_polar([r0, theta0], 1)
     try:
-        y0 = reconstruction_field(ren, eps, ren_order, params)(0.0, amps0)
+        y0 = reconstruction_field(ren, eps, ren_order, params, pairs=1)(0.0, [r0, theta0])
     except OverflowError:
         raise _non_finite(0.0) from None
 

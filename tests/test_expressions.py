@@ -192,3 +192,29 @@ class TestEvalConsistency:
                 direct = self.eval_ast(ast, env)
                 expanded = self.eval_vpoly(p, env, states, params)
                 assert abs(direct - expanded) < 1e-12
+
+
+class TestLongChains:
+    """Flat sums and products are walked without one stack frame per term."""
+
+    def test_long_sum_and_product_expand(self):
+        states = ("y1", "y2")
+        assert vp(" + ".join(["y1"] * 5000), states) == vp("5000*y1", states)
+        assert vp("*".join(["y1"] * 1001), states) == vp("y1^1001", states)
+        assert vp("*".join(["eps*y2/2"] * 1001), states) == vp("(eps*y2/2)^1001", states)
+
+    def test_long_chain_renders_flat(self):
+        src = " - ".join(["y1*y2/3*eps"] * 3000)
+        assert render_expression(parse_expression(src)) == src
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse_expression("(" * 5000 + "y1" + ")" * 5000)
+
+    def test_divisor_checked_before_the_rest_of_the_chain(self):
+        # Div(Mul(q, y1), y2): the divisor is expanded first, as the
+        # recursion over the left operand did
+        with pytest.raises(ExprSemanticError, match="division only by constants"):
+            vp("q*y1/y2", ("y1", "y2"))
+        with pytest.raises(ExprSemanticError, match="unknown symbol 'q'"):
+            vp("q*y1/2*y2", ("y1", "y2"))

@@ -1,9 +1,11 @@
+import cmath
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rgperturb import numeric
 from rgperturb.checks import random_spec
@@ -20,8 +22,7 @@ from rgperturb.renorm import (
 )
 from rgperturb.numeric import (
     Trajectory,
-    amplitudes_from_polar,
-    compile_vpoly,
+    ode_field,
     rk4_integrate,
     integrate_ode,
     integrate_polar,
@@ -70,6 +71,10 @@ class TestRK4:
 
         ratio = error(0.02) / error(0.01)
         assert 14 <= ratio <= 18
+
+    def test_empty_state_is_refused(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            rk4_integrate(lambda t, y: [], [], 0.0, 1.0, 0.5)
 
     def test_overflow_aborts(self):
         spec = make_spec(**{"class": "semisimple", "linear_part": [0], "V": ["y1^2"], "order": 1})
@@ -173,7 +178,7 @@ class TestOscillatorTransform:
             srcs.append(" + ".join(terms))
         spec = oscillator_to_firstorder(masses, srcs, (), 2)
         fns = [
-            compile_vpoly([ast_to_vpoly(parse_expression(s), qp_states, ())], eps, {})
+            reference_compile_vpoly(ast_to_vpoly(parse_expression(s), qp_states, ()), {})
             for s in srcs
         ]
 
@@ -183,8 +188,8 @@ class TestOscillatorTransform:
             return np.array([
                 p1,
                 p2,
-                -1 * q1 + eps * fns[0](t, state)[0],
-                -4 * q2 + eps * fns[1](t, state)[0],
+                -1 * q1 + eps * fns[0](t, state, eps),
+                -4 * q2 + eps * fns[1](t, state, eps),
             ])
 
         q0 = np.array([0.4, -0.3])
@@ -271,13 +276,51 @@ class TestEmission:
 
 
 # --------------------------------------------------------------------------
-# The interpreted fields, kept as the references of the generated ones
+# The interpreted stepper and fields, kept as the references of the generated ones
 # --------------------------------------------------------------------------
+
+def reference_rk4_integrate(f, y0, t0, t_end, dt):
+    """The generic RK4 loop the generated one replaced: each stage a list."""
+    n = max(1, int(round((t_end - t0) / dt)))
+    isfinite = cmath.isfinite
+    y = [complex(v) for v in y0]
+    if not all(map(isfinite, y)):
+        raise numeric._non_finite(t0)
+    grid = [t0 + dt * k for k in range(n + 1)]
+    states = [y]
+    h2, h6 = dt / 2, dt / 6
+    for i in range(n):
+        t = grid[i]
+        try:
+            k1 = f(t, y)
+            k2 = f(t + h2, [a + h2 * b for a, b in zip(y, k1)])
+            k3 = f(t + h2, [a + h2 * b for a, b in zip(y, k2)])
+            k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
+            y = [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        except OverflowError:
+            raise numeric._non_finite(grid[i + 1]) from None
+        if not all(map(isfinite, y)):
+            raise numeric._non_finite(grid[i + 1])
+        states.append(y)
+    return Trajectory(grid, states)
+
+
+def reference_amplitudes_from_polar(state, npairs):
+    """Complex amplitudes [R e^{i theta}, R e^{-i theta}, ...] from a polar state."""
+    out = []
+    for a in range(npairs):
+        r = state[a].real
+        th = state[npairs + a].real
+        z = r * complex(math.cos(th), math.sin(th))
+        out += (z, z.conjugate())
+    return out
+
 
 def reference_compile_vpoly(vp, param_values):
     """Numeric closure (t, y, eps) -> complex for one forcing series.
 
-    The original interpreted form of `compile_vpoly`: terms are summed
+    The original interpreted form of the forcing: terms are summed
     harmonic by harmonic, each in insertion order.
     """
     ctx = vp.ctx
@@ -355,9 +398,46 @@ def reference_trig_eval(ts, eps, radii, thetas, params=(), t=0.0):
 
 
 def reference_vpoly_field(v_polys, eps, params):
-    """`compile_vpoly`'s calling convention over the reference closures."""
+    """(t, y) -> list of the forcing series' values, over the reference closures."""
     fns = [reference_compile_vpoly(vp, params) for vp in v_polys]
     return lambda t, y: [fn(t, y, eps) for fn in fns]
+
+
+def reference_ode_field(spec, eps, params):
+    """The closures `ode_field` built around the forcing, one per class."""
+    vs = reference_vpoly_field(spec.v_polys, eps, params)
+    if spec.klass == "semisimple":
+        rates = [1j * float(m) for m in spec.modes]
+
+        def f(t, y):
+            return [r * a + eps * v for r, a, v in zip(rates, y, vs(t, y))]
+
+        return f
+    if spec.klass == "nilpotent":
+        im = 1j * spec.block_mode
+
+        def f(t, y):
+            out = [im * a + b for a, b in zip(y, y[1:])]
+            out.append(im * y[-1])
+            return [o + eps * v for o, v in zip(out, vs(t, y))]
+
+        return f
+    assert spec.klass == "scalar"
+    N = spec.n_states
+    poly = [1.0 + 0j]
+    for m_r, n_r in spec.factors:
+        root = -1j * m_r
+        for _ in range(n_r):
+            poly = [a + root * b for a, b in zip(poly + [0j], [0j] + poly)]
+    lower = [(N - 1 - i, c) for i, c in enumerate(poly[1:]) if c]
+
+    def f(t, y):
+        acc = eps * vs(t, y)[0]
+        for l, c in lower:
+            acc -= c * y[l]
+        return y[1:] + [acc]
+
+    return f
 
 
 def reference_rg_field(rg, eps, cut, params):
@@ -406,7 +486,7 @@ def reference_reconstruction(ren, eps, cut, params):
 
 
 def reference_initial_state(ren, eps, cut, r0, theta0):
-    amps0 = amplitudes_from_polar(np.array([r0, theta0], dtype=complex), 1)
+    amps0 = reference_amplitudes_from_polar(np.array([r0, theta0], dtype=complex), 1)
     compiled0 = [
         [(m, reference_compile_poly(p.trunc(cut), {})) for m, p in comp.entries.items()]
         for comp in ren.components
@@ -498,9 +578,10 @@ class TestGeneratedFieldsMatchReference:
         spec = built[case][0]
         rng = np.random.default_rng(len(case))
         for eps in EPS_VALUES:
-            got = compile_vpoly(spec.v_polys, eps, PARAM_VALUES)
-            want = reference_vpoly_field(spec.v_polys, eps, PARAM_VALUES)
+            got = ode_field(spec, eps, PARAM_VALUES)
+            want = reference_ode_field(spec, eps, PARAM_VALUES)
             for y in sample_points(rng, spec.n_states):
+                y = list(y)
                 for t in TIMES:
                     assert_bit_equal(got(t, y), want(t, y))
 
@@ -535,6 +616,18 @@ class TestGeneratedFieldsMatchReference:
                 for t in TIMES:
                     assert_bit_equal(got(t, amps), want(t, amps))
 
+    @pytest.mark.parametrize("case", POLAR_CASES)
+    def test_reconstruction_field_from_polar(self, built, case):
+        ren, pairs = built[case][2], built[case][3].npairs
+        rng = np.random.default_rng(len(case))
+        for eps, cut in itertools.product(EPS_VALUES, range(ren.ctx.order + 1)):
+            got = reconstruction_field(ren, eps, cut, PARAM_VALUES, pairs=pairs)
+            want = reference_reconstruction(ren, eps, cut, PARAM_VALUES)
+            for y in sample_points(rng, 2 * pairs, real=True):
+                for t in TIMES:
+                    assert_bit_equal(got(t, y),
+                                     want(t, reference_amplitudes_from_polar(y, pairs)))
+
 
     def test_long_sum_compiles_in_order(self):
         # far more terms than CPython compiles as one nested expression
@@ -558,13 +651,18 @@ class TestGeneratedTrajectoriesMatchReference:
         ("ex_bt", [0.4 - 0.1j, -0.2 + 0.3j]),
         ("ex_third", [0.5 + 0j, 0.1j, -0.2 + 0j]),
     ])
-    def test_integrate_ode(self, monkeypatch, name, y0):
+    def test_integrate_ode(self, name, y0):
         spec = load_builtin(name)
         params = {p: PARAM_VALUES[p] for p in spec.params}
-        got = integrate_ode(spec, np.array(y0), 0.25, 1.0, 0.01, params)
-        monkeypatch.setattr(numeric, "compile_vpoly", reference_vpoly_field)
-        want = integrate_ode(spec, np.array(y0), 0.25, 1.0, 0.01, params)
-        assert_bit_equal(got.states, want.states)
+        got = integrate_ode(spec, y0, 0.25, 1.0, 0.01, params)
+        ref = reference_ode_field(spec, 0.25, params)
+        # the generated field in the reference loop, the reference field in
+        # the generated loop, and the two references together
+        for want in (reference_rk4_integrate(ode_field(spec, 0.25, params), y0, 0.0, 1.0, 0.01),
+                     rk4_integrate(ref, y0, 0.0, 1.0, 0.01),
+                     reference_rk4_integrate(ref, y0, 0.0, 1.0, 0.01)):
+            assert got.times == want.times
+            assert_bit_equal(got.states, want.states)
 
     @pytest.mark.parametrize("name", ["ex_cd", "ex_bt", "ex_oscillators"])
     def test_integrate_rg(self, name):
@@ -589,7 +687,7 @@ class TestGeneratedTrajectoriesMatchReference:
         assert_bit_equal(got.states, want.states)
         recon = reconstruct(ren, got, 0.25, pairs=pairs, eps_order=2)
         values = reference_reconstruction(ren, 0.25, 2, {})
-        expect = [values(t, amplitudes_from_polar(y, pairs))
+        expect = [values(t, reference_amplitudes_from_polar(y, pairs))
                   for t, y in zip(got.times, got.states)]
         assert_bit_equal(recon.states, expect)
 
@@ -607,3 +705,81 @@ class TestGeneratedTrajectoriesMatchReference:
         ren = renormalized_expansion(expand_semisimple(spec))
         assert_bit_equal(out["initial_state"],
                          reference_initial_state(ren, eps, ren_order, r0, theta0))
+
+
+# --------------------------------------------------------------------------
+# The generated stepper against the reference loop
+# --------------------------------------------------------------------------
+
+def linear_field(matrix, offset):
+    """f(t, y) = matrix y + offset, summed row by row in a fixed order."""
+    def f(t, y):
+        out = []
+        for row, b in zip(matrix, offset):
+            acc = b
+            for m, v in zip(row, y):
+                acc += m * v
+            out.append(acc)
+        return out
+
+    return f
+
+
+def squaring_field(scale):
+    """f(t, y) = scale * y**2: complex ** raises OverflowError past the range."""
+    return lambda t, y: [scale * v ** 2 for v in y]
+
+
+FINITE = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+COMPLEX = st.builds(complex, FINITE, FINITE)
+
+
+def run_or_message(integrate, f, y0, dt):
+    try:
+        return integrate(f, y0, 0.0, 0.5, dt).states
+    except NumericOverflowError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), dt=st.sampled_from([0.01, 0.05, 0.125]),
+       kind=st.sampled_from(["linear", "overflow", "non-finite"]))
+def test_stepper_matches_reference(data, n, dt, kind):
+    y0 = data.draw(st.lists(COMPLEX, min_size=n, max_size=n))
+    if kind == "linear":
+        matrix = data.draw(st.lists(st.lists(COMPLEX, min_size=n, max_size=n),
+                                    min_size=n, max_size=n))
+        f = linear_field(matrix, data.draw(st.lists(COMPLEX, min_size=n, max_size=n)))
+    elif kind == "overflow":
+        # blows up in finite time; ** raises OverflowError on the way
+        y0 = [v + 1e100 for v in y0]
+        f = squaring_field(data.draw(st.sampled_from([1.0, 1e50, 1e150])))
+    else:
+        # a linear growth that reaches inf without raising
+        f = linear_field([[1e300 if i == j else 0j for j in range(n)] for i in range(n)],
+                         [1 + 0j] * n)
+    got = run_or_message(rk4_integrate, f, y0, dt)
+    want = run_or_message(reference_rk4_integrate, f, y0, dt)
+    if kind != "linear":
+        assert isinstance(want, str)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_bit_equal(got, want)
+
+
+def test_stepper_calls_the_field_four_times_per_step(monkeypatch):
+    """The RHS passed to rk4_integrate is called 4 times per step, as a tracer counts."""
+    calls = []
+    inner = numeric.rk4_integrate
+
+    def counting(f, *args, **kwargs):
+        def field(t, y):
+            calls.append(t)
+            return f(t, y)
+
+        return inner(field, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "rk4_integrate", counting)
+    simulate_conjugate_pair(load_builtin("ex_cd"), 0.25, 1.3, 2.1, t_end=1.0, dt=0.01)
+    assert len(calls) == 2 * 4 * 100
