@@ -121,15 +121,16 @@ def assert_exits_0_or_2(tmp_path, doc):
 # The expression grammar
 # --------------------------------------------------------------------------
 
-ATOMS = st.sampled_from(["y1", "y2", "a", "E", "eps", "i", "2", "cos(t)", "sin(2*t)",
-                         "t", "q1"])
+MONOMIALS = st.sampled_from(["y1", "y2", "a", "E", "eps", "i", "2", "t", "q1"])
+ATOMS = st.one_of(MONOMIALS, st.sampled_from(["cos(t)", "sin(2*t)"]))
 NEAR_LIMIT = st.sampled_from([MAX_EXP - 1, MAX_EXP, MAX_EXP + 1, 2 * MAX_EXP])
 # Exponents near the limit go on the carrier, eps, the parameter and i; a
 # state is raised only past the limit, where expansion stops with an error.
 # The engine builds a state power one factor at a time, so a state power
 # near the limit exhausts memory (an open defect, recorded in CHANGES.md);
 # a number or a multi-term base raised that high is slow, not wrong.  None
-# of these is drawn.
+# of these is drawn, and the long products multiply monomials only (a
+# thousand factors of cos(t) are such a power too).
 BIG_POWERS = st.one_of(
     st.builds("{}^{}".format, st.sampled_from(["E", "eps", "a", "i"]), NEAR_LIMIT),
     st.builds("E^-{}".format, NEAR_LIMIT),
@@ -155,16 +156,17 @@ def repeated(sep, pattern, n):
     return sep.join(itertools.islice(itertools.cycle(pattern), n))
 
 
-PATTERN = st.lists(LEAVES, min_size=1, max_size=3)
 SHAPES = st.one_of(
     st.recursive(LEAVES, combine, max_leaves=8),
-    st.builds(repeated, st.sampled_from([" + ", " - ", "+"]), PATTERN,
-              st.integers(900, 3000)),
-    st.builds(repeated, st.sampled_from(["*", "/"]), PATTERN, st.integers(900, 1500)),
+    st.builds(repeated, st.sampled_from([" + ", " - ", "+"]),
+              st.lists(LEAVES, min_size=1, max_size=3), st.integers(900, 3000)),
+    st.builds(repeated, st.sampled_from(["*", "/"]),
+              st.lists(st.one_of(MONOMIALS, BIG_POWERS), min_size=1, max_size=3),
+              st.integers(900, 1500)),
     # parentheses around an atom, or around an operator at each level
     st.builds(lambda k, x: "(" * k + x + ")" * k, st.integers(100, 400), ATOMS),
     st.builds(lambda k, x, op: f"({x}{op}" * k + x + ")" * k,
-              st.integers(100, 400), ATOMS, st.sampled_from(["+", "*", " - "])),
+              st.integers(100, 400), MONOMIALS, st.sampled_from(["+", "*", " - "])),
 )
 V_EXPR = st.one_of(SHAPES, SHAPES.map("-{}".format))
 
