@@ -17,7 +17,6 @@ from .poly import MultiPoly, HarmonicSeries, PolyContext, Substitution, monomial
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
     SecularTable,
-    expand_table,
     table_residuals,
     governing_residual,
 )
@@ -380,12 +379,3 @@ def random_spec(klass: str, seed: int, order: int | None = None) -> ODESystemSpe
     else:
         raise SpecError(f"no random generator for class {klass!r}")
     return parse_spec(json.dumps(doc))
-
-
-def run_random_suite(klass: str, seeds, label_prefix="random") -> list:
-    reports = []
-    for seed in seeds:
-        spec = random_spec(klass, seed)
-        table = expand_table(spec, label=f"{label_prefix}-{klass}-{seed}")
-        reports.extend(run_all_checks(table, seed=seed))
-    return reports

@@ -105,7 +105,7 @@ def rg_from_machine(text: str):
             raise SpecError(f"unknown amplitude {name!r} in machine input")
         fields.append(poly_from_data(ctx, data))
     factors = spec.factors if spec.klass == "scalar" else ()
-    return spec, RGSystem(ctx, spec.klass, fields, factors)
+    return spec, RGSystem(ctx, fields, factors)
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def _notes_for(label):
 def cmd_expand(args) -> int:
     spec, label = load_spec(args)
     if spec.klass == "difference":
-        u2 = diffmod.u2_from_spec(spec)
+        u2 = diffmod.LaurentPoly(spec.alpha)
         K, W = spec.order, spec.window
         band = diffmod.window_band(u2, K, W)
         ctx = diffmod.make_context(K, W)
@@ -195,7 +195,7 @@ def _parse_pairs(src: str):
 def cmd_rg(args) -> int:
     spec, label = load_spec(args)
     if spec.klass == "difference":
-        u2 = diffmod.u2_from_spec(spec)
+        u2 = diffmod.LaurentPoly(spec.alpha)
         ctx = diffmod.make_context(spec.order, spec.window)
         theta = diffmod.theta_series(u2, spec.order, ctx)
         print(f"# {label}: amplitude flow  dA(zeta,t)/dt = (Theta(eps,zeta)/pi) * A(-zeta,t)")
@@ -207,6 +207,8 @@ def cmd_rg(args) -> int:
     if args.format == "machine":
         print(json.dumps(rg_to_machine(spec, rg), indent=2))
         return 0
+    # a bad --polar must fail before any of the RG equation is printed
+    polar = polar_transform(rg, _parse_pairs(args.polar)) if args.polar else None
     print(f"# {label}: RG equation (amplitudes are renormalized)")
     for note in _notes_for(label):
         print(f"# {note}")
@@ -214,8 +216,7 @@ def cmd_rg(args) -> int:
     if spec.klass == "scalar":
         for name, n, rhs in rg.scalar_forms():
             print(f"d^{n}{name}/dt^{n} = {rhs.render()}")
-    if args.polar:
-        polar = polar_transform(rg, _parse_pairs(args.polar))
+    if polar is not None:
         print("# polar form")
         print(polar.render())
     if args.expansion:
@@ -277,6 +278,8 @@ def _numeric_smoke(table, rng) -> tuple:
 
 
 def cmd_verify(args) -> int:
+    if not math.isfinite(args.eps):
+        raise SpecError(f"--eps must be finite, got {args.eps}")
     if args.random and (args.builtin or args.spec):
         raise SpecError("give either --random or an input (--builtin/--spec), not both")
     if args.random:
@@ -287,7 +290,7 @@ def cmd_verify(args) -> int:
         spec, label = load_spec(args)
 
     if spec.klass == "difference":
-        u2 = diffmod.u2_from_spec(spec)
+        u2 = diffmod.LaurentPoly(spec.alpha)
         reports = diffmod.check_difference_identities(u2, spec.order, spec.window, label)
         flag = diffmod.stability_flag(u2, args.eps)
         for r in reports:

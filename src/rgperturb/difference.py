@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import GaussianRational, ONE, ZERO
 from .poly import PolyContext, MultiPoly, HarmonicSeries, Substitution
-from .systems import ODESystemSpec
 from .checks import CheckReport, _compare_tables, functional_relation
 
 
@@ -37,10 +35,6 @@ class LaurentPoly:
 
     def __init__(self, terms=None):
         self.terms = {l: c for l, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def from_alpha(cls, alpha: dict) -> "LaurentPoly":
-        return cls(dict(alpha))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -136,18 +130,10 @@ def norm_constants(count: int) -> list:
     ]
 
 
-@dataclass
-class GkTable:
-    polys: list   # dense Fraction coefficients, polys[k] has degree k
-    norms: list   # N_0 .. N_{floor(K/2)}
-
-    def eval_at(self, k: int, u: Fraction) -> Fraction:
-        return sum(c * u ** i for i, c in enumerate(self.polys[k]))
-
-
-def gk_poly(K: int) -> GkTable:
+def gk_poly(K: int) -> list:
     """g_0..g_K by solving the advance recursion, pinned by g_k(0) = 0 (k >= 1).
 
+    Entry k is the dense Fraction coefficient list of g_k, of degree k.
     Cross-checked against the closed-form product expansion of the Gamma
     ratio; a mismatch means the recursion solver is broken.
     """
@@ -160,7 +146,7 @@ def gk_poly(K: int) -> GkTable:
         closed = gk_closed(k)
         if [c for c in p] != [c for c in closed]:
             raise AssertionError(f"g_{k} recursion disagrees with the closed form")
-    return GkTable(polys, norm_constants(K // 2 + 1))
+    return polys
 
 
 # --------------------------------------------------------------------------
@@ -180,43 +166,6 @@ def ckj_coeffs(u2: LaurentPoly, k: int) -> LaurentPoly:
             factor = factor.negate_z()
         h = factor * h
     return h
-
-
-def bmk_direct(u2: LaurentPoly, m: int, k: int) -> dict:
-    """B_{m,k} by the direct amplitude recursion; returns {n: coeff of A_n}.
-
-    B_{m,0} = A_m and B_{m,k} = sum_l alpha_l (-1)^{(k-1) l} B_{m-l,k-1};
-    independent of the h_k generating-function route.
-    """
-    span = k * u2.support_bound()
-    cur = {n: {n: ONE} for n in range(m - span, m + span + 1)}
-    for step in range(1, k + 1):
-        cur = _bmk_layer(u2, cur, step - 1)
-    return cur.get(m, {})
-
-
-def _bmk_layer(u2: LaurentPoly, prev: dict, sgn_power: int) -> dict:
-    out = {}
-    span = u2.support_bound()
-    indices = set()
-    for mm in prev:
-        for l in u2.terms:
-            indices.add(mm + l)
-    for mm in indices:
-        acc = {}
-        for l, alpha in u2.terms.items():
-            src = prev.get(mm - l)
-            if not src:
-                continue
-            c = alpha if (sgn_power * l) % 2 == 0 else -alpha
-            for n, v in src.items():
-                w = acc.get(n)
-                add = c * v
-                acc[n] = add if w is None else w + add
-        acc = {n: v for n, v in acc.items() if not v.is_zero()}
-        if acc:
-            out[mm] = acc
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +204,7 @@ def _amp_var(ctx: PolyContext, W: int, n: int) -> MultiPoly:
 
 
 def secular_windowed(u2: LaurentPoly, m: int, K: int, W: int, ctx: PolyContext,
-                     gk: GkTable) -> MultiPoly:
+                     gk: list) -> MultiPoly:
     """P_m for the windowed bare family (A_n = 0 outside |n| <= W)."""
     out = _amp_var(ctx, W, m)
     for k in range(1, K + 1):
@@ -269,7 +218,7 @@ def secular_windowed(u2: LaurentPoly, m: int, K: int, W: int, ctx: PolyContext,
         if tk.is_zero():
             continue
         gpoly = ctx.zero()
-        for i, q in enumerate(gk.polys[k]):
+        for i, q in enumerate(gk[k]):
             if q:
                 gpoly = gpoly + ctx.var("t", i).scale(q)
         out = out + (tk * gpoly) * ctx.var("eps", k)
@@ -311,14 +260,10 @@ class ThetaSeries:
     eps^(K+1) by construction.
     """
 
-    def __init__(self, ctx: PolyContext, series: HarmonicSeries, u2: LaurentPoly):
+    def __init__(self, ctx: PolyContext, series: HarmonicSeries):
         self.ctx = ctx
         self.series = series
-        self.u2 = u2
         self._kernels = {}
-
-    def zeta_negated(self) -> HarmonicSeries:
-        return _flip_odd(self.series)
 
     def kernel(self, odd: bool) -> HarmonicSeries:
         """exp(Theta(eps,zeta) tau), or exp(-Theta tau) if odd; built once per parity."""
@@ -328,18 +273,6 @@ class ThetaSeries:
             arg = self.series.map_entries(lambda p: p * tau)
             out = self._kernels[odd] = _exp_series(-arg if odd else arg)
         return out
-
-    def sinh_residual(self) -> HarmonicSeries:
-        """sinh(Theta) - eps U(zeta); identically zero mod eps^(K+1)."""
-        K = self.ctx.order
-        acc = HarmonicSeries.zero(self.ctx)
-        power = self.series
-        n = 1
-        while n <= K:
-            acc = acc + power.map_entries(lambda p: p.scale(Fraction(1, math.factorial(n))))
-            power = power.mul(self.series).mul(self.series)
-            n += 2
-        return acc - _eps_u(self.ctx, self.u2)
 
 
 def theta_series(u2: LaurentPoly, K: int, ctx: PolyContext | None = None, W: int = 0) -> ThetaSeries:
@@ -355,7 +288,7 @@ def theta_series(u2: LaurentPoly, K: int, ctx: PolyContext | None = None, W: int
         acc = acc + power.map_entries(lambda p, q=coeff: p.scale(q))
         if 2 * k + 3 <= K:
             power = power.mul(epsu).mul(epsu)
-    return ThetaSeries(ctx, acc, u2)
+    return ThetaSeries(ctx, acc)
 
 
 def _exp_series(x: HarmonicSeries) -> HarmonicSeries:
@@ -396,11 +329,6 @@ def _closed_family(u2: LaurentPoly, K: int, W: int, ctx: PolyContext, theta) -> 
     """m -> A_m for every harmonic the windowed family reaches, |m| <= W + K*S."""
     span = W + K * u2.support_bound()
     return {m: _closed_windowed(u2, m, K, W, ctx, theta) for m in range(-span, span + 1)}
-
-
-def generating_series(u2: LaurentPoly, K: int, W: int, ctx: PolyContext) -> HarmonicSeries:
-    """A(zeta, tau) = sum_m A_m(eps,tau,A) zeta^m for the windowed family."""
-    return HarmonicSeries(ctx, _closed_family(u2, K, W, ctx, theta_series(u2, K, ctx)))
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +413,3 @@ def stability_flag(u2: LaurentPoly, eps: float, samples: int = 256) -> dict:
         "max_abs_re_theta": max_re,
         "max_abs_eps_u": max_mod,
     }
-
-
-def u2_from_spec(spec: ODESystemSpec) -> LaurentPoly:
-    return LaurentPoly.from_alpha(spec.alpha)

@@ -13,7 +13,7 @@ harmonic coefficients satisfy the class's normalization:
 
 The result is a SecularTable: per component (or per derivative slot for the
 scalar class) a HarmonicSeries of secular coefficients, with resonance
-metadata and the minimal eps-order per harmonic.
+metadata.
 
 The three engines share one order-by-order driver, `_expand`; each class
 supplies only its setup and a `solve` step built on `_invert`, which inverts
@@ -40,7 +40,6 @@ from .poly import (
     hs_pow,
     resolve_shift,
 )
-from .expressions import render_forcing
 from .systems import ODESystemSpec, SpecError
 
 
@@ -53,11 +52,6 @@ class SecularTable:
         self.components = components  # list[HarmonicSeries]
         self.resonant = resonant      # list[(component, harmonic)]
         self.label = label or spec.klass
-
-    @property
-    def gauge_mode(self) -> int:
-        """The block eigenvalue the nilpotent engine reduced away; 0 otherwise."""
-        return self.spec.block_mode if self.spec.klass == "nilpotent" else 0
 
     @property
     def order(self) -> int:
@@ -73,13 +67,6 @@ class SecularTable:
         time derivatives of y and follow from it.
         """
         return self.components[:1] if self.spec.klass == "scalar" else self.components
-
-    def min_orders(self) -> dict:
-        out = {}
-        for j, comp in enumerate(self.components):
-            for m, p in comp.entries.items():
-                out[(j, m)] = p.min_eps_order()
-        return out
 
     def amplitude_polys(self) -> list:
         """The renormalized amplitudes as polynomials in (eps, t, A).
@@ -428,24 +415,3 @@ def table_residuals(table: SecularTable) -> list:
     if table.spec.klass == "scalar":
         out += [comps[l].time_derivative() - comps[l + 1] for l in range(len(comps) - 1)]
     return out
-
-
-def gauge_reduce_semisimple(spec: ODESystemSpec) -> ODESystemSpec:
-    """The equivalent M=0 system for y_j -> e^{-i m_j t} y_j.
-
-    Expanding it gives a table related to the original by the harmonic shift
-    m -> m + m_j per component; used as an engine cross-check.
-    """
-    if spec.klass != "semisimple":
-        raise SpecError("gauge_reduce_semisimple needs a semisimple spec")
-    modes = spec.modes
-    v_polys = [_shift_carrier(vp, modes, m) for vp, m in zip(spec.v_polys, modes)]
-    return ODESystemSpec(
-        klass="semisimple",
-        order=spec.order,
-        params=spec.params,
-        v_srcs=tuple(render_forcing(vp) for vp in v_polys),
-        v_polys=v_polys,
-        modes=tuple(0 for _ in modes),
-        amplitude_names=spec.amplitude_names,
-    )

@@ -144,7 +144,6 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.k = 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import MultiPoly
 from .systems import ODESystemSpec, SpecError
@@ -49,7 +49,6 @@ class NumericOverflowError(RuntimeError):
 class Trajectory:
     times: list    # float
     states: list   # one row (a list of complex) per time
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -102,7 +101,7 @@ def _rk4_loop(n: int):
     return env["rk4_loop"]
 
 
-def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Trajectory:
+def rk4_integrate(f, y0, t0: float, t_end: float, dt: float) -> Trajectory:
     """Classical RK4 on a state held as a list of Python complex.
 
     f(t, y) takes a list and returns a sequence of complex (or float) values,
@@ -119,7 +118,7 @@ def rk4_integrate(f, y0, t0: float, t_end: float, dt: float, meta=None) -> Traje
     grid = [t0 + dt * k for k in range(n + 1)]
     states = [y]
     _rk4_loop(len(y))(f, y, grid, n, dt / 2, dt / 6, dt, states)
-    return Trajectory(grid, states, dict(meta or {}))
+    return Trajectory(grid, states)
 
 
 # --------------------------------------------------------------------------
@@ -263,9 +262,7 @@ def ode_field(spec: ODESystemSpec, eps: float, params=None) -> callable:
 
 def integrate_ode(spec, initial, eps: float, t_end: float, dt: float,
                   params=None, t0: float = 0.0) -> Trajectory:
-    f = ode_field(spec, eps, params)
-    meta = {"system": spec.klass, "eps": eps, "params": dict(params or {})}
-    return rk4_integrate(f, initial, t0, t_end, dt, meta)
+    return rk4_integrate(ode_field(spec, eps, params), initial, t0, t_end, dt)
 
 
 def _poly_sum(g: _StraightLine, p: MultiPoly, eps: float, param_values: dict,
@@ -305,11 +302,8 @@ def rg_field(rg: RGSystem, eps: float, eps_order: int, params=None) -> callable:
 def integrate_rg(rg: RGSystem, initial, eps: float, t_end: float, dt: float,
                  eps_order: int | None = None, params=None, t0: float = 0.0) -> Trajectory:
     """Integrate the complex RG system with the field truncated at eps_order."""
-    params = dict(params or {})
     cut = rg.ctx.order if eps_order is None else eps_order
-    f = rg_field(rg, eps, cut, params)
-    meta = {"system": "rg", "eps": eps, "eps_order": cut, "params": params}
-    return rk4_integrate(f, initial, t0, t_end, dt, meta)
+    return rk4_integrate(rg_field(rg, eps, cut, params), initial, t0, t_end, dt)
 
 
 def _trig_sum(g: _StraightLine, ts: TrigSeries, eps: float, pvals, p: int) -> str:
@@ -345,10 +339,8 @@ def polar_field(polar: PolarRG, eps: float, eps_order: int, params=None) -> call
 def integrate_polar(polar: PolarRG, radii0, thetas0, eps: float, t_end: float,
                     dt: float, eps_order: int, params=None, t0: float = 0.0) -> Trajectory:
     """Integrate the polar RG system; state is (R_1..R_p, theta_1..theta_p)."""
-    params = dict(params or {})
     f = polar_field(polar, eps, eps_order, params)
-    meta = {"system": "rg-polar", "eps": eps, "eps_order": eps_order, "params": params}
-    return rk4_integrate(f, list(radii0) + list(thetas0), t0, t_end, dt, meta)
+    return rk4_integrate(f, list(radii0) + list(thetas0), t0, t_end, dt)
 
 
 def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
@@ -406,9 +398,7 @@ def reconstruct(ren: RenExpansion, rg_traj: Trajectory, eps: float,
             states.append(values(t, row))
     except OverflowError:
         raise _non_finite(t) from None
-    meta = dict(rg_traj.meta)
-    meta["system"] = "reconstruction"
-    return Trajectory(list(rg_traj.times), states, meta)
+    return Trajectory(list(rg_traj.times), states)
 
 
 def sup_deviation(a, b) -> float:

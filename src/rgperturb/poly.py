@@ -253,10 +253,6 @@ class MultiPoly:
         sh = self.ctx.shifts[self.ctx.index(name)]
         return max((e >> sh & _MASK for e in self.packed), default=-1)
 
-    def min_eps_order(self):
-        """Smallest eps-exponent present, or None for the zero polynomial."""
-        return min(self.packed) >> self.ctx.eps_shift if self.packed else None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

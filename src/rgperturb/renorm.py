@@ -30,15 +30,14 @@ def renormalized_amplitudes(table: SecularTable) -> dict:
 class RGSystem:
     """Autonomous polynomial vector field for the renormalized amplitudes."""
 
-    def __init__(self, ctx: PolyContext, klass: str, fields, scalar_factors=()):
+    def __init__(self, ctx: PolyContext, fields, scalar_factors=()):
         self.ctx = ctx
-        self.klass = klass
         self.fields = fields  # list[MultiPoly], aligned with ctx.amplitudes
         self.scalar_factors = scalar_factors
 
     def scalar_forms(self):
         """For the scalar class, the n_r-th-order form per basic amplitude."""
-        if self.klass != "scalar":
+        if not self.scalar_factors:
             raise SpecError("scalar_forms only applies to the scalar class")
         out = []
         pos = 0
@@ -57,9 +56,8 @@ class RGSystem:
 class RenExpansion:
     """Per component, the t-free table P_{j,m}(eps, 0, renormalized A)."""
 
-    def __init__(self, ctx: PolyContext, klass: str, components):
+    def __init__(self, ctx: PolyContext, components):
         self.ctx = ctx
-        self.klass = klass
         self.components = components  # list[HarmonicSeries]
 
     def entry(self, j: int, m: int) -> MultiPoly:
@@ -87,7 +85,7 @@ def derive_rg(table: SecularTable) -> RGSystem:
             raise AssertionError("RG field must be autonomous")
         fields.append(f)
     factors = table.spec.factors if table.spec.klass == "scalar" else ()
-    return RGSystem(table.ctx, table.spec.klass, fields, factors)
+    return RGSystem(table.ctx, fields, factors)
 
 
 def renormalized_expansion(table: SecularTable) -> RenExpansion:
@@ -96,7 +94,7 @@ def renormalized_expansion(table: SecularTable) -> RenExpansion:
         HarmonicSeries(table.ctx, {m: p.set_zero("t") for m, p in comp.entries.items()})
         for comp in table.observed_components()
     ]
-    return RenExpansion(table.ctx, table.spec.klass, out)
+    return RenExpansion(table.ctx, out)
 
 
 def invert_amplitudes(table: SecularTable) -> dict:
@@ -119,6 +117,13 @@ def invert_amplitudes(table: SecularTable) -> dict:
 COS, SIN = 0, 1
 
 
+def polar_names(npairs: int) -> tuple:
+    """Default radius and phase names: R, theta for one pair, else R1, theta1, ..."""
+    if npairs == 1:
+        return ["R"], ["theta"]
+    return [f"R{a+1}" for a in range(npairs)], [f"theta{a+1}" for a in range(npairs)]
+
+
 class TrigSeries:
     """Real trigonometric polynomial in magnitudes R_a and phases theta_a.
 
@@ -128,9 +133,8 @@ class TrigSeries:
     form with the leading nonzero weight positive.
     """
 
-    def __init__(self, npairs: int, nparams: int, terms=None):
+    def __init__(self, npairs: int, terms=None):
         self.npairs = npairs
-        self.nparams = nparams
         self.terms = terms or {}
 
     def _add(self, key, q: Fraction):
@@ -178,11 +182,7 @@ class TrigSeries:
     __hash__ = None
 
     def trunc(self, k: int) -> "TrigSeries":
-        return TrigSeries(
-            self.npairs,
-            self.nparams,
-            {key: q for key, q in self.terms.items() if key[0] <= k},
-        )
+        return TrigSeries(self.npairs, {key: q for key, q in self.terms.items() if key[0] <= k})
 
     def divide_radius(self, a: int) -> "TrigSeries":
         """Divide by R_a; every term must carry a positive power of it."""
@@ -193,7 +193,7 @@ class TrigSeries:
                 raise PolarPairingError("field is not divisible by the radius")
             rexps = rexps[:a] + (rexps[a] - 1,) + rexps[a + 1:]
             out[(eps, rexps, pexps, m, w, kind)] = q
-        return TrigSeries(self.npairs, self.nparams, out)
+        return TrigSeries(self.npairs, out)
 
     def phase_name(self, m, w, theta_names) -> str:
         parts = []
@@ -215,10 +215,9 @@ class TrigSeries:
         return "".join(parts)
 
     def render(self, radius_names=None, theta_names=None, param_names=()) -> str:
-        if radius_names is None:
-            radius_names = ["R"] if self.npairs == 1 else [f"R{a+1}" for a in range(self.npairs)]
-        if theta_names is None:
-            theta_names = ["theta"] if self.npairs == 1 else [f"theta{a+1}" for a in range(self.npairs)]
+        default_r, default_theta = polar_names(self.npairs)
+        radius_names = default_r if radius_names is None else radius_names
+        theta_names = default_theta if theta_names is None else theta_names
         names = ("eps", *radius_names, *param_names)
         parts = []
         for key in sorted(self.terms, key=lambda k: (k[0], k[3], k[4], k[1], k[2], k[5])):
@@ -240,23 +239,14 @@ class TrigSeries:
 class PolarRG:
     """RG system rewritten in magnitude/phase variables for conjugate pairs."""
 
-    def __init__(self, npairs, nparams, d_radius, d_theta, param_names=()):
+    def __init__(self, npairs, d_radius, d_theta, param_names=()):
         self.npairs = npairs
-        self.nparams = nparams
         self.d_radius = d_radius  # list[TrigSeries]
         self.d_theta = d_theta    # list[TrigSeries]
         self.param_names = param_names
 
-    def names(self):
-        if self.npairs == 1:
-            return ["R"], ["theta"]
-        return (
-            [f"R{a+1}" for a in range(self.npairs)],
-            [f"theta{a+1}" for a in range(self.npairs)],
-        )
-
     def render(self) -> str:
-        rnames, tnames = self.names()
+        rnames, tnames = polar_names(self.npairs)
         lines = []
         for a in range(self.npairs):
             lines.append(
@@ -317,11 +307,10 @@ def polar_transform(rg: RGSystem, pairs) -> PolarRG:
     _amp_pair_layout(ctx, pairs)
     check_pair_symmetry(rg, pairs)
     npairs = len(pairs)
-    npar = len(ctx.params)
     d_radius, d_theta = [], []
     for a, (p, q) in enumerate(pairs):
-        re_series = TrigSeries(npairs, npar)
-        im_series = TrigSeries(npairs, npar)
+        re_series = TrigSeries(npairs)
+        im_series = TrigSeries(npairs)
         for c, eps, rexps, pexps, w in _complex_terms_polar(rg.fields[p], pairs, npairs):
             w = list(w)
             w[a] -= 1  # the e^{-i theta_a} factor
@@ -329,7 +318,7 @@ def polar_transform(rg: RGSystem, pairs) -> PolarRG:
             im_series.add_complex(c, eps, rexps, pexps, 0, tuple(w), "im")
         d_radius.append(re_series)
         d_theta.append(im_series.divide_radius(a))
-    return PolarRG(npairs, npar, d_radius, d_theta, ctx.params)
+    return PolarRG(npairs, d_radius, d_theta, ctx.params)
 
 
 def polar_projection(ren: RenExpansion, weights, pairs) -> TrigSeries:
@@ -342,8 +331,7 @@ def polar_projection(ren: RenExpansion, weights, pairs) -> TrigSeries:
     ctx = ren.ctx
     _amp_pair_layout(ctx, pairs)
     npairs = len(pairs)
-    npar = len(ctx.params)
-    out = TrigSeries(npairs, npar)
+    out = TrigSeries(npairs)
     for wgt, comp in zip(weights, ren.components):
         if wgt.is_zero():
             continue

@@ -105,9 +105,6 @@ class ODESystemSpec:
         doc["amplitude_names"] = list(self.amplitude_names)
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2)
-
 
 def _is_int(x) -> bool:
     """Whether x is an integer; JSON true/false are bools, which are not."""

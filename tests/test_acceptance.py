@@ -29,7 +29,6 @@ from rgperturb.renorm import (
 )
 from rgperturb.checks import (
     run_all_checks,
-    run_random_suite,
     check_functional_relation,
     check_residual,
     check_autonomous_reduction,
@@ -68,7 +67,7 @@ def tables():
 
 
 def trig(npairs, entries):
-    ts = TrigSeries(npairs, 0)
+    ts = TrigSeries(npairs)
     for (eps, rexps, m, w, kind), q in entries.items():
         ts._add((eps, tuple(rexps), (), m, tuple(w), kind), Fraction(q))
     return ts
@@ -245,7 +244,7 @@ def _invert_one_plus(d, K):
 
 @criterion(3, "identity suite: five checks exact mod eps^(K+1) on all builtins "
               "and 20 seeded random specs per class; corrupted table fails")
-def test_criterion_3(tables):
+def test_criterion_3(tables, run_random_suite):
     for name in ("ex_cd", "ex_oscillators", "ex_bt", "ex_third", "ex_scalar1"):
         reports = run_all_checks(tables[name])
         assert all(r.ok for r in reports), [r.line() for r in reports if not r.ok]
@@ -264,7 +263,7 @@ def test_criterion_3(tables):
 def test_criterion_4():
     table = diffmod.gk_poly(8)
     for k in range(9):
-        assert table.polys[k] == diffmod.gk_closed(k)
+        assert table[k] == diffmod.gk_closed(k)
     assert diffmod.norm_constants(5) == [
         Fraction(1), Fraction(1, 6), Fraction(3, 40), Fraction(5, 112), Fraction(35, 1152),
     ]

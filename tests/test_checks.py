@@ -19,7 +19,6 @@ from rgperturb.checks import (
     random_spec,
     renormalized_residuals,
     run_all_checks,
-    run_random_suite,
 )
 
 
@@ -112,7 +111,7 @@ class TestNoSecular:
     def test_raw_table_has_secular_terms(self, cd4):
         from rgperturb.renorm import RenExpansion
 
-        raw = RenExpansion(cd4.ctx, cd4.spec.klass, cd4.components)
+        raw = RenExpansion(cd4.ctx, cd4.components)
         report = check_no_secular(raw, "ex_cd-raw")
         assert not report.passed
 
@@ -241,7 +240,7 @@ class TestAutonomousReduction:
 
 class TestRandomSuite:
     @pytest.mark.parametrize("klass", ["semisimple", "nilpotent", "scalar"])
-    def test_seeded_specs_pass_all_checks(self, klass):
+    def test_seeded_specs_pass_all_checks(self, klass, run_random_suite):
         reports = run_random_suite(klass, seeds=range(5))
         bad = [r.line() for r in reports if not r.ok]
         assert not bad, bad
@@ -249,7 +248,7 @@ class TestRandomSuite:
     def test_determinism(self):
         a = random_spec("semisimple", 7)
         b = random_spec("semisimple", 7)
-        assert a.to_json() == b.to_json()
+        assert a.to_document() == b.to_document()
         assert a.v_polys == b.v_polys
 
     def test_determinism_across_processes(self):
@@ -267,8 +266,8 @@ class TestRandomSuite:
             os.path.dirname(os.path.abspath(rgperturb.__file__)))
         pythonpath = os.pathsep.join(
             filter(None, (src_root, os.environ.get("PYTHONPATH"))))
-        code = ("from rgperturb.checks import random_spec;"
-                "print(random_spec('nilpotent', 11).to_json())")
+        code = ("import json; from rgperturb.checks import random_spec;"
+                "print(json.dumps(random_spec('nilpotent', 11).to_document(), indent=2))")
         outs = set()
         for hs in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=hs, PYTHONPATH=pythonpath)
@@ -281,7 +280,7 @@ class TestRandomSuite:
         assert len(outs) == 1
         # the children built the spec this process builds under its own
         # hash seed, so two children that printed nothing cannot pass
-        assert outs == {random_spec("nilpotent", 11).to_json() + "\n"}
+        assert outs == {json.dumps(random_spec("nilpotent", 11).to_document(), indent=2) + "\n"}
 
     @pytest.mark.parametrize("klass", ["semisimple", "nilpotent", "scalar"])
     def test_requested_order_keeps_the_rest(self, klass):
@@ -296,5 +295,5 @@ class TestRandomSuite:
                 assert spec.v_polys == drawn.v_polys
 
     def test_distinct_seeds_differ(self):
-        docs = {random_spec("scalar", s).to_json() for s in range(8)}
+        docs = {json.dumps(random_spec("scalar", s).to_document()) for s in range(8)}
         assert len(docs) > 1

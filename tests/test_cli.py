@@ -148,7 +148,7 @@ class TestExpand:
 
         monkeypatch.setattr(rgperturb.cli, "parse_spec", counting)
         path = tmp_path / "ex_cd.json"
-        path.write_text(load_builtin("ex_cd").to_json())
+        path.write_text(json.dumps(load_builtin("ex_cd").to_document(), indent=2))
         code, out, _ = run(capsys, "expand", "--spec", str(path), "--order", "3")
         assert code == 0
         assert len(calls) == 1
@@ -157,7 +157,7 @@ class TestExpand:
 
     def test_spec_file_negative_order_exit_2(self, capsys, tmp_path):
         path = tmp_path / "ex_cd.json"
-        path.write_text(load_builtin("ex_cd").to_json())
+        path.write_text(json.dumps(load_builtin("ex_cd").to_document(), indent=2))
         code, out, err = run(capsys, "expand", "--spec", str(path), "--order", "-1")
         assert code == 2 and out == ""
         assert err == "error: order must be an integer >= 0\n"
@@ -244,13 +244,14 @@ class TestRG:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"class": "semisimple", "linear_part": [1, -1],
                                     "V": ["y1^2*y2", "0"], "order": 2}))
-        code, _, err = run(capsys, "rg", "--spec", str(path), "--polar", "1:2")
+        code, out, err = run(capsys, "rg", "--spec", str(path), "--polar", "1:2")
         assert code == 3
+        assert out == "" and err.startswith("error: polar pairing: ")
 
     @pytest.mark.parametrize("pairs", ["x", "1", "1:", "a:b"])
     def test_malformed_polar_exit_2(self, capsys, pairs):
-        code, _, err = run(capsys, "rg", "--builtin", "ex_cd", "--polar", pairs)
-        assert code == 2
+        code, out, err = run(capsys, "rg", "--builtin", "ex_cd", "--polar", pairs)
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and repr(pairs) in err
 
     def test_expansion_and_inversion_flags(self, capsys):
@@ -323,7 +324,7 @@ class TestVerify:
     @pytest.mark.parametrize("source", [["--builtin", "ex_cd"], ["--spec", "SPEC"]])
     def test_random_with_an_input_exit_2(self, capsys, tmp_path, source):
         path = tmp_path / "ex_cd.json"
-        path.write_text(load_builtin("ex_cd").to_json())
+        path.write_text(json.dumps(load_builtin("ex_cd").to_document(), indent=2))
         source = [str(path) if a == "SPEC" else a for a in source]
         code, out, err = run(capsys, "verify", "--random", "scalar", *source)
         assert code == 2 and out == ""
@@ -341,6 +342,14 @@ class TestVerify:
         assert code == 0, out
         assert "PASS check_difference_equation" in out
         assert "INFO stability" in out
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+    def test_non_finite_eps_exit_2(self, capsys, eps):
+        # a NaN never wins the max in the stability report, which then
+        # claimed a stable Theta
+        code, out, err = run(capsys, "verify", "--builtin", "ex_difference", f"--eps={eps}")
+        assert code == 2 and out == ""
+        assert err == f"error: --eps must be finite, got {eps}\n"
 
     @pytest.mark.parametrize("seed,order", [(35, 3), (28, 4)])
     def test_numeric_smoke_preasymptotic_passes(self, capsys, seed, order):

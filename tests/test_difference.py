@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,17 @@ from rgperturb.difference import (
     gk_closed,
     norm_constants,
     ckj_coeffs,
-    bmk_direct,
     make_context,
     amp_name,
     secular_pm,
     theta_series,
     closed_form_amplitude,
-    generating_series,
     check_difference_identities,
     stability_flag,
+    _closed_family,
+    _eps_u,
     _exp_series,
+    _flip_odd,
     WindowError,
 )
 
@@ -33,27 +35,59 @@ def u2_generic():
     return LaurentPoly({1: gq(2), -1: gq("1/2"), 0: gq(0, 1), 3: gq(-1)})
 
 
+def eval_dense(coeffs, u: Fraction) -> Fraction:
+    """A dense coefficient list (as gk_poly returns) evaluated at u."""
+    return sum(c * u ** i for i, c in enumerate(coeffs))
+
+
+def bmk_direct(u2: LaurentPoly, m: int, k: int) -> dict:
+    """B_{m,k} by the direct amplitude recursion; returns {n: coeff of A_n}.
+
+    B_{m,0} = A_m and B_{m,k} = sum_l alpha_l (-1)^{(k-1) l} B_{m-l,k-1};
+    independent of the h_k generating-function route of ckj_coeffs.
+    """
+    if k == 0:
+        return {m: ONE}
+    out = {}
+    for l, alpha in u2.terms.items():
+        c = alpha if ((k - 1) * l) % 2 == 0 else -alpha
+        for n, v in bmk_direct(u2, m - l, k - 1).items():
+            out[n] = out[n] + c * v if n in out else c * v
+    return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+def sinh_residual(theta, u2: LaurentPoly) -> HarmonicSeries:
+    """sinh(Theta) - eps U(zeta); identically zero mod eps^(K+1)."""
+    ctx = theta.ctx
+    acc = HarmonicSeries.zero(ctx)
+    power = theta.series
+    for n in range(1, ctx.order + 1, 2):
+        acc = acc + power.map_entries(lambda p: p.scale(Fraction(1, math.factorial(n))))
+        power = power.mul(theta.series).mul(theta.series)
+    return acc - _eps_u(ctx, u2)
+
+
 class TestGk:
     def test_reference_values(self):
         table = gk_poly(8)
-        assert table.polys[2] == [Fraction(0), Fraction(0), Fraction(1, 8)]
+        assert table[2] == [Fraction(0), Fraction(0), Fraction(1, 8)]
         # g_5(u) = u (u^2-1)(u^2-9) / 3840
         g5 = [Fraction(0), Fraction(9, 3840), Fraction(0), Fraction(-10, 3840),
               Fraction(0), Fraction(1, 3840)]
-        assert table.polys[5] == g5
+        assert table[5] == g5
 
     def test_recursion_matches_closed_form(self):
         table = gk_poly(8)
         for k in range(9):
-            assert table.polys[k] == gk_closed(k)
-            assert len(table.polys[k]) == k + 1
+            assert table[k] == gk_closed(k)
+            assert len(table[k]) == k + 1
 
     def test_defining_recursion(self):
         table = gk_poly(6)
         for k in range(1, 7):
             for u in range(-4, 5):
-                lhs = table.eval_at(k, Fraction(u + 1)) - table.eval_at(k, Fraction(u - 1))
-                assert lhs == table.eval_at(k - 1, Fraction(u))
+                lhs = eval_dense(table[k], Fraction(u + 1)) - eval_dense(table[k], Fraction(u - 1))
+                assert lhs == eval_dense(table[k - 1], Fraction(u))
 
     def test_generating_identity_binomial_oracle(self):
         # sum_k g_k(u) (2 zeta)^k = (sqrt(1+zeta^2) + zeta)^u mod zeta^9
@@ -83,7 +117,7 @@ class TestGk:
             power = [Fraction(1)] + [Fraction(0)] * K
             for _ in range(u):
                 power = mul_trunc(power, base)
-            lhs = [table.eval_at(k, Fraction(u)) * 2 ** k for k in range(K + 1)]
+            lhs = [eval_dense(table[k], Fraction(u)) * 2 ** k for k in range(K + 1)]
             assert lhs == power, f"u={u}"
 
     def test_derivative_at_zero(self):
@@ -91,10 +125,10 @@ class TestGk:
         norms = norm_constants(5)
         for k in range(0, 5):
             if 2 * k <= 9:
-                g = table.polys[2 * k]
+                g = table[2 * k]
                 assert (g[1] if len(g) > 1 else Fraction(0)) == 0
             if 2 * k + 1 <= 9:
-                g = table.polys[2 * k + 1]
+                g = table[2 * k + 1]
                 expect = norms[k] / 2 ** (2 * k + 1)
                 if k % 2 == 1:
                     expect = -expect
@@ -210,11 +244,11 @@ class TestTheta:
     def test_sinh_defining_identity(self):
         for K in (3, 4, 6):
             theta = theta_series(u2_cosine(), K)
-            assert theta.sinh_residual().is_zero()
+            assert sinh_residual(theta, u2_cosine()).is_zero()
 
     def test_parity_for_even_u(self):
         theta = theta_series(u2_cosine(), 5)
-        assert theta.zeta_negated() == theta.series
+        assert _flip_odd(theta.series) == theta.series
 
     def test_leading_terms(self):
         # Theta = eps U - (eps U)^3/6 + ...
@@ -251,8 +285,8 @@ class TestClosedForm:
         K, W = 3, 6
         ctx = make_context(K, W)
         u2 = u2_cosine()
-        gen = generating_series(u2, K, W, ctx)
         theta = theta_series(u2, K, ctx)
+        gen = HarmonicSeries(ctx, _closed_family(u2, K, W, ctx, theta))
         tau = ctx.var("t")
         arg = theta.series.map_entries(lambda p: p * tau)
         mu_even = HarmonicSeries(
@@ -274,8 +308,8 @@ class TestClosedForm:
             return _exp_series(x)
 
         monkeypatch.setattr(difference, "_exp_series", counted)
-        gen = generating_series(u2_cosine(), 4, 10, make_context(4, 10))
-        assert len(gen.entries) > 2
+        reports = check_difference_identities(u2_cosine(), 4, 10)
+        assert all(r.passed for r in reports)
         assert len(calls) == 2
 
 

@@ -41,10 +41,13 @@ def _rational(q):
 def _layers(table, syms, j):
     """The eps-layers of y_j as sympy expressions in t, the amplitudes, params and E."""
     names = table.ctx.symbols[1:]
+    spec = table.spec
+    # the block eigenvalue the nilpotent engine reduced away
+    gauge = spec.block_mode if spec.klass == "nilpotent" else 0
     out = [sympy.Integer(0)] * (table.order + 1)
     for m, p in table.components[j].entries.items():
         for e, c in p.terms.items():
-            mono = (_rational(c.re) + I * _rational(c.im)) * E ** (m + table.gauge_mode)
+            mono = (_rational(c.re) + I * _rational(c.im)) * E ** (m + gauge)
             for name, k in zip(names, e[1:]):
                 mono *= syms[name] ** k
             out[e[0]] += mono

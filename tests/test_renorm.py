@@ -5,7 +5,7 @@ import pytest
 
 from rgperturb.gaussrat import gq
 from rgperturb.poly import from_expression
-from rgperturb.systems import parse_spec
+from rgperturb.systems import SpecError, parse_spec
 from rgperturb.engine import expand_table
 from rgperturb.renorm import (
     renormalized_amplitudes,
@@ -83,7 +83,7 @@ def third4():
 
 def trig(npairs, entries, nparams=0):
     """Build a TrigSeries from {(eps, rexps, m, w, kind): Fraction}."""
-    ts = TrigSeries(npairs, nparams)
+    ts = TrigSeries(npairs)
     for (eps, rexps, m, w, kind), q in entries.items():
         ts._add((eps, tuple(rexps), (0,) * nparams, m, tuple(w), kind), Fraction(q))
     return ts
@@ -91,7 +91,7 @@ def trig(npairs, entries, nparams=0):
 
 def swap_pairs(ts):
     """Interchange (R1,theta1) <-> (R2,theta2) in a two-pair TrigSeries."""
-    out = TrigSeries(ts.npairs, ts.nparams)
+    out = TrigSeries(ts.npairs)
     for (eps, (r1, r2), pe, m, (w1, w2), kind), q in ts.terms.items():
         w = (w2, w1)
         sign = next((1 if x > 0 else -1 for x in (m,) + w if x), 0)
@@ -134,7 +134,7 @@ class TestRGEquation:
     def test_semisimple_slow_dynamics(self, cd5):
         rg = derive_rg(cd5)
         for f in rg.fields:
-            assert f.is_zero() or f.min_eps_order() >= 1
+            assert f.is_zero() or min(e[0] for e in f.terms) >= 1
 
     def test_cd_rg_matches_reference(self, cd5):
         rg = derive_rg(cd5)
@@ -172,13 +172,18 @@ class TestRGEquation:
         rg = derive_rg(bt3)
         ctx = bt3.ctx
         lead = rg.fields[0] - ctx.var("A2")
-        assert lead.is_zero() or lead.min_eps_order() >= 1
+        assert lead.is_zero() or min(e[0] for e in lead.terms) >= 1
 
     def test_scalar_chain_is_exact(self, third4):
         rg = derive_rg(third4)
         ctx = third4.ctx
         assert rg.fields[0] == ctx.var("A2")
         assert rg.fields[1] == ctx.var("A3")
+
+    def test_scalar_forms_refused_outside_the_scalar_class(self, cd5, bt3):
+        for table in (cd5, bt3):
+            with pytest.raises(SpecError, match="^scalar_forms only applies to the scalar class$"):
+                derive_rg(table).scalar_forms()
 
     def test_third_order_form_matches_reference(self, third4):
         rg = derive_rg(third4)

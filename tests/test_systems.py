@@ -94,7 +94,7 @@ class TestParseSpec:
     def test_machine_roundtrip(self):
         for doc in (EX_CD, EX_BT, EX_THIRD):
             spec = parse_spec(doc)
-            again = parse_spec(spec.to_json())
+            again = parse_spec(json.dumps(spec.to_document(), indent=2))
             assert again.klass == spec.klass
             assert again.v_polys == spec.v_polys
             assert again.amplitude_names == spec.amplitude_names
