@@ -134,27 +134,52 @@ def check_no_secular(ren: RenExpansion, label="") -> CheckReport:
     return CheckReport("check_no_secular", label, ren.ctx.order, True)
 
 
-def chain_derivative(hs: HarmonicSeries, rg: RGSystem) -> HarmonicSeries:
-    """d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}."""
-    out = hs.time_derivative()
-    for name, f in zip(hs.ctx.amplitudes, rg.fields):
-        d = hs.map_entries(lambda p: p.diff(name))  # zero entries drop out here
-        out = out + d.map_entries(lambda p: p * f)
+def lie_derivative(p: MultiPoly, rg: RGSystem) -> MultiPoly:
+    """L p = sum_k dp/dA_k * F_k: d/dt of p(eps, A(t)) along the RG flow dA/dt = F(A)."""
+    out = p.ctx.zero()
+    for name, f in zip(p.ctx.amplitudes, rg.fields):
+        d = p.diff(name)
+        if not d.is_zero():  # zero derivatives are not multiplied
+            out = out + d * f
     return out
 
 
-def renormalized_residuals(table: SecularTable) -> list:
+def follows_rg_flow(table: SecularTable, rg: RGSystem) -> bool:
+    """Whether the table is the Lie series exp(tL) of its t = 0 slice.
+
+    Two conditions, with L = sum_k F_k d/dA_k and F = rg.fields:
+    (IC) every renormalized amplitude at t = 0 is its own symbol;
+    (F)  dP/dt = L P for every entry of every component, the scalar class's
+         derivative slots included.
+    (G), dA_ren/dt = L A_ren, is (F) on the entries the amplitudes are read
+    from and on their t-derivatives, since L has no t and commutes with d/dt.
+    (G) and (IC) make A_ren the flow Phi_t of F, which gives the group law and
+    both inversion round trips; with (F), P(t, A) = P(0, Phi_t(A)), which is
+    the functional relation (Groebner's Lie series).
+    """
+    ctx = table.ctx
+    if any(a.set_zero("t") != ctx.var(name)
+           for name, a in renormalized_amplitudes(table).items()):
+        return False
+    return all(p.diff_t() == lie_derivative(p, rg)
+               for comp in table.components for p in comp.entries.values())
+
+
+def renormalized_residuals(table: SecularTable, rg: RGSystem) -> list:
     """Residual of the renormalized expansion driven by the RG equation."""
-    rg = derive_rg(table)
+
+    def ddt(hs):  # d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}
+        return hs.time_derivative() + hs.map_entries(lambda p: lie_derivative(p, rg))
+
     comps = renormalized_expansion(table).components
-    return governing_residual(table.spec, comps, lambda hs: chain_derivative(hs, rg))
+    return governing_residual(table.spec, comps, ddt)
 
 
 def check_residual(table: SecularTable) -> CheckReport:
     """Both residuals: the naive table and the RG-driven renormalized form."""
     for kind, residuals in (
         ("naive", table_residuals(table)),
-        ("renormalized", renormalized_residuals(table)),
+        ("renormalized", renormalized_residuals(table, derive_rg(table))),
     ):
         for j, res in enumerate(residuals):
             if not res.is_zero():
@@ -184,8 +209,11 @@ def check_inversion(table: SecularTable) -> CheckReport:
     return _compare_tables(gen(), "check_inversion", table.label, ctx.order)
 
 
-def check_homogeneity(table: SecularTable) -> CheckReport:
-    """Autonomous semisimple weight rule: every monomial has sum r_k m_k = m."""
+def check_homogeneity(table: SecularTable, rg: RGSystem | None = None) -> CheckReport:
+    """Autonomous semisimple weight rule: every monomial has sum r_k m_k = m.
+
+    `rg`, when given, is the table's RG system, so it is not derived again.
+    """
     spec = table.spec
     if spec.klass != "semisimple" or not spec.is_autonomous():
         return CheckReport(
@@ -209,7 +237,7 @@ def check_homogeneity(table: SecularTable) -> CheckReport:
                             f"{monomial_text(ctx.symbols, e)}: weight {w} != {m}"
                         ),
                     )
-    rg = derive_rg(table)
+    rg = rg or derive_rg(table)
     for j, f in enumerate(rg.fields):
         for e in f.terms:
             if (w := weight(e)) != modes[j]:
@@ -220,11 +248,12 @@ def check_homogeneity(table: SecularTable) -> CheckReport:
     return CheckReport("check_homogeneity", table.label, ctx.order, True)
 
 
-def check_autonomous_reduction(table: SecularTable) -> CheckReport:
+def check_autonomous_reduction(table: SecularTable, rg: RGSystem | None = None) -> CheckReport:
     """For autonomous V with zero linear modes the RG equation is the system itself.
 
     Semisimple M=0: field_j = eps*V_j(eps, A_ren) exactly; nilpotent (mode 0):
     field_j = A_{j+1} + eps*V_j(eps, A_ren).  Only harmonic 0 is populated.
+    `rg`, when given, is the table's RG system, so it is not derived again.
     """
     spec = table.spec
     applicable = spec.is_autonomous() and (
@@ -244,7 +273,7 @@ def check_autonomous_reduction(table: SecularTable) -> CheckReport:
                 "check_autonomous_reduction", table.label, ctx.order, False,
                 detail=f"component {j + 1} has harmonics {extra}",
             )
-    rg = derive_rg(table)
+    rg = rg or derive_rg(table)
     eps = ctx.var("eps")
 
     def gen():
@@ -270,16 +299,33 @@ def corrupt_table(table: SecularTable) -> SecularTable:
 
 
 def run_all_checks(table: SecularTable, seed=None) -> list:
-    """Every identity check of the table, each report stamped with `seed`."""
+    """Every identity check of the table, each report stamped with `seed`.
+
+    When the table follows the RG flow (`follows_rg_flow`), the functional
+    relation, the group law and the inversion PASS without a substitution,
+    and the residual check PASSes when the renormalized residual and the
+    scalar slot relations vanish: the naive residual is then the
+    renormalized one along the flow.  Otherwise the reference check runs
+    and gives the verdict and the FAIL detail; a PASS line has no detail,
+    so the report lines are the reference checks' either way.
+    """
+    rg = derive_rg(table)
     ren = renormalized_expansion(table)
+    flow = follows_rg_flow(table, rg)
+    residual_ok = flow and all(
+        r.is_zero() for r in renormalized_residuals(table, rg) + table.slot_residuals())
+
+    def passed(name):
+        return CheckReport(name, table.label, table.ctx.order, True)
+
     reports = [
-        check_functional_relation(table),
-        check_group_property(table),
+        passed("check_functional_relation") if flow else check_functional_relation(table),
+        passed("check_group_property") if flow else check_group_property(table),
         check_no_secular(ren, table.label),
-        check_residual(table),
-        check_inversion(table),
-        check_homogeneity(table),
-        check_autonomous_reduction(table),
+        passed("check_residual") if residual_ok else check_residual(table),
+        passed("check_inversion") if flow else check_inversion(table),
+        check_homogeneity(table, rg),
+        check_autonomous_reduction(table, rg),
     ]
     for r in reports:
         r.seed = seed

@@ -193,6 +193,8 @@ def _parse_pairs(src: str):
 
 
 def cmd_rg(args) -> int:
+    if args.format == "machine" and (args.polar is not None or args.expansion or args.inversion):
+        raise SpecError("--polar/--expansion/--inversion are text-format only")
     spec, label = load_spec(args)
     if spec.klass == "difference":
         u2 = diffmod.LaurentPoly(spec.alpha)

@@ -89,6 +89,17 @@ class SecularTable:
             return out
         raise SpecError(f"no amplitudes for class {spec.klass!r}")
 
+    def slot_residuals(self) -> list:
+        """For the scalar class, slot l's time derivative minus slot l+1.
+
+        All are zero when each derivative slot is the time derivative of the
+        one before; the other classes have no slots, so the list is empty.
+        """
+        if self.spec.klass != "scalar":
+            return []
+        comps = self.components
+        return [comps[l].time_derivative() - comps[l + 1] for l in range(len(comps) - 1)]
+
     def render(self) -> str:
         lines = []
         for j, comp in enumerate(self.components):
@@ -410,8 +421,5 @@ def table_residuals(table: SecularTable) -> list:
     class, one per derivative-slot consistency relation); all are identically
     zero mod eps^(K+1) precisely when the table solves the equation.
     """
-    comps = table.components
-    out = governing_residual(table.spec, comps, HarmonicSeries.time_derivative)
-    if table.spec.klass == "scalar":
-        out += [comps[l].time_derivative() - comps[l + 1] for l in range(len(comps) - 1)]
-    return out
+    residuals = governing_residual(table.spec, table.components, HarmonicSeries.time_derivative)
+    return residuals + table.slot_residuals()

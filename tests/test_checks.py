@@ -1,12 +1,13 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rgperturb.systems import parse_spec
 from rgperturb.demos import load_builtin
 from rgperturb.engine import SecularTable, expand_table, table_residuals
 from rgperturb.poly import HarmonicSeries
-from rgperturb.renorm import renormalized_expansion
+from rgperturb.renorm import derive_rg, renormalized_expansion
 from rgperturb.checks import (
     check_functional_relation,
     check_group_property,
@@ -16,6 +17,7 @@ from rgperturb.checks import (
     check_homogeneity,
     check_autonomous_reduction,
     corrupt_table,
+    follows_rg_flow,
     random_spec,
     renormalized_residuals,
     run_all_checks,
@@ -149,7 +151,7 @@ class TestNonResonantCorruption:
         assert any(not r.is_zero() for r in table_residuals(bad))
         # the bump is a multiple of t, so it vanishes from the t=0 renormalized
         # expansion: only the naive residual sees it
-        assert all(r.is_zero() for r in renormalized_residuals(bad))
+        assert all(r.is_zero() for r in renormalized_residuals(bad, derive_rg(bad)))
 
 
 class TestTopOrderCorruption:
@@ -190,6 +192,138 @@ class TestTopOrderCorruption:
         bad = self.bumped("ex_cd", 1, with_amplitude)
         assert check_functional_relation(bad).passed
         assert not check_residual(bad).passed
+
+
+def reference_lines(table):
+    """The report lines of the reference checks, called one by one."""
+    reports = [
+        check_functional_relation(table),
+        check_group_property(table),
+        check_no_secular(renormalized_expansion(table), table.label),
+        check_residual(table),
+        check_inversion(table),
+        check_homogeneity(table),
+        check_autonomous_reduction(table),
+    ]
+    return [r.line() for r in reports]
+
+
+def with_bump(table, j, m, bump, tag):
+    comps = list(table.components)
+    comps[j] = comps[j] + HarmonicSeries.single(m, bump)
+    return SecularTable(table.spec, table.ctx, comps, table.resonant,
+                        label=f"{table.label}#{tag}")
+
+
+def shifted_amplitude(table):
+    """eps*A1 on the first resonant entry: A_ren(eps, 0, A) is no longer A."""
+    ctx = table.ctx
+    j, m = table.resonant[0]
+    return with_bump(table, j, m, ctx.var("eps") * ctx.var(ctx.amplitudes[0]), "ic")
+
+
+def doubled_field_term(table):
+    """The first eps>=1, t^1 term of a resonant entry doubled: one term of F changes."""
+    ctx = table.ctx
+    j, m = table.resonant[0]
+    e, c = next((e, c) for e, c in table.entry(j, m).sorted_terms()
+                if ctx.split(e)[0] >= 1 and ctx.split(e)[1] == 1)
+    return with_bump(table, j, m, ctx.monomial(c, e), "field")
+
+
+def bumped_slot(table):
+    """A constant eps on derivative slot 1, harmonic 0 of a scalar table."""
+    return with_bump(table, 1, 0, table.ctx.var("eps"), "slot")
+
+
+def builtin_table(name):
+    return expand_table(load_builtin(name), label=name)
+
+
+# control -> (a builder of the corrupted table, whether it still follows the
+# RG flow); each breaks one condition or residual the fast path relies on
+CONTROLS = {
+    **{f"non-resonant-{name}": (
+        lambda name=name: TestNonResonantCorruption.bump_non_resonant(builtin_table(name)),
+        False) for name in ("ex_cd", "ex_bt", "ex_third", "ex_oscillators")},
+    **{f"initial-condition-{name}": (lambda name=name: shifted_amplitude(builtin_table(name)),
+                                     False) for name in ("ex_cd", "ex_bt", "ex_third")},
+    # no forcing, so F = 0 and (F) holds: only the initial condition sees it
+    "initial-condition-unforced": (lambda: shifted_amplitude(make_table(
+        label="free", **{"class": "semisimple", "linear_part": [1, -1],
+                         "V": ["0", "0"], "order": 3})), False),
+    **{f"field-term-{name}": (lambda name=name: doubled_field_term(builtin_table(name)), False)
+       for name in ("ex_cd", "ex_bt")},
+    # eps^K * t * M(A) keeps (F) where L's eps^0 part cannot reach M: always
+    # on ex_cd (F = O(eps)), and on ex_bt (F_1 = A2 + O(eps)) only for M = 1
+    **{f"top-t{k}-{name}{'-A' if amp else ''}": (
+        lambda name=name, k=k, amp=amp: TestTopOrderCorruption.bumped(name, k, amp),
+        k == 1 and (name == "ex_cd" or not amp))
+       for name in ("ex_cd", "ex_bt") for k in (1, 2) for amp in (False, True)},
+    "slot-ex_third": (lambda: bumped_slot(builtin_table("ex_third")), True),
+}
+
+
+class TestLieConditions:
+    """`run_all_checks` decides PASS by the Lie-derivative conditions and
+    falls back to the reference checks; its lines must be theirs."""
+
+    @pytest.mark.parametrize("control", sorted(CONTROLS))
+    def test_control_lines_equal_the_reference(self, control):
+        build, flows = CONTROLS[control]
+        bad = build()
+        assert follows_rg_flow(bad, derive_rg(bad)) is flows
+        lines = [r.line() for r in run_all_checks(bad)]
+        assert lines == reference_lines(bad)
+        assert any(line.startswith("FAIL") for line in lines)
+
+    def test_slot_relations_are_part_of_the_fast_residual(self):
+        # (F) and (G) hold and the renormalized residual (slot 0 alone) is
+        # zero: only the slot relation sees the bump
+        bad = bumped_slot(builtin_table("ex_third"))
+        assert all(r.is_zero() for r in renormalized_residuals(bad, derive_rg(bad)))
+        residual = run_all_checks(bad)[3].line()
+        assert residual == ("FAIL check_residual [ex_third#slot K=4] :: "
+                            "naive residual, component 2, harmonic 0: -eps")
+
+    @settings(max_examples=60, deadline=None)
+    @example(klass="semisimple", seed=0, order=None, corrupt=False)
+    @example(klass="nilpotent", seed=1, order=4, corrupt=True)
+    @example(klass="scalar", seed=6, order=None, corrupt=True)
+    @example(klass="scalar", seed=6, order=4, corrupt=False)
+    @given(klass=st.sampled_from(["semisimple", "nilpotent", "scalar"]),
+           seed=st.integers(0, 999), order=st.sampled_from([None, 4]), corrupt=st.booleans())
+    def test_verdicts_agree_with_the_reference(self, klass, seed, order, corrupt):
+        table = expand_table(random_spec(klass, seed, order), label=f"random-{klass}-{seed}")
+        if corrupt:
+            table = corrupt_table(table)
+        assert [r.line() for r in run_all_checks(table)] == reference_lines(table)
+
+    def test_a_passing_table_takes_the_fast_path(self, cd4, monkeypatch):
+        # a silent fallback to the reference checks would keep every line and
+        # lose the gain: no substitution is built and V is evaluated once per
+        # component, for the renormalized residual alone
+        import rgperturb.engine as engine
+        from rgperturb import poly
+
+        built, evaluated = [], []
+        substitution_init = poly.Substitution.__init__
+        eval_vpoly_hs = engine.eval_vpoly_hs
+
+        def counting_init(self, *args):
+            built.append(args)
+            substitution_init(self, *args)
+
+        def counting_eval(*args, **kwargs):
+            evaluated.append(args)
+            return eval_vpoly_hs(*args, **kwargs)
+
+        monkeypatch.setattr(poly.Substitution, "__init__", counting_init)
+        monkeypatch.setattr(engine, "eval_vpoly_hs", counting_eval)
+        reports = run_all_checks(cd4)
+        assert all(r.ok for r in reports)
+        assert built == []
+        assert len(evaluated) == len(cd4.components) == 2
 
 
 class TestHomogeneity:

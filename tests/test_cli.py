@@ -270,6 +270,13 @@ class TestRG:
         names = [name for name, _ in doc["fields"]]
         assert names == ["A1", "A2"]
 
+    @pytest.mark.parametrize("flag", [["--polar", "1:2"], ["--expansion"], ["--inversion"]],
+                             ids=lambda flag: flag[0])
+    def test_text_only_flag_in_machine_format_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "rg", "--builtin", "ex_cd", "--format", "machine", *flag)
+        assert code == 2 and out == ""
+        assert err == "error: --polar/--expansion/--inversion are text-format only\n"
+
     def test_machine_roundtrip(self, capsys):
         from rgperturb.cli import rg_from_machine
         from rgperturb.renorm import derive_rg
