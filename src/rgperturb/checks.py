@@ -3,7 +3,9 @@
 Every check is an exact polynomial comparison after canonicalization --
 numeric sampling never decides a check (the CLI keeps a numeric smoke layer,
 but it is redundant by construction).  Failures report the first offending
-(component, harmonic, monomial) with both sides' coefficients.
+(component, harmonic, monomial) with both sides' coefficients, "first" in a
+fixed order that no table insertion order can move: components in index
+order, harmonics in `support()` order, monomials in `sorted_terms()` order.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ def functional_relation(ctx: PolyContext, amplitudes: dict, entries, label) -> C
 def check_functional_relation(table: SecularTable) -> CheckReport:
     """P_{j,m}(eps,t,A) = P_{j,m}(eps,t-s, A_ren(eps,s,A)) for the secular table."""
     entries = (
-        (f"component {j + 1}, harmonic {m}", p)
+        (f"component {j + 1}, harmonic {m}", comp.entries[m])
         for j, comp in enumerate(table.observed_components())
-        for m, p in comp.entries.items()
+        for m in comp.support()
     )
     return functional_relation(
         table.ctx, renormalized_amplitudes(table), entries, table.label
@@ -127,7 +129,8 @@ def check_group_property(table: SecularTable) -> CheckReport:
 def check_no_secular(ren: RenExpansion, label="") -> CheckReport:
     """Every renormalized-expansion entry is free of bare t (and s)."""
     for j, comp in enumerate(ren.components):
-        for m, p in comp.entries.items():
+        for m in comp.support():
+            p = comp.entries[m]
             if p.degree("t") > 0 or p.degree("s") > 0:
                 detail = f"component {j + 1}, harmonic {m}: t-degree {p.degree('t')}"
                 return CheckReport("check_no_secular", label, ren.ctx.order, False, detail=detail)
@@ -226,25 +229,29 @@ def check_homogeneity(table: SecularTable, rg: RGSystem | None = None) -> CheckR
     def weight(e):
         return sum(k * mode for k, mode in zip(ctx.split(e)[3], modes))
 
+    def first_off(p, want):
+        """The first monomial of p in the canonical order whose weight is not want."""
+        if all(weight(e) == want for e in p.terms):
+            return None
+        return next(e for e, _ in p.sorted_terms() if weight(e) != want)
+
     for j, comp in enumerate(table.components):
-        for m, p in comp.entries.items():
-            for e in p.terms:
-                if (w := weight(e)) != m:
-                    return CheckReport(
-                        "check_homogeneity", table.label, ctx.order, False,
-                        detail=(
-                            f"component {j + 1}, harmonic {m}, monomial "
-                            f"{monomial_text(ctx.symbols, e)}: weight {w} != {m}"
-                        ),
-                    )
-    rg = rg or derive_rg(table)
-    for j, f in enumerate(rg.fields):
-        for e in f.terms:
-            if (w := weight(e)) != modes[j]:
+        for m in comp.support():
+            if (e := first_off(comp.entries[m], m)) is not None:
                 return CheckReport(
                     "check_homogeneity", table.label, ctx.order, False,
-                    detail=f"RG field {ctx.amplitudes[j]}: weight {w} != {modes[j]}",
+                    detail=(
+                        f"component {j + 1}, harmonic {m}, monomial "
+                        f"{monomial_text(ctx.symbols, e)}: weight {weight(e)} != {m}"
+                    ),
                 )
+    rg = rg or derive_rg(table)
+    for j, f in enumerate(rg.fields):
+        if (e := first_off(f, modes[j])) is not None:
+            return CheckReport(
+                "check_homogeneity", table.label, ctx.order, False,
+                detail=f"RG field {ctx.amplitudes[j]}: weight {weight(e)} != {modes[j]}",
+            )
     return CheckReport("check_homogeneity", table.label, ctx.order, True)
 
 
@@ -267,7 +274,7 @@ def check_autonomous_reduction(table: SecularTable, rg: RGSystem | None = None) 
         )
     ctx = table.ctx
     for j, comp in enumerate(table.components):
-        extra = [m for m in comp.entries if m != 0]
+        extra = [m for m in comp.support() if m != 0]
         if extra:
             return CheckReport(
                 "check_autonomous_reduction", table.label, ctx.order, False,

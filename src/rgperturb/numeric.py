@@ -18,12 +18,16 @@ state gets; an initial state that is already non-finite is reported at t0.
 Every numeric field -- the direct equation (linear part and forcing), the
 complex and polar RG fields and the reconstruction, which at t = 0 also gives
 the initial state -- is compiled once, before its integration, into one
-generated straight-line Python function (`_StraightLine`).  Its sums follow
-the insertion order of the term dicts (V harmonic by harmonic, then each
-polynomial's terms), so the output depends on that order.  The generated code does the same
-floating-point operations, in the same order and on the same operand types,
-as the term-by-term loops it replaced (kept in tests/test_numeric.py as
-references), so its output is bit-identical to theirs by construction.
+generated straight-line Python function (`_StraightLine`).  Every sum over
+the engine's output runs in one fixed order that no table insertion order
+can move: a polynomial's terms in ``MultiPoly.sorted_terms()`` order, a
+series' harmonics in ``support()`` order and a polar series' terms in the
+order of their keys.  The forcing V is summed in the spec's own order
+(harmonic by harmonic, then each polynomial's terms as written), which
+comes from the parser, not from the engine.  The generated code does the
+same floating-point operations, in the same order and on the same operand
+types, as the term-by-term loops it replaced (kept in tests/test_numeric.py
+as references), so its output is bit-identical to theirs by construction.
 
 CSV columns are ``t, re_1, im_1, ...`` with 17 significant digits and LF line
 endings; SVG output is a dependency-free, self-contained line plot for human
@@ -269,12 +273,11 @@ def _poly_sum(g: _StraightLine, p: MultiPoly, eps: float, param_values: dict,
               amps: list) -> str:
     """Emit an autonomous RG-side poly; name of its sum.
 
-    amps[j] is the expression of amplitude j.
-
-    coeff * params * eps**k is folded at build time.
+    amps[j] is the expression of amplitude j.  The terms are summed in
+    `sorted_terms()` order; coeff * params * eps**k is folded at build time.
     """
     products = []
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         k_eps, t, s, ae, pe = p.ctx.split(e)
         if t or s:
             raise ValueError("polynomial must be autonomous (no t or s)")
@@ -311,11 +314,11 @@ def _trig_sum(g: _StraightLine, ts: TrigSeries, eps: float, pvals, p: int) -> st
 
     float(q) * eps**k and every param**e are folded at build time; the
     phase m*t + w.theta keeps its zero weights and is summed from int 0, as
-    builtins.sum does.
+    builtins.sum does.  The terms are summed in the order of their keys.
     """
     thetas = [g.local(f"y[{p + a}].real") for a in range(p)]
     products = []
-    for (k, rexps, pexps, m, w, kind), q in ts.terms.items():
+    for (k, rexps, pexps, m, w, kind), q in sorted(ts.terms.items()):
         factors = [g.const(float(q) * eps ** k)]
         factors += [g.power(f"y[{a}].real", e) for a, e in enumerate(rexps) if e]
         factors += [g.const(pval ** e) for pval, e in zip(pvals, pexps) if e]
@@ -349,7 +352,12 @@ def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
 
     With `pairs`, the second argument is a polar state (R_1..R_p,
     theta_1..theta_p) and the amplitudes are R e^{i theta}, R e^{-i theta},
-    pair by pair, the conjugate taken of the first.
+    pair by pair, the conjugate taken of the first.  Each Y_j adds its
+    harmonics m and -m together first and then these pair sums by |m|
+    ascending: the order is fixed by m alone and is its own mirror under
+    m -> -m, so two components whose entries mirror each other (P[j', -m]
+    the conjugate of P[j, m] with the pairs swapped) sum to exact
+    conjugates wherever their polynomial sums do.
 
     Entries that are zero after the cut are left out.  Each would add
     0j * e^{imt}, whose parts are +-0.0, to a total that starts at 0j; a sum
@@ -370,11 +378,15 @@ def reconstruction_field(ren: RenExpansion, eps: float, eps_order: int,
     sums = []
     for comp in ren.components:
         products = []
-        for m, p in comp.entries.items():
-            p = p.trunc(eps_order)
-            if not p.is_zero():
-                s = _poly_sum(g, p, eps, params, amps)
-                products.append([s, g.harmonic(m)] if m else [s])
+        for a in sorted({abs(m) for m in comp.entries}):
+            pair = []
+            for m in (a, -a) if a else (0,):
+                p = comp.get(m).trunc(eps_order)
+                if not p.is_zero():
+                    s = _poly_sum(g, p, eps, params, amps)
+                    pair.append(f"{s} * {g.harmonic(m)}" if m else s)
+            if pair:
+                products.append([g.local(" + ".join(pair))])
         sums.append(g.sum("0j", products))
     return g.function("t, amps", f"[{', '.join(sums)}]")
 

@@ -459,13 +459,16 @@ class MultiPoly:
 
     # -- numeric evaluation ----------------------------------------------------
     def eval_complex(self, values: dict) -> complex:
-        """Evaluate at a numeric point; every symbol actually present must be bound."""
+        """Evaluate at a numeric point; every symbol actually present must be bound.
+
+        The terms are summed in `sorted_terms()` order.
+        """
         ctx = self.ctx
         bound = [None] * ctx.nvars
         for name, v in values.items():
             bound[ctx.index(name)] = complex(v)
         total = 0j
-        for e, c in self.terms.items():
+        for e, c in self.sorted_terms():
             v = complex(c)
             for i, k in enumerate(e):
                 if k:

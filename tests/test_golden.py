@@ -59,28 +59,28 @@ COSINE_DOC = {"class": "difference", "alpha": [[2, "1"], [-2, "1"]], "order": 6,
 GOLDEN = {
     ("ex_bt", "expand"): (0, "bc16841b949144d20205e873b5808ebc26165203c650f644331d2ca56d7ab5e4"),
     ("ex_bt", "rg"): (0, "a5849a094291daf3f9b21bca26e9350f1cbc9a7367bcf8e1942107a3b0153c2b"),
-    ("ex_bt", "corrupt"): (1, "15d3ba3b9b9bd6481cae96797f75e6f2ad552ebefbcc94467153c25a819130b6"),
+    ("ex_bt", "corrupt"): (1, "d802461c776b14e85921323c5ad31f99f5bd784a776bd113563ffb7a6c109206"),
     ("ex_bt", "verify4"): (0, "9a5ef373b432b5785e13e392f8d5c16c5ed98922559755183a5c1114d5f9a5f7"),
     ("ex_bt", "expand5"): (0, "08fc6749778f50664a813f08f24d353bb4037346b36b33cfef4cbcf124137d28"),
     ("ex_cd", "expand"): (0, "22acbcc59ebf77f74a13158d39e44ac680ed2feb61dfde4d937846aa8cb816fe"),
     ("ex_cd", "rg"): (0, "11cdc8279312d379b5defebe6ec6e50a722986578e9999f5e3276c52b225385a"),
-    ("ex_cd", "corrupt"): (1, "024f72aa9015f4e3acc2d753a00c7d48debc763f27272002e63f718a151c71f0"),
+    ("ex_cd", "corrupt"): (1, "ae430ae1f2f1fcd82283702ac3ad36c05756b70e2ef942cc9541c6b7a7acc8dc"),
     ("ex_cd", "verify8"): (0, "db199622b566698d1f17625d0b44f1fe4d9b3cb3d79edebd88e1bdb4b8740226"),
     ("ex_cd", "verify10"): (0, "ff55f1f743487125dedb619c4d7dac2c4291d43e59871bfc114d5246a88ba4ce"),
-    ("ex_cd", "corrupt8"): (1, "aaeeeb06f0de069db888a6ce1f07f9593ea3174bb472b22180b213eec7cd7974"),
+    ("ex_cd", "corrupt8"): (1, "dfb29afe98b38cc1d51728ea17e4605132d611e854cd0fa6746a90968e0bee45"),
     ("ex_cd", "expand12"): (0, "6b689daa1c5cb4ff73cf4e7e694bd7a68df2d269823d1d23fb1566f9c50d45e5"),
     ("ex_difference", "expand"): (0, "e1f601cf35201a53bd1e11c4376b33ada2633119cdd12a163f0023cce110ac4a"),
     ("ex_difference", "rg"): (0, "0929a1010cab84e221896ca5d1fa8b881bbf8f7b152b2ef739dfdce3f92295d3"),
     ("ex_difference", "corrupt"): (0, "f7d650e89a1d6c2268908bb5ac190b70dea9b1e6ee9e2bed81e3c41a5bb07feb"),
     ("ex_oscillators", "expand"): (0, "bbdd097ac47ef2e3da0d5ccda8638309a933522b9c7c19a64a49c363d4a8bfb0"),
     ("ex_oscillators", "rg"): (0, "1b10c25c040172e35c5a48a4b756a84eeb35f61084ecc3ae04913f444ccddeac"),
-    ("ex_oscillators", "corrupt"): (1, "69e272109710c7da14f23f9e97d9a46ea9a13f7c809f416c0d79d357523fd4e9"),
+    ("ex_oscillators", "corrupt"): (1, "ca283b90ca2ff17026417cb9f167d80a1dcb35658b9a32ad0d29b25c5aaafe57"),
     ("ex_scalar1", "expand"): (0, "6d5b7561de9915c498b284ec429449afab55fab7e1a9677ba4508a9b93e8d89d"),
     ("ex_scalar1", "rg"): (0, "84ba2eaf4274c1e1f7238ade64beccd43d6770dabe289815dc3cc205656298bf"),
     ("ex_scalar1", "corrupt"): (1, "8ead510e9cbb1c00d9b54fb286eef7e91dcff2021206e61595c9824df2f5b92f"),
     ("ex_third", "expand"): (0, "719e29fdb7c679b51761f2b47c8dc763bd38ec5425c73f703cc2ff2a2a527209"),
     ("ex_third", "rg"): (0, "6b9525224afed5e199deadb959022a5c3509686779f943858c904dac96dec8ae"),
-    ("ex_third", "corrupt"): (1, "aa34e0e95d3881e09538ad74a4d5fbf017b522e80eeecec51f15591e554c81d7"),
+    ("ex_third", "corrupt"): (1, "59e8743d0bea34067dfdc5a128c2f19eb93ccc37e9fc4fa15e63d6fb279f07a2"),
     ("ex_third", "expand6"): (0, "70344e80e0ee75f0aca00b12781d11e9df20c2227d95865ee9cab754aaa6b7d6"),
     # a scalar spec whose corrupted naive residual depends on the table's own
     # derivative slots, not only on slot 0 (the built-ins do not show this)
@@ -125,19 +125,19 @@ SIMULATE_ARGS = {
 SIMULATE_GOLDEN = {
     "default": {
         "stdout": "d0044401ff2e23189133d095ed2f56d523976e210b7a05ab5d0744613e1a450d",
-        "ex_cd_direct.csv": "02019b91701f4e69e7e25ab40080fca03378f90fe4c7bd9b16b4ba94c6f20987",
+        "ex_cd_direct.csv": "5e28e4959fa6c20e18845ff824633c9ce71dd95a6744a4bd35afcae2d3f56209",
         "ex_cd_direct.svg": "be23df7e288175506a271f89234072b816896795863c6f4aa9c9360970d1bd33",
         "ex_cd_overlay.svg": "8c40624f89bcd2cf9c32d8bada8b6cbff4335746e68686068eabf5468dffa138",
-        "ex_cd_reconstruction.csv": "c0bb03ba46c4212dd83a2ce5f349001afa6b4b82616cf64d52aa52bbfbc4868b",
+        "ex_cd_reconstruction.csv": "fc2e671d20719360495ebcd872da83bc71b67970668cffe29259c6d057105f0d",
         "ex_cd_rg.svg": "199225e0134fbc111e468f5249c281599c5f680cfba16b3c78b7b92310e9acf5",
-        "ex_cd_rg_polar.csv": "bcac48f9c206078c8a90534785b11a4e481085c3576c7a383cf8b23954c0aa8d",
+        "ex_cd_rg_polar.csv": "79082ad06648b75d9e1ef6c3b33cf0293d4b676cb786d1b90438334c67d61fcd",
     },
     "settings": {
         "stdout": "e07982cf7562d09d03e2bb4cfa447b58289ba8361f2dee95e4558011f67b15d5",
         "ex_cd_direct.csv": "64876e1c6593c9247d154dd55f890aef88d0e55f56a247d4e62e11896cca7acf",
         "ex_cd_direct.svg": "699e2c7d60f091def4ec3140f49e572c96c2824ee45d33e79da5e13d719bb8cd",
         "ex_cd_overlay.svg": "9812dec1976a139df70c798b06d57a751f13595bca42e87ae31a8436f792adcf",
-        "ex_cd_reconstruction.csv": "500e1fb8217e25acdf7d1b12fa66187da6ea75eb0b7d1f1364707c0e681f7710",
+        "ex_cd_reconstruction.csv": "8c02a826c2a57cb475b8e1c9bf839e547b598472e91fcc734a205e4a9ecc8e83",
         "ex_cd_rg.svg": "0b1092277df3fdba19fe31334189f4550d1a6ec2d12fca81e68685d7a3faf1c7",
         "ex_cd_rg_polar.csv": "75ccbd49b14938cf1e21edc7d852c8a399bf5cd2fbb2fb320d54d191d54ad359",
     },
@@ -162,10 +162,10 @@ TWO_MODE_DOC = {
 }
 TWO_MODE_GOLDEN = {
     "stdout": "01cdab9990ae2c28b7b5f59d1458a040a15b8340c98889c77b3228428f650966",
-    "two_mode.json_direct.csv": "248fc3005d149a6234a9d5f0f95f6fce4526f7829039650468de34267dea08ab",
+    "two_mode.json_direct.csv": "0ae29d69d45c35f58ecd4cfd3b59e132eeef3636818d85c8c523e0a39ade917b",
     "two_mode.json_direct.svg": "fc46f3b21085af0a77732366780811ca9ab41b99a690862c49c8c95b934bedc9",
     "two_mode.json_overlay.svg": "b1766019c1fcddb9e22f72293bce8d8a28856186e5c155c74b1637a784226197",
-    "two_mode.json_reconstruction.csv": "f67e15e331c442cb65d0bb3354d3445f1e3613b5d13109d39c2d2643a8d291b6",
+    "two_mode.json_reconstruction.csv": "a9915a399c314584fbc0d149b30a37280a573ce049de2a1a2a20e852675bbaf8",
     "two_mode.json_rg.svg": "37fd058f8c2f0d47a2bd519c18c7c5d7ceabc7076e3429a14daf584beed667c3",
     "two_mode.json_rg_polar.csv": "5e85e3553cd5958d16f03a4509eed50bcfa1e59f892b691d2ab50fa1658aa8f7",
 }
@@ -209,21 +209,21 @@ TRAJ_Y0 = {
 TRAJECTORY_GOLDEN = {
     ("ex_bt", "integrate_ode"): "54a2ea73d7430be30e2726be51209b6d8d12d09d6fcebe7a44b8ce895db01f64",
     ("ex_bt", "integrate_rg"): "7bb7a856fa394314522dd1ac7c74d8807adf2299c7bcb51add333903267a3cb3",
-    ("ex_bt", "reconstruct"): "38de1df5b36c00f00b8b664d2c0d6228bf28c178c7ba81eb2acfac333925515f",
+    ("ex_bt", "reconstruct"): "7d0f438d65d81a580101691005f08a04b89c9d81d93e569b9856711fc7e3f1fc",
     ("ex_oscillators", "integrate_ode"): "6725f13a4c58af66bd4778c09581e03549a35bde9e3754013494d9baea12da1b",
     ("ex_oscillators", "integrate_rg"): "c102e37274771f4b79b9d1c9d3a00ae2f4567c891063e16c823068ee562e1fc9",
-    ("ex_oscillators", "reconstruct"): "fa46a6465508588a2d1033e3d5772f2149248601ebb9d4b00394b65d83707dc4",
-    ("ex_oscillators", "integrate_polar"): "cec1f75370a445a1c949a16c8c792db5d845a5b3e5de6babce3f312a281438bb",
-    ("ex_oscillators", "reconstruct_polar"): "1b4c0bed0adc314bb3f7c77b612e7c25f5187dc632e093ef2386ba3a2e8260de",
+    ("ex_oscillators", "reconstruct"): "35da9e74ac27486ccdb01e622d0839bebbf80e4525ed8c450208ec97331afa30",
+    ("ex_oscillators", "integrate_polar"): "fcb82bc59627760eea78eb39a21da1e70afd1a690e2dd3d6f1f23d85e5276df0",
+    ("ex_oscillators", "reconstruct_polar"): "d5b64872fe696098592948a90785063d285af01b70b6c95a6a46bb78ecd45fa5",
     ("ex_scalar1", "integrate_ode"): "005b67c41d16fa49799e3f6b6be394fd7de4d964e09a29923a9c9380eccf5328",
     ("ex_scalar1", "integrate_rg"): "16e73427d1a2ab87c7acbe08282e4ec6bf531076a11d8e919c8b9704070ec2a1",
     ("ex_scalar1", "reconstruct"): "16e73427d1a2ab87c7acbe08282e4ec6bf531076a11d8e919c8b9704070ec2a1",
     ("ex_third", "integrate_ode"): "99c72fec5d58eb7dfc589acaf64d28e25f6a2bd59f6bf92519b3ba0584b8fe81",
     ("ex_third", "integrate_rg"): "65ff57b0722526ab5ea9b26bee840e2d4344f56080dc9bf1064ef58ac7b07d65",
-    ("ex_third", "reconstruct"): "1c436a433f35f3b76c2c369daa4ff6968a177f7c2859f6289c28af2b0ef0247a",
+    ("ex_third", "reconstruct"): "af2a07e1cb85b1d64a050e95192cf0320a65d59924b131a5b923a1a4cf931c56",
     ("random-scalar-18", "integrate_ode"): "73f08a1aaa51958034a3fad6b66ac46ecd09f576f6d42e83946db1edeaca12f1",
     ("random-scalar-18", "integrate_rg"): "3db1068b95a454ca9dfb38118c6cd79faa0caedea5845921c7ebfad44b877dcd",
-    ("random-scalar-18", "reconstruct"): "9f50a40219acaf7e7e25f2001bc0a311e63d1d0788e54a3bcad84221cbc9e93a",
+    ("random-scalar-18", "reconstruct"): "dfbed173e54894e9a3d084ccd11faafb037f46070d3acdd668f74d198f24afac",
 }
 
 

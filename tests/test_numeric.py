@@ -351,11 +351,14 @@ def reference_compile_vpoly(vp, param_values):
 
 
 def reference_compile_poly(p, param_values):
-    """Numeric closure (eps, amp_values list) -> complex for an RG-side poly."""
+    """Numeric closure (eps, amp_values list) -> complex for an RG-side poly.
+
+    The terms are summed in `sorted_terms()` order.
+    """
     ctx = p.ctx
     namp = len(ctx.amplitudes)
     terms = []
-    for e, c in p.terms.items():
+    for e, c in p.sorted_terms():
         if e[1] or e[2]:
             raise ValueError("polynomial must be autonomous (no t or s)")
         coeff = complex(c)
@@ -381,9 +384,10 @@ def reference_compile_poly(p, param_values):
 
 
 def reference_trig_eval(ts, eps, radii, thetas, params=(), t=0.0):
-    """The original `TrigSeries.eval`: a polar series at one point."""
+    """The original `TrigSeries.eval`: a polar series at one point, its terms
+    summed in the order of their keys."""
     total = 0.0
-    for (k, rexps, pexps, m, w, kind), q in ts.terms.items():
+    for (k, rexps, pexps, m, w, kind), q in sorted(ts.terms.items()):
         v = float(q) * eps ** k
         for r, e in zip(radii, rexps):
             if e:
@@ -464,21 +468,34 @@ def reference_polar_field(polar, eps, cut, params):
     return f
 
 
+def reference_harmonic_pairs(comp, cut, params):
+    """[(m, compiled entry), ...] per |m| ascending, m before -m; entries
+    that are zero after the cut are left out, as `reconstruction_field` does."""
+    groups = []
+    for a in sorted({abs(m) for m in comp.entries}):
+        group = [(m, reference_compile_poly(comp.get(m).trunc(cut), params))
+                 for m in ((a, -a) if a else (0,)) if not comp.get(m).trunc(cut).is_zero()]
+        if group:
+            groups.append(group)
+    return groups
+
+
 def reference_reconstruction(ren, eps, cut, params):
-    compiled = [
-        [(m, reference_compile_poly(p.trunc(cut), params)) for m, p in comp.entries.items()]
-        for comp in ren.components
-    ]
+    """Y_j(t): each harmonic m and -m added together first, the pairs by |m|."""
+    compiled = [reference_harmonic_pairs(comp, cut, params) for comp in ren.components]
 
     def values(t, amps):
         row = []
-        for entries in compiled:
+        for groups in compiled:
             total = 0j
-            for m, fn in entries:
-                v = fn(eps, amps)
-                if m:
-                    v *= complex(math.cos(m * t), math.sin(m * t))
-                total += v
+            for group in groups:
+                vs = []
+                for m, fn in group:
+                    v = fn(eps, amps)
+                    if m:
+                        v *= complex(math.cos(m * t), math.sin(m * t))
+                    vs.append(v)
+                total += vs[0] if len(vs) == 1 else vs[0] + vs[1]
             row.append(total)
         return row
 
@@ -487,12 +504,10 @@ def reference_reconstruction(ren, eps, cut, params):
 
 def reference_initial_state(ren, eps, cut, r0, theta0):
     amps0 = reference_amplitudes_from_polar(np.array([r0, theta0], dtype=complex), 1)
-    compiled0 = [
-        [(m, reference_compile_poly(p.trunc(cut), {})) for m, p in comp.entries.items()]
-        for comp in ren.components
-    ]
+    compiled0 = [reference_harmonic_pairs(comp, cut, {}) for comp in ren.components]
     return np.array(
-        [sum(fn(eps, amps0) for m, fn in entries) for entries in compiled0],
+        [sum(sum(fn(eps, amps0) for m, fn in group) for group in groups)
+         for groups in compiled0],
         dtype=complex,
     )
 
