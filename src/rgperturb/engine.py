@@ -17,10 +17,14 @@ metadata.
 
 The three engines share one order-by-order driver, `_expand`; each class
 supplies only its setup and a `solve` step built on `_invert`, which inverts
-the shifted time-derivative operator harmonic by harmonic.  The forcing
-layer each order needs comes from `ForcingLayers`, a relaxed cache of the
+the shifted time-derivative operator harmonic by harmonic: each
+non-resonant factor by `poly.resolve_shift`, the closed form
+P = sum_k (-1)^k c^(-k-1) d^k rhs/dt^k written term by term into one
+accumulator, and each resonant factor by `antidiff_t`.  The forcing layer
+each order needs comes from `ForcingLayers`, a relaxed cache of the
 eps-layers of the state powers that lives for one `_expand` call, so every
-layer is computed once.  `governing_residual` substitutes series back into
+layer is computed once; it hands the layer over already multiplied by
+eps^k, a shift of the packed keys of V's coefficient monomials.  `governing_residual` substitutes series back into
 the class's equation; its forcing goes through `eval_vpoly_hs`, the
 from-scratch evaluator on whole series that the engine does not use, so the
 residual check stays independent of `ForcingLayers`.  Its cache holds each
@@ -39,6 +43,7 @@ from .poly import (
     HarmonicSeries,
     hs_pow,
     resolve_shift,
+    sum_of_products,
 )
 from .systems import ODESystemSpec, SpecError
 
@@ -164,13 +169,18 @@ class ForcingLayers:
     """The eps-layers of V on the table being built, each computed once.
 
     One object serves one `_expand` call; at order k it is handed the table,
-    final through eps^(k-1), and returns the eps^(k-1) layer of V on it.  It
-    keeps the eps-layers y_j[a] of every component and, per state monomial
-    se, the layers of y^se computed so far.  Layer n of y^se is
-    sum_{a=0..n} y_j[a] * L(se - e_j)[n-a], peeling the lowest nonzero state
-    j as `poly.Substitution` does, so each order adds only the new layers:
-    online ("relaxed") power-series multiplication, van der Hoeven, J. Symb.
-    Comp. 34 (2002).  `eval_vpoly_hs` remains the reference evaluator.
+    final through eps^(k-1), and returns eps^k times the eps^(k-1) layer of
+    V on it.  It keeps the eps-layers y_j[a] of every component and, per
+    state monomial se, the layers L(se)[0], L(se)[1], ... of y^se computed
+    so far.  A power is built by repeated squaring: with an odd exponent,
+    one factor of the lowest state j with an odd exponent is peeled off,
+    L(se)[n] = sum_{a=0..n} y_j[a] * L(se - e_j)[n-a]; with all exponents
+    even, L(se)[n] = sum_{a=0..n} L(se/2)[a] * L(se/2)[n-a], each cross pair
+    taken once and doubled.  So y^se needs O(log |se|) powers, and each
+    order adds only the new layers: online ("relaxed") power-series
+    multiplication, van der Hoeven, J. Symb. Comp. 34 (2002).  Every layer
+    is one `sum_of_products`.  `eval_vpoly_hs` remains the reference
+    evaluator.
     """
 
     def __init__(self, v_polys, ctx: PolyContext):
@@ -181,31 +191,38 @@ class ForcingLayers:
 
     def _power(self, se: tuple, n: int) -> HarmonicSeries:
         """L(se)[n], the eps^n layer of y^se."""
-        powers = self._powers
-        # peel one state at a time off se, down to a power whose layers reach
-        # n or to y^0, then extend the layers of each power bottom-up
-        chain = []
-        while len(powers.setdefault(se, [])) <= n and any(se):
-            j = min(i for i, k in enumerate(se) if k)
-            chain.append((se, j))
-            se = se[:j] + (se[j] - 1,) + se[j + 1:]
-        layers = powers[se]
-        while len(layers) <= n:  # only y^0 can be short here
-            layers.append(HarmonicSeries.zero(self.ctx) if layers
-                          else HarmonicSeries.single(0, self.ctx.one()))
-        for se, j in reversed(chain):
-            lower, layers = layers, powers[se]
-            for r in range(len(layers), n + 1):
-                acc = HarmonicSeries.zero(self.ctx)
-                for a in range(r + 1):
-                    y = self._layers[a][j]
-                    if y.entries:
-                        acc = acc + y.mul(lower[r - a])
-                layers.append(acc)
+        layers = self._powers.setdefault(se, [])
+        while len(layers) <= n:
+            layers.append(self._new_layer(se, len(layers)))
         return layers[n]
 
+    def _new_layer(self, se: tuple, r: int) -> HarmonicSeries:
+        """L(se)[r], from the layers of y_j and of the smaller powers."""
+        ctx = self.ctx
+        odd = [j for j, k in enumerate(se) if k & 1]
+        if not odd:
+            if not any(se):  # y^0 = 1
+                return HarmonicSeries.single(0, ctx.one()) if not r else HarmonicSeries.zero(ctx)
+            half = tuple(k >> 1 for k in se)
+            pairs = [(self._power(half, a).map_entries(lambda p: p.scale(2)),
+                      self._power(half, r - a)) for a in range(r // 2 + (r & 1))]
+            if not r & 1:
+                mid = self._power(half, r // 2)
+                pairs.append((mid, mid))
+            return sum_of_products(ctx, pairs)
+        j = odd[0]
+        rest = se[:j] + (se[j] - 1,) + se[j + 1:]
+        if not any(rest):
+            return self._layers[r][j]
+        return sum_of_products(ctx, [(self._layers[a][j], self._power(rest, r - a))
+                                     for a in range(r + 1)])
+
     def next_layer(self, comps) -> list:
-        """Per component, the eps^(k-1) layer of V on `comps` at the k-th call."""
+        """Per component, eps^k times the eps^(k-1) layer of V on `comps` at the k-th call.
+
+        The factor eps^k rides on the key of each term's coefficient
+        monomial, so it costs no product.
+        """
         ctx = self.ctx
         n = len(self._layers)
         self._layers.append([c.eps_coeff(n) for c in comps])
@@ -213,23 +230,25 @@ class ForcingLayers:
         out = []
         for vp in self.v_polys:
             split = vp.ctx.split
-            acc = HarmonicSeries.zero(ctx)
+            pairs = []
             for l, poly in vp.entries.items():
                 for e, c in poly.terms.items():
                     a, t, s, se, pe = split(e)
                     if a > n:
                         continue
-                    mono = ctx.monomial(c, (0, t, s) + no_states + pe)
-                    acc = acc + HarmonicSeries.single(l, mono).mul(self._power(se, n - a))
-            out.append(acc)
+                    mono = ctx.monomial(c, (n + 1, t, s) + no_states + pe)
+                    pairs.append((HarmonicSeries.single(l, mono), self._power(se, n - a)))
+            out.append(sum_of_products(ctx, pairs))
         return out
 
 
 def _invert(rhs: MultiPoly, m: int, factors) -> MultiPoly:
     """Polynomial P with  prod_r (d/dt + i(m - m_r))^{n_r} P = rhs.
 
-    Resonant factors (m_r == m) are inverted by antidiff_t, which fixes the
-    normalization; the others exactly by resolve_shift.
+    Each non-resonant factor is inverted exactly by `resolve_shift`, the
+    closed form sum_k (-1)^k c^(-k-1) d^k/dt^k written term by term, once
+    per unit of its multiplicity; then each resonant factor (m_r == m) by
+    antidiff_t, which fixes the normalization.
     """
     res_mult = 0
     for m_r, n_r in factors:
@@ -244,10 +263,8 @@ def _invert(rhs: MultiPoly, m: int, factors) -> MultiPoly:
     return rhs
 
 
-def _invert_series(layer: HarmonicSeries, factors, epsk: MultiPoly) -> HarmonicSeries:
-    return HarmonicSeries(
-        layer.ctx, {m: _invert(p, m, factors) * epsk for m, p in layer.entries.items()}
-    )
+def _invert_series(layer: HarmonicSeries, factors) -> HarmonicSeries:
+    return HarmonicSeries(layer.ctx, {m: _invert(p, m, factors) for m, p in layer.entries.items()})
 
 
 def _derivative_chain(hs: HarmonicSeries, n: int, ddt=HarmonicSeries.time_derivative) -> list:
@@ -269,14 +286,13 @@ def _free_solution(ctx: PolyContext, names) -> MultiPoly:
 def _expand(spec, label, comps, v_polys, solve, resonant) -> SecularTable:
     """The order-by-order recursion shared by the three classes.
 
-    At order k, `solve` maps the eps^(k-1) layer of V on the table so far,
-    and eps^k, to the eps^k increment of every component.
+    At order k, `solve` maps eps^k times the eps^(k-1) layer of V on the
+    table so far to the eps^k increment of every component.
     """
     ctx = comps[0].ctx
-    eps = ctx.var("eps")
     forcing = ForcingLayers(v_polys, ctx)
     for k in range(1, spec.order + 1):
-        step = solve(forcing.next_layer(comps), eps ** k)
+        step = solve(forcing.next_layer(comps))
         comps = [c + d for c, d in zip(comps, step)]
     return SecularTable(spec, ctx, comps, resonant, label=label)
 
@@ -308,8 +324,8 @@ def expand_semisimple(spec: ODESystemSpec, label="") -> SecularTable:
     modes = spec.modes
     comps = [HarmonicSeries.single(m, ctx.var(a)) for m, a in zip(modes, spec.amplitude_names)]
 
-    def solve(layers, epsk):
-        return [_invert_series(lay, ((m, 1),), epsk) for lay, m in zip(layers, modes)]
+    def solve(layers):
+        return [_invert_series(lay, ((m, 1),)) for lay, m in zip(layers, modes)]
 
     return _expand(spec, label, comps, spec.v_polys, solve, list(enumerate(modes)))
 
@@ -322,15 +338,13 @@ def expand_nilpotent(spec: ODESystemSpec, label="") -> SecularTable:
     v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in spec.v_polys]
     g = HarmonicSeries.single(0, _free_solution(ctx, spec.amplitude_names))
 
-    def solve(layers, epsk):
+    def solve(layers):
         # back-substitution up the chain: P_j' + i*m*P_j = layer_j + P_{j+1}
         new = [{} for _ in range(n)]
         for m in sorted({m for lay in layers for m in lay.entries}):
             below = ctx.zero()
             for j in range(n - 1, -1, -1):
-                below = _invert(layers[j].get(m) + below, m, ((0, 1),))
-                if not below.is_zero():
-                    new[j][m] = below * epsk
+                below = new[j][m] = _invert(layers[j].get(m) + below, m, ((0, 1),))
         return [HarmonicSeries(ctx, d) for d in new]
 
     resonant = [(j, 0) for j in range(n)]
@@ -349,8 +363,8 @@ def expand_scalar(spec: ODESystemSpec, label="") -> SecularTable:
         pos += n_r
     slots = _derivative_chain(HarmonicSeries(ctx, entries), N)
 
-    def solve(layers, epsk):
-        return _derivative_chain(_invert_series(layers[0], spec.factors, epsk), N)
+    def solve(layers):
+        return _derivative_chain(_invert_series(layers[0], spec.factors), N)
 
     resonant = [(0, m_r) for m_r, _ in spec.factors]
     return _expand(spec, label, slots, spec.v_polys, solve, resonant)

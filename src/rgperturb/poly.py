@@ -25,14 +25,21 @@ no zero coefficients are kept, so equality of the term maps is structural
 equality of the polynomials.  ``MultiPoly.terms`` is a read-only view of
 the same map keyed by exponent tuples, in the same order, built on first
 use; it is for readers at the boundary (rendering, serialization, numeric
-compilation), not for the ring operations.  ``MultiPoly.mul`` works on the
-integer triples of the coefficients: it keeps one unnormalised (a, b, d)
-per output key, cross-multiplying denominators only where two differ, and
-builds each canonical coefficient once at the end, so a product costs one
-gcd per output term rather than two per kept term pair; a sum adds the
-triples the same way, with one gcd per key the two maps share.  A
-HarmonicSeries is a finite-support map from the harmonic index m to a
-MultiPoly, representing sum_m P_m(eps,t,A) e^{imt}.
+compilation), not for the ring operations.  A HarmonicSeries is a
+finite-support map from the harmonic index m to a MultiPoly, representing
+sum_m P_m(eps,t,A) e^{imt}.
+
+Products go through one sum-of-products kernel (`_Accumulator`,
+`sum_of_products`).  It works on the integer triples (a, b, d) of the
+coefficients: every term pair of every product of a sum is added into one
+unnormalised triple per output key (per output harmonic, for series), two
+unequal denominators are combined over their lcm, and each key is
+normalised once at the end, so a sum of products costs one gcd per output
+term.  ``MultiPoly.mul`` and ``HarmonicSeries.mul`` are the sums of one
+product.  `resolve_shift` accumulates its closed form the same way.  The
+insertion order of a result's map is whatever the kernel leaves; nothing
+that reads a map for output depends on it (``sorted_terms`` and
+``support`` give the canonical orders).
 
 This module is the only one that knows the monomial format.  Outside it,
 an exponent tuple is read through ``PolyContext.split`` (its eps, t and s
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import or_
 from types import MappingProxyType
 
@@ -224,6 +232,85 @@ def _add_terms(out: dict, terms: dict) -> None:
             del out[e]
 
 
+def _add_triple(acc: dict, key: int, a: int, b: int, d: int) -> None:
+    """Add (a + b*i)/d into the unnormalised triple of `key`, over the lcm of the denominators."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = (a, b, d)
+        return
+    a0, b0, d0 = old
+    if d0 == d:
+        acc[key] = (a + a0, b + b0, d)
+        return
+    g = gcd(d0, d)
+    f0, f = d // g, d0 // g
+    acc[key] = (a * f + a0 * f0, b * f + b0 * f0, d * f)
+
+
+class _Accumulator:
+    """The sum-of-products kernel: term pairs added unnormalised, each key normalised once.
+
+    One accumulator serves one sum of products mod eps^(cut+1).  Each
+    output map holds one unnormalised triple (a, b, d) per key, meaning
+    (a + b*i)/d; a term pair adds its product into it, and two unequal
+    denominators are combined over their lcm, not their product, so the
+    denominators stay those of the terms.  `poly` normalises each key once
+    with `_canonical`, dropping the keys whose sum is zero (exactly a == b
+    == 0, normalised or not).  The kept terms of a right-hand factor of
+    eps-room r (those of eps-order <= r) are listed once per factor and
+    room, so a factor that appears in many products is read once.
+    """
+
+    __slots__ = ("ctx", "cut", "_rows")
+
+    def __init__(self, ctx: PolyContext, cut: int):
+        self.ctx = ctx
+        self.cut = cut
+        self._rows = {}  # (id of a right factor, eps-room) -> (factor, [(key, a, b, d)])
+
+    def add_product(self, acc: dict, left: dict, right: "MultiPoly") -> None:
+        """Add every kept term pair of left * right into `acc`."""
+        sh = self.ctx.eps_shift
+        cut = self.cut
+        rows = self._rows
+        get = acc.get
+        for e1, c1 in left.items():
+            room = cut - (e1 >> sh)
+            if room < 0:
+                continue
+            kept = rows.get((id(right), room))
+            if kept is None:
+                lim = (room + 1) << sh
+                # the factor is held with its row, so its id stays its own
+                kept = rows[id(right), room] = (right, [
+                    (e2, c2.a, c2.b, c2.d) for e2, c2 in right.packed.items() if e2 < lim])
+            row = kept[1]
+            a1, b1, d1 = c1.a, c1.b, c1.d
+            for e2, a2, b2, d2 in row:
+                key = e1 + e2
+                a = a1 * a2 - b1 * b2
+                b = a1 * b2 + b1 * a2
+                d = d1 * d2
+                old = get(key)
+                if old is None:
+                    acc[key] = (a, b, d)
+                    continue
+                a0, b0, d0 = old
+                if d0 == d:
+                    acc[key] = (a + a0, b + b0, d)
+                else:
+                    g = gcd(d0, d)
+                    f0, f = d // g, d0 // g
+                    acc[key] = (a * f + a0 * f0, b * f + b0 * f0, d * f)
+
+    def poly(self, acc: dict) -> "MultiPoly":
+        """The accumulated map as a polynomial, each key normalised once."""
+        ctx = self.ctx
+        ctx._check_keys(acc)
+        return MultiPoly(ctx, {k: _canonical(a, b, d) for k, (a, b, d) in acc.items()
+                               if a or b})
+
+
 class MultiPoly:
     """Element of Q(i)[t, s, A..., params...][[eps]] / eps^(K+1)."""
 
@@ -283,26 +370,17 @@ class MultiPoly:
     def mul(self, other: "MultiPoly", trunc: int | None = None) -> "MultiPoly":
         """Product, eps-truncated at `trunc` (defaults to the context order).
 
-        Each term of `self` meets only the terms of `other` within the cut:
-        per eps-order of `self`, those terms of `other` are listed once, in
-        `other`'s order, so the kept pairs are visited in the order of the
-        full double loop.  The pair loop works on the integer triples
-        (a, b, d) of the coefficients and keeps one unnormalised triple per
-        output key, cross-multiplying denominators only where they differ;
-        each key is normalised once at the end.  A sum is zero exactly when
-        a == b == 0, normalised or not, so a key that cancels is dropped, and
-        re-inserted at the end if a later pair reaches it, as the
-        coefficient-by-coefficient loop does.
+        A one-term `self` shifts the keys of `other`: nothing accumulates.
+        Any other product goes through the sum-of-products kernel
+        (`_Accumulator`), which normalises each output key once.
         """
         _check_ctx(self, other)
         ctx = self.ctx
         cut = ctx.order if trunc is None else min(trunc, ctx.order)
-        sh = ctx.eps_shift
         packed = self.packed
         if len(packed) == 1:
-            # one term: the keys of the product are distinct, nothing accumulates
             (e1, c1), = packed.items()
-            lim = (cut - (e1 >> sh) + 1) << sh
+            lim = (cut - (e1 >> ctx.eps_shift) + 1) << ctx.eps_shift
             if c1.is_one():
                 out = {e1 + e2: c2 for e2, c2 in other.packed.items() if e2 < lim}
             else:
@@ -312,42 +390,10 @@ class MultiPoly:
                        for e2, c2 in other.packed.items() if e2 < lim}
             ctx._check_keys(out)
             return MultiPoly(ctx, out)
-        inner = [(e2, c2.a, c2.b, c2.d) for e2, c2 in other.packed.items()]
-        rows = {}  # eps-room -> the terms of `other` of eps-order <= room
-        acc = {}  # key -> unnormalised (a, b, d)
-        get = acc.get
-        for e1, c1 in packed.items():
-            room = cut - (e1 >> sh)
-            if room < 0:
-                continue
-            row = rows.get(room)
-            if row is None:
-                lim = (room + 1) << sh
-                row = rows[room] = [t for t in inner if t[0] < lim]
-            a1, b1, d1 = c1.a, c1.b, c1.d
-            for e2, a2, b2, d2 in row:
-                key = e1 + e2
-                a = a1 * a2 - b1 * b2
-                b = a1 * b2 + b1 * a2
-                d = d1 * d2
-                old = get(key)
-                if old is None:
-                    acc[key] = (a, b, d)
-                    continue
-                a0, b0, d0 = old
-                if d0 == d:
-                    a += a0
-                    b += b0
-                else:
-                    a = a * d0 + a0 * d
-                    b = b * d0 + b0 * d
-                    d *= d0
-                if a or b:
-                    acc[key] = (a, b, d)
-                else:
-                    del acc[key]
-        ctx._check_keys(acc)
-        return MultiPoly(ctx, {k: _canonical(a, b, d) for k, (a, b, d) in acc.items()})
+        acc = _Accumulator(ctx, cut)
+        out = {}
+        acc.add_product(out, packed, other)
+        return acc.poly(out)
 
     __mul__ = mul
 
@@ -587,20 +633,34 @@ class Substitution:
 def resolve_shift(c: GaussianRational, rhs: MultiPoly) -> MultiPoly:
     """Unique polynomial-in-t solution P of  dP/dt + c P = rhs  (c != 0).
 
-    P = sum_{k>=0} (-1)^k c^(-k-1) d^k(rhs)/dt^k; the sum is finite because
-    rhs is polynomial in t at every eps-order.
+    P = sum_{k>=0} (-1)^k c^(-k-1) d^k(rhs)/dt^k, written term by term: a
+    term C t^n of rhs adds C w(n, k) t^(n-k) for k = 0..n, with the weights
+    w(n, k) = (-1)^k c^(-k-1) n!/(n-k)! built once per t-degree n.  The
+    terms are accumulated unnormalised, as in `_Accumulator`, and each key
+    is normalised once.
     """
     if c.is_zero():
         raise PolyError("resolve_shift requires a nonzero shift")
     inv = ONE / c
-    out = rhs.ctx.zero()
-    factor = inv
-    cur = rhs
-    while not cur.is_zero():
-        out = out + cur.scale(factor)
-        cur = cur.diff_t()
-        factor = -(factor * inv)
-    return out
+    ctx = rhs.ctx
+    sh = ctx.shifts[T]
+    one = 1 << sh
+    weights = {}  # t-degree n -> [(a, b, d) of w(n, k) for k = 0..n]
+    acc = {}
+    for e, c1 in rhs.packed.items():
+        n = e >> sh & _MASK
+        ws = weights.get(n)
+        if ws is None:
+            ws, w = [], inv
+            for k in range(n + 1):
+                ws.append((w.a, w.b, w.d))
+                w = -(w * inv).scale(n - k)
+            weights[n] = ws
+        a1, b1, d1 = c1.a, c1.b, c1.d
+        for wa, wb, wd in ws:
+            _add_triple(acc, e, a1 * wa - b1 * wb, a1 * wb + b1 * wa, d1 * wd)
+            e -= one
+    return MultiPoly(ctx, {k: _canonical(a, b, d) for k, (a, b, d) in acc.items() if a or b})
 
 
 def from_expression(ctx: PolyContext, src: str) -> MultiPoly:
@@ -662,18 +722,9 @@ class HarmonicSeries:
         return HarmonicSeries(self.ctx, {m: -p for m, p in self.entries.items()})
 
     def mul(self, other: "HarmonicSeries", trunc: int | None = None) -> "HarmonicSeries":
-        """Convolution over harmonic indices, eps-truncated."""
-        _check_ctx(self, other)
-        out = {}
-        for m1, p1 in self.entries.items():
-            for m2, p2 in other.entries.items():
-                p = p1.mul(p2, trunc)
-                if p.is_zero():
-                    continue
-                m = m1 + m2
-                q = out.get(m)
-                out[m] = p if q is None else q + p
-        return HarmonicSeries(self.ctx, out)
+        """Convolution over harmonic indices, eps-truncated: `sum_of_products`
+        of the one pair."""
+        return sum_of_products(self.ctx, [(self, other)], trunc)
 
     __mul__ = mul
 
@@ -701,6 +752,32 @@ class HarmonicSeries:
 
     def __repr__(self):
         return f"<HarmonicSeries {{{', '.join(map(str, self.support()))}}}>"
+
+
+def sum_of_products(ctx: PolyContext, pairs, trunc: int | None = None) -> HarmonicSeries:
+    """sum of x * y over the (x, y) pairs of HarmonicSeries, eps-truncated at `trunc`.
+
+    Every term pair of every product lands in one unnormalised accumulator
+    per output harmonic m1 + m2, and each output key is normalised once at
+    the end (`_Accumulator`): a sum of n products costs one normalisation
+    per output term, not one per term of each of the n products and again
+    per addition.  This is the sparse multiply-accumulate kernel of
+    Monagan and Pearce, "Parallel sparse polynomial multiplication using
+    heaps", ISSAC 2009, with a dict in place of the heap.
+    """
+    acc = _Accumulator(ctx, ctx.order if trunc is None else min(trunc, ctx.order))
+    out = {}
+    for x, y in pairs:
+        if not (ctx.compatible(x.ctx) and ctx.compatible(y.ctx)):
+            raise PolyError("context mismatch")
+        for m1, p1 in x.entries.items():
+            for m2, p2 in y.entries.items():
+                m = m1 + m2
+                terms = out.get(m)
+                if terms is None:
+                    terms = out[m] = {}
+                acc.add_product(terms, p1.packed, p2)
+    return HarmonicSeries(ctx, {m: acc.poly(terms) for m, terms in out.items()})
 
 
 def hs_pow(x: HarmonicSeries, n: int, trunc: int | None = None) -> HarmonicSeries:

@@ -320,7 +320,7 @@ class TestForcingLayers:
     """The engine's relaxed forcing cache against the reference evaluator.
 
     At every order k the cache sees the table truncated at eps^(k-1), as in
-    the engine's loop, and must return the eps^(k-1) layer that
+    the engine's loop, and must return eps^k times the eps^(k-1) layer that
     `eval_vpoly_hs` computes from scratch on the same truncation.
     """
 
@@ -334,7 +334,9 @@ class TestForcingLayers:
         forcing = ForcingLayers(v_polys, ctx)
         for k in range(1, table.order + 1):
             comps = [c.map_entries(lambda p: p.trunc(k - 1)) for c in table.components]
-            want = [eval_vpoly_hs(vp, comps, ctx, k - 1).eps_coeff(k - 1) for vp in v_polys]
+            epsk = ctx.var("eps", k)
+            want = [eval_vpoly_hs(vp, comps, ctx, k - 1).eps_coeff(k - 1)
+                    .map_entries(lambda p: p * epsk) for vp in v_polys]
             assert forcing.next_layer(comps) == want, f"{spec.v_srcs} at order {k}"
 
     @pytest.mark.parametrize("name,order", [
@@ -351,7 +353,7 @@ class TestForcingLayers:
             self.assert_matches_reference(parse_spec(json.dumps(doc)))
 
     def test_state_degree_beyond_the_recursion_limit(self):
-        # y1^1000 peels a chain of 1000 powers; none of them may recurse
+        # y1^1000, built by repeated squaring from about 2*log2(1000) powers
         self.assert_matches_reference(make_spec(**{
             "class": "semisimple", "linear_part": [1, -1], "order": 3,
             "V": ["y1^1000 + y2", "y1*y2 + E*y1"],

@@ -20,6 +20,7 @@ from rgperturb.poly import (
     resolve_shift,
     from_expression,
     hs_pow,
+    sum_of_products,
 )
 
 
@@ -117,6 +118,29 @@ class TestResolveShift:
                 continue
             p = resolve_shift(c, r)
             assert p.diff_t() + p.scale(c) == r
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_reference(self, data):
+        # t-degrees up to 6 put several terms of rhs on each output key
+        ctx = data.draw(TestPackedKeys.contexts())
+        rhs = TestPackedKeys.polys(data.draw, ctx, nterms=8, maxdeg=6)
+        c = data.draw(st.sampled_from(TestPackedKeys.UNITS + (gq(0, 3), gq(Fraction(-7, 2)))))
+        assert resolve_shift(c, rhs) == reference_resolve_shift(c, rhs)
+
+
+def reference_resolve_shift(c, rhs):
+    """The route `resolve_shift` replaced: P = sum_k (-1)^k c^(-k-1) d^k rhs/dt^k,
+    one diff, scale and add per k."""
+    inv = ONE / c
+    out = rhs.ctx.zero()
+    factor = inv
+    cur = rhs
+    while not cur.is_zero():
+        out = out + cur.scale(factor)
+        cur = cur.diff_t()
+        factor = -(factor * inv)
+    return out
 
 
 class TestSubstitute:
@@ -403,8 +427,10 @@ class TestHarmonicSeries:
 #
 # The reference_* functions below are the tuple-keyed forms of the MultiPoly
 # operations, on {exponent tuple: coefficient} maps.  The packed operations
-# must give the same terms in the same insertion order (numeric sums and FAIL
-# lines follow that order), with the same Q(i) products and sums.
+# must give the same term maps, with the same Q(i) products and sums; the
+# ones that keep a term loop (everything but the product and the
+# substitution, which go through the sum-of-products kernel) also keep its
+# insertion order.
 
 
 def reference_mul(a: dict, b: dict, cut: int) -> dict:
@@ -610,8 +636,8 @@ class TestPackedKeys:
     def test_mul_matches_reference(self, case):
         ctx, p, q, trunc = case
         cut = ctx.order if trunc is None else min(trunc, ctx.order)
-        assert items(p.mul(q, trunc)) == list(reference_mul(p.terms, q.terms, cut).items())
-        assert items(p * q) == list(reference_mul(p.terms, q.terms, ctx.order).items())
+        assert p.mul(q, trunc).terms == reference_mul(p.terms, q.terms, cut)
+        assert (p * q).terms == reference_mul(p.terms, q.terms, ctx.order)
 
     @settings(max_examples=200, deadline=None)
     @given(pairs())
@@ -655,13 +681,76 @@ class TestPackedKeys:
         for _ in range(data.draw(st.integers(1, 3))):
             p = self.polys(data.draw, ctx)
             want = reference_grouped_substitute(ctx, bindings, p.terms)
-            assert items(sub(p)) == list(want.items())
+            assert sub(p).terms == want
 
     def test_terms_view_is_read_only(self, ctx):
         p = P(ctx, "A1 + eps*t")
         assert p.terms is p.terms
         with pytest.raises(TypeError):
             p.terms[(0,) * ctx.nvars] = ONE
+
+
+def reference_sum_of_products(pairs, trunc):
+    """Each entry product normalised on its own (`reference_mul`), then added
+    term by term (`reference_add_into`), per output harmonic."""
+    out = {}
+    for x, y in pairs:
+        ctx = x.ctx
+        cut = ctx.order if trunc is None else min(trunc, ctx.order)
+        for m1, p1 in x.entries.items():
+            for m2, p2 in y.entries.items():
+                reference_add_into(out.setdefault(m1 + m2, {}),
+                                   reference_mul(p1.terms, p2.terms, cut))
+    return {m: terms for m, terms in out.items() if terms}
+
+
+def as_maps(hs):
+    return {m: dict(p.terms) for m, p in hs.entries.items()}
+
+
+class TestSumOfProducts:
+    """The fused kernel against separately normalised products, added after."""
+
+    @staticmethod
+    @st.composite
+    def sums(draw):
+        ctx = draw(TestPackedKeys.contexts())
+
+        def series():
+            return HarmonicSeries(ctx, {m: TestPackedKeys.polys(draw, ctx, nterms=4)
+                                        for m in draw(st.sets(st.integers(-2, 2), max_size=3))})
+
+        pairs = [(series(), series()) for _ in range(draw(st.integers(0, 4)))]
+        if pairs and draw(st.booleans()):
+            x, y = pairs[0]
+            pairs.append((-x, y))  # cancels the first product exactly
+        trunc = draw(st.one_of(st.none(), st.integers(-1, ctx.order + 1)))
+        return ctx, pairs, trunc
+
+    @settings(max_examples=200, deadline=None)
+    @given(sums())
+    def test_matches_separate_products(self, case):
+        ctx, pairs, trunc = case
+        got = sum_of_products(ctx, pairs, trunc)
+        assert as_maps(got) == reference_sum_of_products(pairs, trunc)
+        assert all(p.packed for p in got.entries.values())
+
+    def test_cancelling_pairs_and_unequal_denominators(self):
+        ctx = PolyContext(("A1",), order=2)
+        half, third = gq(Fraction(1, 2)), gq(Fraction(1, 3))
+        x = HarmonicSeries(ctx, {1: ctx.var("A1").scale(half), 0: ctx.const(third)})
+        y = HarmonicSeries(ctx, {-1: ctx.var("A1").scale(third), 0: ctx.var("eps")})
+        # A1^2 at harmonic 0: 1/6 from the first pair, then 1/4 (5/12 over
+        # the lcm 12 of 6 and 4), then -5/12, which cancels it
+        z = HarmonicSeries.single(-1, ctx.var("A1").scale(gq(Fraction(1, 4))))
+        w = HarmonicSeries.single(1, ctx.var("A1").scale(gq(Fraction(-5, 4))))
+        v = HarmonicSeries.single(1, ctx.var("A1"))
+        got = sum_of_products(ctx, [(x, y), (z, v), (y, w)])
+        assert as_maps(got) == reference_sum_of_products([(x, y), (z, v), (y, w)], None)
+        assert (0, 0, 0, 2) not in got.get(0).terms
+        assert sum_of_products(ctx, [(x, y), (-x, y)]).is_zero()
+        assert sum_of_products(ctx, [(x, y)], trunc=0) == x.mul(y, 0)
+        assert sum_of_products(ctx, []).is_zero()
 
 
 class TestExponentLimit:
