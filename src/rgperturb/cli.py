@@ -14,6 +14,7 @@ import math
 import os
 import random
 import sys
+from math import gcd
 
 from .gaussrat import GaussianRational
 from .poly import MultiPoly, HarmonicSeries, PolyContext, PolyError
@@ -42,8 +43,83 @@ from . import difference as diffmod
 # Machine-format serialization (round-trips exactly)
 # --------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_into(v, nl: str, out: list) -> None:
+    """Append the text of v to `out`; nl is a newline and v's indentation."""
+    if isinstance(v, str):
+        out.append(_encode_str(v))
+    elif v is None or v is True or v is False:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_float_text(v))
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in v):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, v))}{nl}]")
+            return
+        if all(type(x) is str for x in v):
+            out.append(f"[{inner}{(',' + inner).join(map(_encode_str, v))}{nl}]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _json_into(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, x in v.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(f"{sep}{_encode_str(k)}: ")
+            _json_into(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def machine_json(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, written directly.
+
+    The standard encoder runs its pure-Python generators whenever an
+    indent is set; this writer appends each value's text to one list, and
+    a list of ints or of strings (an exponent vector, a coefficient pair)
+    as one join.  Dict keys must be strings.
+    """
+    out = []
+    _json_into(doc, "\n", out)
+    return "".join(out)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, with one gcd."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def poly_to_data(p: MultiPoly):
-    return [[list(e), [str(c.re), str(c.im)]] for e, c in p.sorted_terms()]
+    return [[list(e), [_ratio_text(c.a, c.d), _ratio_text(c.b, c.d)]]
+            for e, c in p.sorted_terms()]
 
 
 def poly_from_data(ctx: PolyContext, data) -> MultiPoly:
@@ -161,7 +237,7 @@ def cmd_expand(args) -> int:
                 "band": band,
                 "entries": [[m, poly_to_data(p)] for m, p in entries],
             }
-            print(json.dumps(payload, indent=2))
+            print(machine_json(payload))
             return 0
         print(f"# difference equation, order {K}, window {W} (t measured in units of pi)")
         for m, p in entries:
@@ -170,7 +246,7 @@ def cmd_expand(args) -> int:
 
     table = expand_table(spec, label=label)
     if args.format == "machine":
-        print(json.dumps(table_to_machine(table), indent=2))
+        print(machine_json(table_to_machine(table)))
         return 0
     print(f"# {label}: class {spec.klass}, order {spec.order}")
     for note in _notes_for(label):
@@ -207,7 +283,7 @@ def cmd_rg(args) -> int:
     table = expand_table(spec, label=label)
     rg = derive_rg(table)
     if args.format == "machine":
-        print(json.dumps(rg_to_machine(spec, rg), indent=2))
+        print(machine_json(rg_to_machine(spec, rg)))
         return 0
     # a bad --polar must fail before any of the RG equation is printed
     polar = polar_transform(rg, _parse_pairs(args.polar)) if args.polar else None

@@ -2,17 +2,25 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
 import re
+import resource
+import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rgperturb.cli import main, table_from_machine
+from rgperturb.cli import _ratio_text, machine_json, main, table_from_machine
 from rgperturb.engine import expand_table
 from rgperturb.demos import load_builtin, builtin_names
+from rgperturb.poly import MAX_EXP
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -183,6 +191,31 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--spec", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: exponent ") and "exceeds the limit 2147483647" in err
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_state_power_at_the_limit_exit_0_or_2(self, tmp_path, order):
+        # y1^(2^31 - 1) is reached by repeated squaring; a child that built
+        # it one factor at a time would run out of its address space or time
+        doc = {"class": "semisimple", "linear_part": [1, -1], "params": ["a"],
+               "V": [f"y1^{MAX_EXP}", "0"], "order": order}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        limit = 1 << 30
+
+        def cap_address_space():  # runs in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run(
+            [sys.executable, "-m", "rgperturb.cli", "expand", "--spec", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=cap_address_space)
+        assert child.returncode in (0, 2), child.stderr
+        if child.returncode == 2:
+            assert child.stderr == f"error: exponent {MAX_EXP + 1} exceeds the limit {MAX_EXP}\n"
+        else:
+            assert f"P[1,{MAX_EXP}] = " in child.stdout
 
     @pytest.mark.parametrize("command", ["expand", "rg", "verify"])
     def test_huge_exact_coefficient_is_printed(self, capsys, tmp_path, command):
@@ -535,6 +568,35 @@ class TestParser:
             got = tuple(hashlib.sha256(text.encode()).hexdigest() if text else ""
                         for text in (captured.out, captured.err))
             assert got == self.HELP[argv]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=40)
+
+
+class TestMachineJson:
+    """The direct writer of the machine format against the standard encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example([[0, 1, 2], ["1/2", "-3"], [], {}, [[]], {"a": [True, None, -0.0]}])
+    @example({"\u00e9\n\"": [float("nan"), float("inf"), -float("inf"), 1e300, 2 ** 70]})
+    def test_matches_json_dumps(self, doc):
+        assert machine_json(doc) == json.dumps(doc, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    @example(0, 7)
+    @example(-6, 3)
+    def test_ratio_text_is_the_fraction_text(self, n, d):
+        assert _ratio_text(n, d) == str(Fraction(n, d))
+
+    def test_keys_must_be_strings(self):
+        with pytest.raises(TypeError):
+            machine_json({1: 2})
 
 
 class TestDeterminism:

@@ -124,18 +124,16 @@ def assert_exits_0_or_2(tmp_path, doc):
 MONOMIALS = st.sampled_from(["y1", "y2", "a", "E", "eps", "i", "2", "t", "q1"])
 ATOMS = st.one_of(MONOMIALS, st.sampled_from(["cos(t)", "sin(2*t)"]))
 NEAR_LIMIT = st.sampled_from([MAX_EXP - 1, MAX_EXP, MAX_EXP + 1, 2 * MAX_EXP])
-# Exponents near the limit go on the carrier, eps, the parameter and i; a
-# state is raised only past the limit, where expansion stops with an error.
-# The engine builds a state power one factor at a time, so a state power
-# near the limit exhausts memory (an open defect, recorded in CHANGES.md);
-# a number or a multi-term base raised that high is slow, not wrong.  None
-# of these is drawn, and the long products multiply monomials only (a
-# thousand factors of cos(t) are such a power too).
+# Exponents near the limit go on the carrier, eps, the parameter, i and the
+# states; the engine builds a state power by repeated squaring, so a state
+# raised near the limit costs about 2*31 powers.  A number or a multi-term
+# base raised that high is slow, not wrong; neither is drawn, and the long
+# products multiply monomials only (a thousand factors of cos(t) are such a
+# power too).
 BIG_POWERS = st.one_of(
-    st.builds("{}^{}".format, st.sampled_from(["E", "eps", "a", "i"]), NEAR_LIMIT),
+    st.builds("{}^{}".format, st.sampled_from(["E", "eps", "a", "i", "y1", "y2"]),
+              NEAR_LIMIT),
     st.builds("E^-{}".format, NEAR_LIMIT),
-    st.builds("{}^{}".format, st.sampled_from(["y1", "y2"]),
-              st.sampled_from([MAX_EXP + 1, 2 * MAX_EXP])),
 )
 LEAVES = st.one_of(ATOMS, BIG_POWERS)
 
