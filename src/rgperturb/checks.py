@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussrat import ZERO
-from .poly import MultiPoly, HarmonicSeries, PolyContext, Substitution, monomial_text
+from .poly import (
+    MultiPoly,
+    HarmonicSeries,
+    PolyContext,
+    Substitution,
+    monomial_text,
+    poly_sum_of_products,
+)
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
     SecularTable,
@@ -138,16 +145,20 @@ def check_no_secular(ren: RenExpansion, label="") -> CheckReport:
 
 
 def lie_derivative(p: MultiPoly, rg: RGSystem) -> MultiPoly:
-    """L p = sum_k dp/dA_k * F_k: d/dt of p(eps, A(t)) along the RG flow dA/dt = F(A)."""
-    out = p.ctx.zero()
-    for name, f in zip(p.ctx.amplitudes, rg.fields):
-        d = p.diff(name)
-        if not d.is_zero():  # zero derivatives are not multiplied
-            out = out + d * f
-    return out
+    """L p = sum_k dp/dA_k * F_k: d/dt of p(eps, A(t)) along the RG flow dA/dt = F(A).
+
+    The products are summed in one accumulator (`poly_sum_of_products`).
+    """
+    return poly_sum_of_products(
+        p.ctx, [(p.diff(name), f) for name, f in zip(p.ctx.amplitudes, rg.fields)])
 
 
-def follows_rg_flow(table: SecularTable, rg: RGSystem) -> bool:
+def t_derivatives(table: SecularTable) -> list:
+    """Per component, the map m -> dP_m/dt of its entries."""
+    return [{m: p.diff_t() for m, p in comp.entries.items()} for comp in table.components]
+
+
+def follows_rg_flow(table: SecularTable, rg: RGSystem, diff_t=None) -> bool:
     """Whether the table is the Lie series exp(tL) of its t = 0 slice.
 
     Two conditions, with L = sum_k F_k d/dA_k and F = rg.fields:
@@ -158,23 +169,31 @@ def follows_rg_flow(table: SecularTable, rg: RGSystem) -> bool:
     from and on their t-derivatives, since L has no t and commutes with d/dt.
     (G) and (IC) make A_ren the flow Phi_t of F, which gives the group law and
     both inversion round trips; with (F), P(t, A) = P(0, Phi_t(A)), which is
-    the functional relation (Groebner's Lie series).
+    the functional relation (Groebner's Lie series).  `diff_t`, when given,
+    is `t_derivatives(table)`, already taken.
     """
     ctx = table.ctx
     if any(a.set_zero("t") != ctx.var(name)
            for name, a in renormalized_amplitudes(table).items()):
         return False
-    return all(p.diff_t() == lie_derivative(p, rg)
-               for comp in table.components for p in comp.entries.values())
+    if diff_t is None:
+        diff_t = t_derivatives(table)
+    return all(d[m] == lie_derivative(p, rg)
+               for comp, d in zip(table.components, diff_t) for m, p in comp.entries.items())
 
 
-def renormalized_residuals(table: SecularTable, rg: RGSystem) -> list:
-    """Residual of the renormalized expansion driven by the RG equation."""
+def renormalized_residuals(table: SecularTable, rg: RGSystem,
+                           ren: RenExpansion | None = None) -> list:
+    """Residual of the renormalized expansion driven by the RG equation.
+
+    `ren`, when given, is the table's renormalized expansion, so it is not
+    built again.
+    """
 
     def ddt(hs):  # d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}
         return hs.time_derivative() + hs.map_entries(lambda p: lie_derivative(p, rg))
 
-    comps = renormalized_expansion(table).components
+    comps = (ren or renormalized_expansion(table)).components
     return governing_residual(table.spec, comps, ddt)
 
 
@@ -318,9 +337,10 @@ def run_all_checks(table: SecularTable, seed=None) -> list:
     """
     rg = derive_rg(table)
     ren = renormalized_expansion(table)
-    flow = follows_rg_flow(table, rg)
+    diff_t = t_derivatives(table)
+    flow = follows_rg_flow(table, rg, diff_t)
     residual_ok = flow and all(
-        r.is_zero() for r in renormalized_residuals(table, rg) + table.slot_residuals())
+        r.is_zero() for r in renormalized_residuals(table, rg, ren) + table.slot_residuals(diff_t))
 
     def passed(name):
         return CheckReport(name, table.label, table.ctx.order, True)

@@ -94,16 +94,19 @@ class SecularTable:
             return out
         raise SpecError(f"no amplitudes for class {spec.klass!r}")
 
-    def slot_residuals(self) -> list:
+    def slot_residuals(self, diff_t=None) -> list:
         """For the scalar class, slot l's time derivative minus slot l+1.
 
         All are zero when each derivative slot is the time derivative of the
         one before; the other classes have no slots, so the list is empty.
+        `diff_t`, when given, holds per slot the map m -> dP_m/dt of its
+        entries, already taken.
         """
         if self.spec.klass != "scalar":
             return []
         comps = self.components
-        return [comps[l].time_derivative() - comps[l + 1] for l in range(len(comps) - 1)]
+        return [comps[l].time_derivative(None if diff_t is None else diff_t[l]) - comps[l + 1]
+                for l in range(len(comps) - 1)]
 
     def render(self) -> str:
         lines = []

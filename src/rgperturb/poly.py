@@ -390,10 +390,7 @@ class MultiPoly:
                        for e2, c2 in other.packed.items() if e2 < lim}
             ctx._check_keys(out)
             return MultiPoly(ctx, out)
-        acc = _Accumulator(ctx, cut)
-        out = {}
-        acc.add_product(out, packed, other)
-        return acc.poly(out)
+        return poly_sum_of_products(ctx, [(self, other)], cut)
 
     __mul__ = mul
 
@@ -420,7 +417,7 @@ class MultiPoly:
         for e, c in self.packed.items():
             k = e >> sh & _MASK
             if k:
-                out[e - one] = c.scale(k)
+                out[e - one] = _canonical(c.a * k, c.b * k, c.d)
         return MultiPoly(self.ctx, out)
 
     def diff_t(self) -> "MultiPoly":
@@ -728,11 +725,14 @@ class HarmonicSeries:
 
     __mul__ = mul
 
-    def time_derivative(self) -> "HarmonicSeries":
-        """d/dt of sum_m P_m e^{imt}: entry m becomes P_m' + i m P_m."""
+    def time_derivative(self, diff_t=None) -> "HarmonicSeries":
+        """d/dt of sum_m P_m e^{imt}: entry m becomes P_m' + i m P_m.
+
+        `diff_t`, when given, maps each harmonic m to P_m', already taken.
+        """
         out = {}
         for m, p in self.entries.items():
-            q = p.diff_t()
+            q = p.diff_t() if diff_t is None else diff_t[m]
             if m:
                 q = q + p.scale(GaussianRational(0, m))
             if not q.is_zero():
@@ -752,6 +752,17 @@ class HarmonicSeries:
 
     def __repr__(self):
         return f"<HarmonicSeries {{{', '.join(map(str, self.support()))}}}>"
+
+
+def poly_sum_of_products(ctx: PolyContext, pairs, trunc: int | None = None) -> MultiPoly:
+    """sum of x * y over the (x, y) pairs of MultiPolys, eps-truncated at `trunc`,
+    through one accumulator (see `sum_of_products`)."""
+    acc = _Accumulator(ctx, ctx.order if trunc is None else min(trunc, ctx.order))
+    out = {}
+    for x, y in pairs:
+        _check_ctx(x, y)
+        acc.add_product(out, x.packed, y)
+    return acc.poly(out)
 
 
 def sum_of_products(ctx: PolyContext, pairs, trunc: int | None = None) -> HarmonicSeries:

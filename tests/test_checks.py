@@ -325,6 +325,31 @@ class TestLieConditions:
         assert built == []
         assert len(evaluated) == len(cd4.components) == 2
 
+    def test_a_passing_scalar_table_reuses_its_work(self, monkeypatch):
+        # the renormalized expansion is built once, and the slot relations
+        # reuse the t-derivative (F) took of each entry
+        from rgperturb import checks
+
+        table = expand_table(load_builtin("ex_third", 4))
+        expansions, slot_derivatives = [], []
+        build, time_derivative = checks.renormalized_expansion, HarmonicSeries.time_derivative
+
+        def counting_build(t):
+            expansions.append(t)
+            return build(t)
+
+        def recording_time_derivative(self, diff_t=None):
+            if any(self is comp for comp in table.components):
+                slot_derivatives.append(diff_t)
+            return time_derivative(self, diff_t)
+
+        monkeypatch.setattr(checks, "renormalized_expansion", counting_build)
+        monkeypatch.setattr(HarmonicSeries, "time_derivative", recording_time_derivative)
+        assert all(r.ok for r in run_all_checks(table))
+        assert expansions == [table]
+        assert len(slot_derivatives) == len(table.components) - 1 == 2
+        assert None not in slot_derivatives
+
 
 class TestHomogeneity:
     def test_autonomous_oscillators(self, osc3):
