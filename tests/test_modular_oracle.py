@@ -233,9 +233,10 @@ def residuals(table, field, seed) -> list:
 
 
 FIELD = Field(P)
-# the built-ins at depth; three random specs at order 4 add a nilpotent gauge
-# mode g != 0 and a scalar equation with two factors
-CASES = ["ex_cd-8", "ex_cd-12", "ex_bt-4", "ex_third-4",
+# the built-ins at depth, ex_cd up to K=16, where the engine's sums of
+# products accumulate the most terms per key; three random specs at order 4
+# add a nilpotent gauge mode g != 0 and a scalar equation with two factors
+CASES = ["ex_cd-8", "ex_cd-12", "ex_cd-16", "ex_bt-4", "ex_third-4",
          "random-semisimple-1-4", "random-nilpotent-1-4", "random-scalar-6-4"]
 
 
