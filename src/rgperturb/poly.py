@@ -266,32 +266,34 @@ class _Accumulator:
     def __init__(self, ctx: PolyContext, cut: int):
         self.ctx = ctx
         self.cut = cut
-        self._rows = {}  # (id of a right factor, eps-room) -> (factor, [(key, a, b, d)])
+        self._rows = {}  # id of a right factor -> (factor, {eps-room: [(key, a, b, d)]})
 
     def add_product(self, acc: dict, left: dict, right: "MultiPoly") -> None:
         """Add every kept term pair of left * right into `acc`."""
         sh = self.ctx.eps_shift
         cut = self.cut
-        rows = self._rows
+        held = self._rows.get(id(right))
+        if held is None:
+            # the factor is held with its rows, so its id stays its own
+            held = self._rows[id(right)] = (right, {})
+        rows = held[1]
         get = acc.get
         for e1, c1 in left.items():
             room = cut - (e1 >> sh)
             if room < 0:
                 continue
-            kept = rows.get((id(right), room))
-            if kept is None:
+            row = rows.get(room)
+            if row is None:
                 lim = (room + 1) << sh
-                # the factor is held with its row, so its id stays its own
-                kept = rows[id(right), room] = (right, [
-                    (e2, c2.a, c2.b, c2.d) for e2, c2 in right.packed.items() if e2 < lim])
-            row = kept[1]
+                row = rows[room] = [(e2, c2.a, c2.b, c2.d)
+                                    for e2, c2 in right.packed.items() if e2 < lim]
             a1, b1, d1 = c1.a, c1.b, c1.d
             for e2, a2, b2, d2 in row:
                 key = e1 + e2
                 a = a1 * a2 - b1 * b2
                 b = a1 * b2 + b1 * a2
                 d = d1 * d2
-                old = get(key)
+                old = get(key)  # _add_triple, inlined: this is the engine's hottest loop
                 if old is None:
                     acc[key] = (a, b, d)
                     continue
@@ -305,10 +307,9 @@ class _Accumulator:
 
     def poly(self, acc: dict) -> "MultiPoly":
         """The accumulated map as a polynomial, each key normalised once."""
-        ctx = self.ctx
-        ctx._check_keys(acc)
-        return MultiPoly(ctx, {k: _canonical(a, b, d) for k, (a, b, d) in acc.items()
-                               if a or b})
+        out = {k: _canonical(a, b, d) for k, (a, b, d) in acc.items() if a or b}
+        self.ctx._check_keys(out)
+        return MultiPoly(self.ctx, out)
 
 
 class MultiPoly:
