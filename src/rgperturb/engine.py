@@ -24,10 +24,11 @@ accumulator, and each resonant factor by `antidiff_t`.  The forcing layer
 each order needs comes from `ForcingLayers`, a relaxed cache of the
 eps-layers of the state powers that lives for one `_expand` call, so every
 layer is computed once; it hands the layer over already multiplied by
-eps^k, a shift of the packed keys of V's coefficient monomials.  `governing_residual` substitutes series back into
-the class's equation; its forcing goes through `eval_vpoly_hs`, the
-from-scratch evaluator on whole series that the engine does not use, so the
-residual check stays independent of `ForcingLayers`.  Its cache holds each
+eps^k, a shift of the packed keys of V's coefficient monomials.
+`governing_residual` substitutes series back into the class's equation; its
+forcing goes through `eval_vpoly_hs`, the from-scratch evaluator on whole
+series that the engine does not use, so the residual check stays
+independent of `ForcingLayers`.  Its cache holds each
 state-monomial product y^se once for all components of one residual.
 """
 

@@ -21,8 +21,8 @@ the initial state -- is compiled once, before its integration, into one
 generated straight-line Python function (`_StraightLine`).  Every sum over
 the engine's output runs in one fixed order that no table insertion order
 can move: a polynomial's terms in ``MultiPoly.sorted_terms()`` order, a
-series' harmonics in ``support()`` order and a polar series' terms in the
-order of their keys.  The forcing V is summed in the spec's own order
+polar series' terms in the order of their keys, and a reconstruction's
+harmonics by |m|, m and -m added together first.  The forcing V is summed in the spec's own order
 (harmonic by harmonic, then each polynomial's terms as written), which
 comes from the parser, not from the engine.  The generated code does the
 same floating-point operations, in the same order and on the same operand
