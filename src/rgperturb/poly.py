@@ -505,14 +505,15 @@ class MultiPoly:
     def eval_complex(self, values: dict) -> complex:
         """Evaluate at a numeric point; every symbol actually present must be bound.
 
-        The terms are summed in `sorted_terms()` order.
+        The terms are summed in the order of their packed keys, which is the
+        lexicographic order of the exponent tuples.
         """
         ctx = self.ctx
         bound = [None] * ctx.nvars
         for name, v in values.items():
             bound[ctx.index(name)] = complex(v)
         total = 0j
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items()):
             v = complex(c)
             for i, k in enumerate(e):
                 if k:
