@@ -5,7 +5,11 @@ built-in's default order, plus ``verify`` of ex_cd at orders 8 and 10, of
 ex_bt at order 4, of the cosine difference equation at order 6, window 16
 (a spec file, 36 symbols: the widest exponent vector), and
 ``expand`` of ex_cd, ex_bt and ex_third at orders 12, 5 and 6, one per ODE
-engine, deeper than any other case.  A refactor of the engine, the
+class, deeper than any other case.  ``rg --expansion --inversion`` of every
+ODE built-in, ``rg --polar 1:2`` of ex_cd and ``expand`` of ex_oscillators
+(two conjugate pairs) at order 6 pin the text forms of the RG field, the
+renormalized expansion and the inversion, and the mirrored half of a paired
+table.  A refactor of the engine, the
 renormalization layer or the checks must leave all of them unchanged.  The ``verify --corrupt`` cases pin the FAIL detail text of
 the corrupted table's checks; the ``numeric_smoke`` line is left out of the
 ``verify`` cases because it is a floating-point spot check, not an exact
@@ -50,6 +54,9 @@ COMMANDS = {
     "expand5": ("expand", "--format", "machine", "--order", "5"),
     "expand6": ("expand", "--format", "machine", "--order", "6"),
     "expand12": ("expand", "--format", "machine", "--order", "12"),
+    # the text forms that read the RG field and the renormalized expansion
+    "rgfull": ("rg", "--expansion", "--inversion"),
+    "polar": ("rg", "--polar", "1:2"),
 }
 
 COSINE = "cosine_difference.json"
@@ -61,6 +68,7 @@ GOLDEN = {
     ("ex_bt", "rg"): (0, "a5849a094291daf3f9b21bca26e9350f1cbc9a7367bcf8e1942107a3b0153c2b"),
     ("ex_bt", "corrupt"): (1, "d802461c776b14e85921323c5ad31f99f5bd784a776bd113563ffb7a6c109206"),
     ("ex_bt", "verify4"): (0, "9a5ef373b432b5785e13e392f8d5c16c5ed98922559755183a5c1114d5f9a5f7"),
+    ("ex_bt", "rgfull"): (0, "993747205f347bc16e24b5d012dfc4a217e73b40bb533fdd7e0cb17d94e0412e"),
     ("ex_bt", "expand5"): (0, "08fc6749778f50664a813f08f24d353bb4037346b36b33cfef4cbcf124137d28"),
     ("ex_cd", "expand"): (0, "22acbcc59ebf77f74a13158d39e44ac680ed2feb61dfde4d937846aa8cb816fe"),
     ("ex_cd", "rg"): (0, "11cdc8279312d379b5defebe6ec6e50a722986578e9999f5e3276c52b225385a"),
@@ -69,19 +77,26 @@ GOLDEN = {
     ("ex_cd", "verify10"): (0, "ff55f1f743487125dedb619c4d7dac2c4291d43e59871bfc114d5246a88ba4ce"),
     ("ex_cd", "corrupt8"): (1, "dfb29afe98b38cc1d51728ea17e4605132d611e854cd0fa6746a90968e0bee45"),
     ("ex_cd", "expand12"): (0, "6b689daa1c5cb4ff73cf4e7e694bd7a68df2d269823d1d23fb1566f9c50d45e5"),
+    ("ex_cd", "rgfull"): (0, "4d6612945592ec450c8db998721147a451ab05b3257ae12d8a5169d5c7d53483"),
+    ("ex_cd", "polar"): (0, "f272bfc5a4453fc2013c40669ae9be8e795768bed8ff806b68ede2483e275025"),
     ("ex_difference", "expand"): (0, "e1f601cf35201a53bd1e11c4376b33ada2633119cdd12a163f0023cce110ac4a"),
     ("ex_difference", "rg"): (0, "0929a1010cab84e221896ca5d1fa8b881bbf8f7b152b2ef739dfdce3f92295d3"),
     ("ex_difference", "corrupt"): (0, "f7d650e89a1d6c2268908bb5ac190b70dea9b1e6ee9e2bed81e3c41a5bb07feb"),
     ("ex_oscillators", "expand"): (0, "bbdd097ac47ef2e3da0d5ccda8638309a933522b9c7c19a64a49c363d4a8bfb0"),
     ("ex_oscillators", "rg"): (0, "1b10c25c040172e35c5a48a4b756a84eeb35f61084ecc3ae04913f444ccddeac"),
     ("ex_oscillators", "corrupt"): (1, "ca283b90ca2ff17026417cb9f167d80a1dcb35658b9a32ad0d29b25c5aaafe57"),
+    ("ex_oscillators", "rgfull"): (0, "6f9634bcf0f78096ccd07ef7c7324e512aa97897dc63cc1103ac331505500113"),
+    # two conjugate pairs, (1 2)(3 4)
+    ("ex_oscillators", "expand6"): (0, "4bce8fe804d678d1ab80ac03cb59a10dee5e5598f17bd5556125724043b815ec"),
     ("ex_scalar1", "expand"): (0, "6d5b7561de9915c498b284ec429449afab55fab7e1a9677ba4508a9b93e8d89d"),
     ("ex_scalar1", "rg"): (0, "84ba2eaf4274c1e1f7238ade64beccd43d6770dabe289815dc3cc205656298bf"),
     ("ex_scalar1", "corrupt"): (1, "8ead510e9cbb1c00d9b54fb286eef7e91dcff2021206e61595c9824df2f5b92f"),
+    ("ex_scalar1", "rgfull"): (0, "e79e1c758a9435b94c416abc656ea2f0d323054f983b21f866a31e104226c446"),
     ("ex_third", "expand"): (0, "719e29fdb7c679b51761f2b47c8dc763bd38ec5425c73f703cc2ff2a2a527209"),
     ("ex_third", "rg"): (0, "6b9525224afed5e199deadb959022a5c3509686779f943858c904dac96dec8ae"),
     ("ex_third", "corrupt"): (1, "59e8743d0bea34067dfdc5a128c2f19eb93ccc37e9fc4fa15e63d6fb279f07a2"),
     ("ex_third", "expand6"): (0, "70344e80e0ee75f0aca00b12781d11e9df20c2227d95865ee9cab754aaa6b7d6"),
+    ("ex_third", "rgfull"): (0, "727f27bdfa87a16b78a779879ea50590273d9cc782f137bc4d5bc24343203496"),
     # a scalar spec whose corrupted naive residual depends on the table's own
     # derivative slots, not only on slot 0 (the built-ins do not show this)
     ("random-scalar-2", "corrupt"): (1, "2959006483285fe0185baed0c74601b20a4ad328d7b1cf15fd28aaa5e73bc76e"),
