@@ -21,11 +21,11 @@ from .poly import (
     PolyContext,
     Substitution,
     monomial_text,
-    poly_sum_of_products,
 )
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
     SecularTable,
+    lie_derivative,
     table_residuals,
     governing_residual,
 )
@@ -144,15 +144,6 @@ def check_no_secular(ren: RenExpansion, label="") -> CheckReport:
     return CheckReport("check_no_secular", label, ren.ctx.order, True)
 
 
-def lie_derivative(p: MultiPoly, rg: RGSystem) -> MultiPoly:
-    """L p = sum_k dp/dA_k * F_k: d/dt of p(eps, A(t)) along the RG flow dA/dt = F(A).
-
-    The products are summed in one accumulator (`poly_sum_of_products`).
-    """
-    return poly_sum_of_products(
-        p.ctx, [(p.diff(name), f) for name, f in zip(p.ctx.amplitudes, rg.fields)])
-
-
 def t_derivatives(table: SecularTable) -> list:
     """Per component, the map m -> dP_m/dt of its entries."""
     return [{m: p.diff_t() for m, p in comp.entries.items()} for comp in table.components]
@@ -178,7 +169,7 @@ def follows_rg_flow(table: SecularTable, rg: RGSystem, diff_t=None) -> bool:
         return False
     if diff_t is None:
         diff_t = t_derivatives(table)
-    return all(d[m] == lie_derivative(p, rg)
+    return all(d[m] == lie_derivative(p, rg.fields)
                for comp, d in zip(table.components, diff_t) for m, p in comp.entries.items())
 
 
@@ -191,7 +182,7 @@ def renormalized_residuals(table: SecularTable, rg: RGSystem,
     """
 
     def ddt(hs):  # d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}
-        return hs.time_derivative() + hs.map_entries(lambda p: lie_derivative(p, rg))
+        return hs.time_derivative() + hs.map_entries(lambda p: lie_derivative(p, rg.fields))
 
     comps = (ren or renormalized_expansion(table)).components
     return governing_residual(table.spec, comps, ddt)

@@ -21,11 +21,10 @@ from .poly import MultiPoly, HarmonicSeries, PolyContext, PolyError
 from .systems import SpecError, check_order, parse_spec
 from .engine import expand_table, make_context
 from .renorm import (
-    derive_rg,
-    renormalized_expansion,
-    invert_amplitudes,
+    inversion_series,
     renormalized_amplitudes,
     polar_transform,
+    solve_rg,
     PolarPairingError,
 )
 from .checks import run_all_checks, random_spec, corrupt_table
@@ -94,8 +93,28 @@ def _json_into(v, nl: str, out: list) -> None:
             _json_into(x, inner, out)
             sep = "," + inner
         out.append(nl + "}")
+    elif isinstance(v, MultiPoly):
+        _poly_into(v, nl, out)
     else:
         raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+def _poly_into(p: MultiPoly, nl: str, out: list) -> None:
+    """Append the text of poly_to_data(p): each term is one %-format.
+
+    A term [[e_1, ..., e_n], [re, im]] has n = ctx.nvars exponents and two
+    coefficient strings of digits, '-' and '/', which JSON writes as they
+    are; at one indentation its layout is fixed.
+    """
+    terms = p.sorted_terms()
+    if not terms:
+        out.append("[]")
+        return
+    t = nl + "  "           # a term's line
+    a, b = t + "  ", t + "    "  # its two lists, and their items
+    fmt = f"[{a}[{b}{(',' + b).join(['%d'] * p.ctx.nvars)}{a}],{a}[{b}\"%s\",{b}\"%s\"{a}]{t}]"
+    out.append("[" + t + ("," + t).join([fmt % (*e, _ratio_text(c.a, c.d), _ratio_text(c.b, c.d))
+                                         for e, c in terms]) + nl + "]")
 
 
 def machine_json(doc) -> str:
@@ -104,7 +123,8 @@ def machine_json(doc) -> str:
     The standard encoder runs its pure-Python generators whenever an
     indent is set; this writer appends each value's text to one list, and
     a list of ints or of strings (an exponent vector, a coefficient pair)
-    as one join.  Dict keys must be strings.
+    as one join.  A MultiPoly is written as its `poly_to_data` value, each
+    term as one %-format (`_poly_into`).  Dict keys must be strings.
     """
     out = []
     _json_into(doc, "\n", out)
@@ -131,14 +151,23 @@ def poly_from_data(ctx: PolyContext, data) -> MultiPoly:
     return ctx.from_terms(terms)
 
 
-def table_to_machine(table) -> dict:
+def _same(p):
+    return p
+
+
+def table_to_machine(table, poly=poly_to_data) -> dict:
+    """The machine document of a table; `poly` gives each entry's value.
+
+    `poly_to_data` gives plain JSON data; `machine_json` also takes the
+    MultiPoly itself (`_same`) and writes the same bytes.
+    """
     return {
         "kind": "secular_table",
         "spec": table.spec.to_document(),
         "order": table.ctx.order,
         "resonant": [[j + 1, m] for j, m in table.resonant],
         "components": [
-            [[m, poly_to_data(p)] for m, p in sorted(comp.entries.items())]
+            [[m, poly(p)] for m, p in sorted(comp.entries.items())]
             for comp in table.components
         ],
     }
@@ -157,13 +186,14 @@ def table_from_machine(text: str):
     return spec, ctx, comps
 
 
-def rg_to_machine(spec, rg) -> dict:
+def rg_to_machine(spec, rg, poly=poly_to_data) -> dict:
+    """The machine document of an RG system; `poly` as in `table_to_machine`."""
     return {
         "kind": "rg_system",
         "spec": spec.to_document(),
         "order": rg.ctx.order,
         "amplitudes": "renormalized",
-        "fields": [[name, poly_to_data(f)] for name, f in zip(rg.ctx.amplitudes, rg.fields)],
+        "fields": [[name, poly(f)] for name, f in zip(rg.ctx.amplitudes, rg.fields)],
     }
 
 
@@ -235,7 +265,7 @@ def cmd_expand(args) -> int:
                 "spec": spec.to_document(),
                 "order": K,
                 "band": band,
-                "entries": [[m, poly_to_data(p)] for m, p in entries],
+                "entries": entries,
             }
             print(machine_json(payload))
             return 0
@@ -246,7 +276,7 @@ def cmd_expand(args) -> int:
 
     table = expand_table(spec, label=label)
     if args.format == "machine":
-        print(machine_json(table_to_machine(table)))
+        print(machine_json(table_to_machine(table, _same)))
         return 0
     print(f"# {label}: class {spec.klass}, order {spec.order}")
     for note in _notes_for(label):
@@ -280,10 +310,9 @@ def cmd_rg(args) -> int:
         for l in theta.series.support():
             print(f"Theta[z^{l}] = {theta.series.entries[l].render()}")
         return 0
-    table = expand_table(spec, label=label)
-    rg = derive_rg(table)
+    rg, ren = solve_rg(spec)
     if args.format == "machine":
-        print(machine_json(rg_to_machine(spec, rg)))
+        print(machine_json(rg_to_machine(spec, rg, _same)))
         return 0
     # a bad --polar must fail before any of the RG equation is printed
     polar = polar_transform(rg, _parse_pairs(args.polar)) if args.polar else None
@@ -298,10 +327,10 @@ def cmd_rg(args) -> int:
         print("# polar form")
         print(polar.render())
     if args.expansion:
-        print(renormalized_expansion(table).render())
+        print(ren.render())
     if args.inversion:
         print("# inversion: bare amplitudes in terms of renormalized ones")
-        for name, p in invert_amplitudes(table).items():
+        for name, p in inversion_series(rg).items():
             print(f"{name}_bare = {p.render()}")
     return 0
 

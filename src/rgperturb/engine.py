@@ -37,13 +37,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .gaussrat import GaussianRational
+from .gaussrat import GaussianRational, ONE, ZERO
 from .poly import (
     PolyContext,
     MultiPoly,
     HarmonicSeries,
     hs_pow,
-    resolve_shift,
+    poly_sum_of_products,
+    resolve_chain,
     sum_of_products,
 )
 from .systems import ODESystemSpec, SpecError
@@ -221,20 +222,22 @@ class ForcingLayers:
         return sum_of_products(ctx, [(self._layers[a][j], self._power(rest, r - a))
                                      for a in range(r + 1)])
 
-    def next_layer(self, comps) -> list:
-        """Per component, eps^k times the eps^(k-1) layer of V on `comps` at the k-th call.
+    def next_layer(self, layer, extra=None) -> list:
+        """Per V, eps^k times the eps^(k-1) layer of V, at the k-th call.
 
-        The factor eps^k rides on the key of each term's coefficient
-        monomial, so it costs no product.
+        `layer[j]` is the eps^(k-1) layer of component j, eps-free.  The
+        factor eps^k rides on the key of each term's coefficient monomial,
+        so it costs no product.  `extra[j]`, when given, holds more
+        (series, series) pairs to add into V_j's sum of products.
         """
         ctx = self.ctx
         n = len(self._layers)
-        self._layers.append([c.eps_coeff(n) for c in comps])
+        self._layers.append(layer)
         no_states = (0,) * len(ctx.amplitudes)
         out = []
-        for vp in self.v_polys:
+        for idx, vp in enumerate(self.v_polys):
             split = vp.ctx.split
-            pairs = []
+            pairs = [] if extra is None else list(extra[idx])
             for l, poly in vp.entries.items():
                 for e, c in poly.terms.items():
                     a, t, s, se, pe = split(e)
@@ -246,31 +249,6 @@ class ForcingLayers:
         return out
 
 
-def _invert(rhs: MultiPoly, m: int, factors) -> MultiPoly:
-    """Polynomial P with  prod_r (d/dt + i(m - m_r))^{n_r} P = rhs.
-
-    Each non-resonant factor is inverted exactly by `resolve_shift`, the
-    closed form sum_k (-1)^k c^(-k-1) d^k/dt^k written term by term, once
-    per unit of its multiplicity; then each resonant factor (m_r == m) by
-    antidiff_t, which fixes the normalization.
-    """
-    res_mult = 0
-    for m_r, n_r in factors:
-        if m == m_r:
-            res_mult = n_r
-            continue
-        c = GaussianRational(0, m - m_r)
-        for _ in range(n_r):
-            rhs = resolve_shift(c, rhs)
-    for _ in range(res_mult):
-        rhs = rhs.antidiff_t()
-    return rhs
-
-
-def _invert_series(layer: HarmonicSeries, factors) -> HarmonicSeries:
-    return HarmonicSeries(layer.ctx, {m: _invert(p, m, factors) for m, p in layer.entries.items()})
-
-
 def _derivative_chain(hs: HarmonicSeries, n: int, ddt=HarmonicSeries.time_derivative) -> list:
     """[hs, ddt(hs), ..., ddt^(n-1)(hs)]."""
     out = [hs]
@@ -279,26 +257,330 @@ def _derivative_chain(hs: HarmonicSeries, n: int, ddt=HarmonicSeries.time_deriva
     return out
 
 
-def _free_solution(ctx: PolyContext, names) -> MultiPoly:
-    """g = sum_k A_k t^{k-1}/(k-1)!, the general solution of d^n g/dt^n = 0."""
-    g = ctx.zero()
-    for k, name in enumerate(names):
-        g = g + (ctx.var(name) * ctx.var("t", k)).scale(Fraction(1, factorial(k)))
-    return g
+def lie_derivative(p: MultiPoly, fields) -> MultiPoly:
+    """L p = sum_k dp/dA_k * F_k: d/dt of p(eps, A(t)) along the flow dA/dt = F(A).
 
-
-def _expand(spec, label, comps, v_polys, solve, resonant) -> SecularTable:
-    """The order-by-order recursion shared by the three classes.
-
-    At order k, `solve` maps eps^k times the eps^(k-1) layer of V on the
-    table so far to the eps^k increment of every component.
+    `fields` is aligned with the amplitudes.  The products are summed in one
+    accumulator (`poly_sum_of_products`).
     """
-    ctx = comps[0].ctx
-    forcing = ForcingLayers(v_polys, ctx)
-    for k in range(1, spec.order + 1):
-        step = solve(forcing.next_layer(comps))
-        comps = [c + d for c, d in zip(comps, step)]
-    return SecularTable(spec, ctx, comps, resonant, label=label)
+    return poly_sum_of_products(
+        p.ctx, [(p.diff(name), f) for name, f in zip(p.ctx.amplitudes, fields) if f.packed])
+
+
+def lie_series(hs: HarmonicSeries, fields, sign: int = 1) -> HarmonicSeries:
+    """exp(sign*t*L) hs = sum_n (sign*t)^n/n! L^n hs, with L = sum_k F_k d/dA_k entrywise.
+
+    The sum stops at the first L^n hs that is zero mod eps^(K+1).  It is
+    finite: the eps^0 part of F is zero or a chain shift, which is nilpotent
+    on polynomials, and every other part raises the eps-order.  Each L^n hs
+    is one sum of products over its harmonics.
+    """
+    ctx = hs.ctx
+    names = ctx.amplitudes
+    fields = [(names[i], HarmonicSeries.single(0, f)) for i, f in enumerate(fields) if f.packed]
+    out = dict(hs.entries)
+    n = 0
+    while True:
+        hs = sum_of_products(ctx, [(hs.map_entries(lambda p, a=a: p.diff(a)), f)
+                                   for a, f in fields])
+        if not hs.entries:
+            return HarmonicSeries(ctx, out)
+        n += 1
+        tn = ctx.var("t", n).scale(Fraction(sign ** n, factorial(n)))
+        for m, p in hs.entries.items():
+            q = out.get(m)
+            out[m] = tn * p if q is None else q + tn * p
+
+
+def _mirror(hs: HarmonicSeries, sigma) -> HarmonicSeries:
+    """sigma on a series: each entry mapped, harmonic m moved to -m."""
+    return HarmonicSeries(hs.ctx, {-m: sigma(p) for m, p in hs.entries.items()})
+
+
+def _swap_conj(names, partner):
+    """sigma on a polynomial: swap the symbols names[j] and names[pi(j)], conjugate."""
+    swap = {names[j]: names[q] for j, q in enumerate(partner) if q != j}
+    return lambda p: p.rename(swap).conj_coeffs()
+
+
+def conjugate_pairing(spec: ODESystemSpec) -> tuple:
+    """The involution pi of the spec's proved conjugate pairing, else the identity.
+
+    A pairing needs m_pi(j) = -m_j and V_pi(j) = sigma(V_j) for every j,
+    where sigma conjugates the coefficients, swaps the states by pi and
+    sends E to E^-1; the parameters are left as they are, as in
+    `renorm.check_pair_symmetry`.  The formal solution then has
+    P[pi(j), -m] = sigma(P[j, m]), amplitudes swapped by pi.  Each component
+    is paired with the first free later one of opposite mode (a mode-0
+    component with itself when there is none), and the pairing is kept only
+    if every V passes.  Only semisimple specs are paired.
+    """
+    n = spec.n_states
+    identity = tuple(range(n))
+    if spec.klass != "semisimple":
+        return identity
+    modes = spec.modes
+    partner = [None] * n
+    for j in range(n):
+        if partner[j] is None:
+            k = next((k for k in range(j + 1, n) if partner[k] is None and modes[k] == -modes[j]),
+                     j if modes[j] == 0 else None)
+            if k is None:
+                return identity
+            partner[j], partner[k] = k, j
+    sigma = _swap_conj(spec.state_names, partner)
+    if any(spec.v_polys[q] != _mirror(spec.v_polys[j], sigma) for j, q in enumerate(partner)):
+        return identity
+    return tuple(partner)
+
+
+def _chain_shift(p: MultiPoly, links) -> MultiPoly:
+    """L0 p = sum A_b dp/dA_a over the (a, b) links of the chain."""
+    ctx = p.ctx
+    out = ctx.zero()
+    for a, b in links:
+        out = out + p.diff(a) * ctx.var(b)
+    return out
+
+
+class RGSolution:
+    """The t-free solve of one spec: the renormalized expansion Y and the RG field F.
+
+    `expansion` holds the series Y_j = sum_m Y_{j,m}(eps, A) e^{imt} of each
+    observed component (for the scalar class, y alone); `fields` holds F_k,
+    aligned with ctx.amplitudes; `partner` is the conjugate pairing the
+    solve used (`conjugate_pairing`; the identity when there is none).
+    """
+
+    def __init__(self, spec, ctx, expansion, fields, partner):
+        self.spec = spec
+        self.ctx = ctx
+        self.expansion = expansion
+        self.fields = fields
+        self.partner = partner
+
+
+def _series_sum(layers) -> HarmonicSeries:
+    out = layers[0]
+    for layer in layers[1:]:
+        out = out + layer
+    return out
+
+
+def solve(spec: ODESystemSpec) -> RGSolution:
+    """Y and F order by order in eps, with no t anywhere (module docstring).
+
+    The unknowns are the components C_j (y_j for a system, the derivative
+    slots y^(l) for the scalar class) and F.  At order k the residual of
+    each component's equation along the flow, with the order-k unknowns
+    set to 0, is E_j = sum_{a=1}^{k-1} L_{F^(a)} C_j^(k-a) - [eps V_j]^(k);
+    `ForcingLayers` sums -E_j as one sum of products, and the class's
+    `step` turns it into C^(k) and F^(k).  Of a conjugate pair only the
+    representative j < pi(j) is solved; its partner is its sigma image.
+    """
+    ctx = make_context(spec)
+    names = ctx.amplitudes
+    if spec.klass == "semisimple":
+        comps0, chain, v_polys, step = _semisimple_step(spec, ctx)
+    elif spec.klass == "nilpotent":
+        comps0, chain, v_polys, step = _nilpotent_step(spec, ctx)
+    elif spec.klass == "scalar":
+        comps0, chain, v_polys, step = _scalar_step(spec, ctx)
+    else:
+        raise SpecError(f"no expansion engine for class {spec.klass!r}")
+    partner = conjugate_pairing(spec) if spec.klass == "semisimple" else tuple(range(len(comps0)))
+    reps = [j for j, q in enumerate(partner) if j <= q]
+    sigma = _swap_conj(names, partner)
+    zero = ctx.zero()
+    links = dict(chain)
+    F = [[ctx.var(links[a]) if a in links else zero for a in names]]  # F[a][i]: eps^a layer of F_i
+    C = [comps0]                                # C[b][j]: the eps^b layer of C_j
+    minus_f = [None]  # minus_f[a]: (i, -F^(a)_i at harmonic 0) for the nonzero F^(a)_i
+    dC = {}           # (b, j, i) -> dC^(b)_j/dA_i, built when first needed
+    forcing = ForcingLayers([v_polys[j] for j in reps], ctx)
+
+    def d(b, j, i):
+        key = b, j, i
+        x = dC.get(key)
+        if x is None:
+            a = names[i]
+            x = dC[key] = C[b][j].map_entries(lambda p: p.diff(a))
+        return x
+
+    for k in range(1, ctx.order + 1):
+        if k > 1:
+            minus_f.append([(i, HarmonicSeries.single(0, -f))
+                            for i, f in enumerate(F[k - 1]) if f.packed])
+        lie = [[(d(k - a, j, i), mf) for a in range(1, k) for i, mf in minus_f[a]]
+               for j in reps]
+        states = [c.eps_coeff(k - 1) for c in C[k - 1]]
+        rhs = dict(zip(reps, forcing.next_layer(states, lie)))
+        f_k = [zero] * len(names)
+        c_k = [None] * len(partner)
+        step(rhs, f_k, c_k)
+        for j in reps:
+            q = partner[j]
+            if q != j:
+                f_k[q] = sigma(f_k[j])
+                c_k[q] = _mirror(c_k[j], sigma)
+        F.append(f_k)
+        C.append(c_k)
+    fields = [sum((layer[i] for layer in F[1:]), F[0][i]) for i in range(len(names))]
+    observed = 1 if spec.klass == "scalar" else len(partner)
+    expansion = [_series_sum([layer[j] for layer in C]) for j in range(observed)]
+    return RGSolution(spec, ctx, expansion, fields, partner)
+
+
+def _semisimple_step(spec, ctx):
+    """y_j' = i m_j y_j + eps V_j: F_j = -E_{j,m_j}, Y_{j,m} = -E_{j,m}/(i(m - m_j))."""
+    modes = spec.modes
+    comps0 = [HarmonicSeries.single(m, ctx.var(a)) for m, a in zip(modes, ctx.amplitudes)]
+
+    def step(rhs, f_k, c_k):
+        for j, r in rhs.items():
+            m_j = modes[j]
+            f_k[j] = r.get(m_j)
+            c_k[j] = HarmonicSeries(ctx, {m: resolve_chain(GaussianRational(0, m - m_j), p)
+                                          for m, p in r.entries.items() if m != m_j})
+
+    return comps0, (), spec.v_polys, step
+
+
+def _nilpotent_step(spec, ctx):
+    """y_j' = y_{j+1} + eps V_j after the gauge reduction; F^(0) is the chain shift L0.
+
+    F_j = -E_{j,0}, and for m != 0, down the chain from the top,
+    Y_{j,m} = (L0 + im)^(-1) (Y_{j+1,m} - E_{j,m}).
+    """
+    names = ctx.amplitudes
+    n = len(names)
+    comps0 = [HarmonicSeries.single(0, ctx.var(a)) for a in names]
+    chain = tuple(zip(names, names[1:]))
+    v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in spec.v_polys]
+
+    def step(rhs, f_k, c_k):
+        new = [{} for _ in range(n)]
+        for m in sorted({m for r in rhs.values() for m in r.entries if m}):
+            above = ctx.zero()
+            for j in range(n - 1, -1, -1):
+                above = new[j][m] = resolve_chain(GaussianRational(0, m), rhs[j].get(m) + above,
+                                                  chain)
+        for j in range(n):
+            f_k[j] = rhs[j].get(0)
+            c_k[j] = HarmonicSeries(ctx, new[j])
+
+    return comps0, chain, v_polys, step
+
+
+def _scalar_step(spec, ctx):
+    """prod_r (d/dt - i m_r)^{n_r} y = eps V, as the slots C_l = y^(l) of its companion system.
+
+    Along the flow, with X = L + im on harmonic m and q(x) = prod_r
+    (x - i m_r)^{n_r} = sum_l c_l x^l, the slots satisfy X C_l = C_{l+1}
+    (l < N-1) and X C_{N-1} + sum_{l<N} c_l C_l = eps V.  F^(0) is the shift
+    L0 along each factor's amplitudes A_{r,0}, A_{r,1}, ...; Y_{m_r} = A_{r,0}
+    exactly, and of F only G_r = F_{(r, n_r-1)} has corrections.  With
+    X0 = L0 + im and B_l = -E_l + L_{F^(k)} C_l^(0), the slot equations
+    give C_l = X0^l C_0 - sum_{p<l} X0^(l-1-p) B_p and, eliminated,
+    q(X0) C_0 = H := sum_l h_l(X0) B_l with h_l(x) = sum_{i>l} c_i x^(i-1-l).
+    So G_r = prod_{r' != r} (L0 + i(m_r - m_r'))^(-n_r') H_{m_r}, and every
+    other harmonic gets Y_m = prod_r (L0 + i(m - m_r))^(-n_r) H_m.
+    """
+    names = ctx.amplitudes
+    factors = spec.factors
+    N = spec.n_states
+    chain, tops, y0 = [], {}, {}
+    pos = 0
+    for m_r, n_r in factors:
+        chain += [(names[pos + l], names[pos + l + 1]) for l in range(n_r - 1)]
+        tops[m_r] = pos + n_r - 1
+        y0[m_r] = ctx.var(names[pos])
+        pos += n_r
+    c = [ONE]  # q(x), lowest coefficient first
+    for m_r, n_r in factors:
+        root = GaussianRational(0, m_r)
+        for _ in range(n_r):
+            c = [(c[l - 1] if l else ZERO) - (root * c[l] if l < len(c) else ZERO)
+                 for l in range(len(c) + 1)]
+
+    def x0(p, m):  # (L0 + im) p
+        return _chain_shift(p, chain) + p.scale(GaussianRational(0, m)) if p.packed else p
+
+    def resolve(p, m, skip=None):  # prod_{r != skip} (L0 + i(m - m_r))^(-n_r) p
+        for m_r, n_r in factors:
+            if m_r != skip:
+                for _ in range(n_r):
+                    p = resolve_chain(GaussianRational(0, m - m_r), p, chain)
+        return p
+
+    comps0 = _derivative_chain(HarmonicSeries(ctx, y0), N,
+                               lambda hs: HarmonicSeries(ctx, {m: x0(p, m) for m, p in hs.entries.items()}))
+    # d C^(0)_l / dA_{top of the factor at m}: a constant, C^(0)_l being linear
+    top_coeff = [{m: comps0[l].get(m).diff(names[i]) for m, i in tops.items()} for l in range(N)]
+    v_polys = [HarmonicSeries.zero(spec.v_polys[0].ctx)] * (N - 1) + [spec.v_polys[0]]
+
+    def step(rhs, f_k, c_k):
+        slots = [{} for _ in range(N)]
+        for m in sorted({m for r in rhs.values() for m in r.entries} | set(y0)):
+            rows = [rhs[l].get(m) for l in range(N)]
+            h = ctx.zero()
+            for i in range(N - 1, -1, -1):  # H by Horner in X0
+                g = ctx.zero()
+                for p in range(N - i):
+                    if rows[p].packed:
+                        g = g + rows[p].scale(c[p + 1 + i])
+                h = g + x0(h, m)
+            if m in tops:
+                g = f_k[tops[m]] = resolve(h, m, skip=m)
+                h = ctx.zero()
+            else:
+                h = resolve(h, m)
+            for l in range(N):
+                slots[l][m] = h
+                if l + 1 < N:
+                    h = x0(h, m) - rows[l]
+                    if m in tops:
+                        h = h + g * top_coeff[l][m]
+        for l in range(N):
+            c_k[l] = HarmonicSeries(ctx, slots[l])
+
+    return comps0, chain, v_polys, step
+
+
+def _lie_table(sol: RGSolution) -> list:
+    """The table's components, each entry the Lie series exp(tL) of its Y entry.
+
+    Of a conjugate pair only the representative is expanded; the partner is
+    its sigma image.  For the scalar class slot 0 is expanded and the other
+    slots are its t-derivatives.
+    """
+    fields, partner = sol.fields, sol.partner
+    sigma = _swap_conj(sol.ctx.amplitudes, partner)
+    comps = [None] * len(sol.expansion)
+    for j, y in enumerate(sol.expansion):
+        q = partner[j]
+        if j <= q:
+            comps[j] = lie_series(y, fields)
+            if q != j:
+                comps[q] = _mirror(comps[j], sigma)
+    if sol.spec.klass == "scalar":
+        return _derivative_chain(comps[0], sol.spec.n_states)
+    return comps
+
+
+def _resonant(spec) -> list:
+    if spec.klass == "semisimple":
+        return list(enumerate(spec.modes))
+    if spec.klass == "nilpotent":
+        return [(j, 0) for j in range(spec.block_size)]
+    return [(0, m_r) for m_r, _ in spec.factors]
+
+
+def _expand(spec: ODESystemSpec, klass: str, label: str) -> SecularTable:
+    if spec.klass != klass:
+        raise SpecError(f"expand_{klass} needs a {klass} spec")
+    sol = solve(spec)
+    return SecularTable(spec, sol.ctx, _lie_table(sol), _resonant(spec), label=label)
 
 
 def _shift_carrier(vp: HarmonicSeries, weights, offset) -> HarmonicSeries:
@@ -322,56 +604,15 @@ def gauge_reduce_nilpotent(vp: HarmonicSeries, m: int) -> HarmonicSeries:
 
 
 def expand_semisimple(spec: ODESystemSpec, label="") -> SecularTable:
-    if spec.klass != "semisimple":
-        raise SpecError("expand_semisimple needs a semisimple spec")
-    ctx = make_context(spec)
-    modes = spec.modes
-    comps = [HarmonicSeries.single(m, ctx.var(a)) for m, a in zip(modes, spec.amplitude_names)]
-
-    def solve(layers):
-        return [_invert_series(lay, ((m, 1),)) for lay, m in zip(layers, modes)]
-
-    return _expand(spec, label, comps, spec.v_polys, solve, list(enumerate(modes)))
+    return _expand(spec, "semisimple", label)
 
 
 def expand_nilpotent(spec: ODESystemSpec, label="") -> SecularTable:
-    if spec.klass != "nilpotent":
-        raise SpecError("expand_nilpotent needs a nilpotent spec")
-    ctx = make_context(spec)
-    n = spec.block_size
-    v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in spec.v_polys]
-    g = HarmonicSeries.single(0, _free_solution(ctx, spec.amplitude_names))
-
-    def solve(layers):
-        # back-substitution up the chain: P_j' + i*m*P_j = layer_j + P_{j+1}
-        new = [{} for _ in range(n)]
-        for m in sorted({m for lay in layers for m in lay.entries}):
-            below = ctx.zero()
-            for j in range(n - 1, -1, -1):
-                below = new[j][m] = _invert(layers[j].get(m) + below, m, ((0, 1),))
-        return [HarmonicSeries(ctx, d) for d in new]
-
-    resonant = [(j, 0) for j in range(n)]
-    return _expand(spec, label, _derivative_chain(g, n), v_polys, solve, resonant)
+    return _expand(spec, "nilpotent", label)
 
 
 def expand_scalar(spec: ODESystemSpec, label="") -> SecularTable:
-    if spec.klass != "scalar":
-        raise SpecError("expand_scalar needs a scalar spec")
-    ctx = make_context(spec)
-    N = spec.n_states
-    entries = {}
-    pos = 0
-    for m_r, n_r in spec.factors:
-        entries[m_r] = _free_solution(ctx, spec.amplitude_names[pos:pos + n_r])
-        pos += n_r
-    slots = _derivative_chain(HarmonicSeries(ctx, entries), N)
-
-    def solve(layers):
-        return _derivative_chain(_invert_series(layers[0], spec.factors), N)
-
-    resonant = [(0, m_r) for m_r, _ in spec.factors]
-    return _expand(spec, label, slots, spec.v_polys, solve, resonant)
+    return _expand(spec, "scalar", label)
 
 
 def expand_table(spec: ODESystemSpec, label="") -> SecularTable:

@@ -49,6 +49,9 @@ class GaussianRational:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:  # (re + im*i)/1 is canonical as it is
+            self.a, self.b, self.d = re, im, 1
+            return
         re = re if isinstance(re, Fraction) else Fraction(re)
         im = im if isinstance(im, Fraction) else Fraction(im)
         # over the lcm of two reduced denominators no common factor is left

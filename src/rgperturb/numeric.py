@@ -529,8 +529,7 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
     conjugate-symmetric under the pairing (A1, A2); the initial state is set
     from the renormalized expansion at t=0 with A1 = r0 e^{i theta0}.
     """
-    from .engine import expand_semisimple
-    from .renorm import derive_rg, renormalized_expansion, polar_transform
+    from .renorm import solve_rg, polar_transform
 
     if spec.klass != "semisimple" or len(spec.modes) != 2:
         raise SpecError("the pipeline needs a 2-dimensional semisimple spec")
@@ -538,10 +537,8 @@ def simulate_conjugate_pair(spec: ODESystemSpec, eps: float, r0: float, theta0: 
     work = spec
     if spec.order < rg_order:
         raise SpecError("spec order too small for the requested RG order")
-    table = expand_semisimple(work)
-    rg = derive_rg(table)
+    rg, ren = solve_rg(work)
     polar = polar_transform(rg, [(0, 1)])
-    ren = renormalized_expansion(table)
 
     # Y_j(0) = sum_m P_{j,m}(eps, 0, A(0)): at t = 0 every harmonic is
     # complex(1.0, +-0.0), which changes no nonzero part of a term, and each

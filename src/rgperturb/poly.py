@@ -417,7 +417,9 @@ class MultiPoly:
         out = {}
         for e, c in self.packed.items():
             k = e >> sh & _MASK
-            if k:
+            if k == 1:
+                out[e - one] = c
+            elif k:
                 out[e - one] = _canonical(c.a * k, c.b * k, c.d)
         return MultiPoly(self.ctx, out)
 
@@ -660,6 +662,39 @@ def resolve_shift(c: GaussianRational, rhs: MultiPoly) -> MultiPoly:
             _add_triple(acc, e, a1 * wa - b1 * wb, a1 * wb + b1 * wa, d1 * wd)
             e -= one
     return MultiPoly(ctx, {k: _canonical(a, b, d) for k, (a, b, d) in acc.items() if a or b})
+
+
+def resolve_chain(c: GaussianRational, rhs: MultiPoly, links=()) -> MultiPoly:
+    """Unique polynomial P with  L0 P + c P = rhs  (c != 0).
+
+    L0 = sum A_b d/dA_a over the (a, b) symbol-name links; the links must
+    form chains, so that L0 is nilpotent on polynomials.  Then
+    P = sum_{s>=0} (-1)^s c^(-s-1) L0^s rhs: each L0^s rhs is kept as
+    unnormalised triples, its weighted terms are added into one accumulator
+    as in `_Accumulator`, and each key is normalised once.
+    """
+    if c.is_zero():
+        raise PolyError("resolve_chain requires a nonzero shift")
+    ctx = rhs.ctx
+    moves = [(ctx.shifts[ctx.index(a)], ctx.shifts[ctx.index(b)]) for a, b in links]
+    inv = ONE / c
+    w = inv
+    layer = {e: (v.a, v.b, v.d) for e, v in rhs.packed.items()}  # L0^s rhs
+    acc = {}
+    while layer:
+        wa, wb, wd = w.a, w.b, w.d
+        nxt = {}
+        for e, (a, b, d) in layer.items():
+            _add_triple(acc, e, a * wa - b * wb, a * wb + b * wa, d * wd)
+            for sa, sb in moves:
+                k = e >> sa & _MASK
+                if k:
+                    _add_triple(nxt, e - (1 << sa) + (1 << sb), a * k, b * k, d)
+        layer = {e: v for e, v in nxt.items() if v[0] or v[1]}
+        w = -(w * inv)
+    out = {k: _canonical(a, b, d) for k, (a, b, d) in acc.items() if a or b}
+    ctx._check_keys(out)
+    return MultiPoly(ctx, out)
 
 
 def from_expression(ctx: PolyContext, src: str) -> MultiPoly:

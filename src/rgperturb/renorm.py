@@ -15,7 +15,7 @@ from fractions import Fraction
 from .gaussrat import GaussianRational
 from .poly import PolyContext, MultiPoly, HarmonicSeries, join_signed, monomial_text
 from .systems import SpecError
-from .engine import SecularTable
+from .engine import SecularTable, lie_series, solve
 
 
 class PolarPairingError(ValueError):
@@ -95,6 +95,29 @@ def renormalized_expansion(table: SecularTable) -> RenExpansion:
         for comp in table.observed_components()
     ]
     return RenExpansion(table.ctx, out)
+
+
+def solve_rg(spec) -> tuple:
+    """The RG system and the renormalized expansion of a spec, without a secular table.
+
+    Both come from the engine's t-free solve (`engine.solve`); they equal
+    `derive_rg` and `renormalized_expansion` of `expand_table(spec)`.
+    """
+    sol = solve(spec)
+    factors = spec.factors if spec.klass == "scalar" else ()
+    return RGSystem(sol.ctx, sol.fields, factors), RenExpansion(sol.ctx, sol.expansion)
+
+
+def inversion_series(rg: RGSystem) -> dict:
+    """Bare amplitudes as polynomials in (eps, t, renormalized A), from the RG field.
+
+    The renormalized amplitudes are the flow exp(tL) A_k of the field, so
+    the bare ones are its Lie series at -t, exp(-tL) A_k: the same
+    polynomials as `invert_amplitudes` of the table.
+    """
+    ctx = rg.ctx
+    return {name: lie_series(HarmonicSeries.single(0, ctx.var(name)), rg.fields, -1).get(0)
+            for name in ctx.amplitudes}
 
 
 def invert_amplitudes(table: SecularTable) -> dict:

@@ -319,9 +319,10 @@ class TestDispatch:
 class TestForcingLayers:
     """The engine's relaxed forcing cache against the reference evaluator.
 
-    At every order k the cache sees the table truncated at eps^(k-1), as in
-    the engine's loop, and must return eps^k times the eps^(k-1) layer that
-    `eval_vpoly_hs` computes from scratch on the same truncation.
+    At every order k the cache is handed the eps^(k-1) layer of the table,
+    as in the engine's loop, and must return eps^k times the eps^(k-1) layer
+    of V that `eval_vpoly_hs` computes from scratch on the table truncated
+    at eps^(k-1).
     """
 
     @staticmethod
@@ -337,7 +338,8 @@ class TestForcingLayers:
             epsk = ctx.var("eps", k)
             want = [eval_vpoly_hs(vp, comps, ctx, k - 1).eps_coeff(k - 1)
                     .map_entries(lambda p: p * epsk) for vp in v_polys]
-            assert forcing.next_layer(comps) == want, f"{spec.v_srcs} at order {k}"
+            layer = [c.eps_coeff(k - 1) for c in comps]
+            assert forcing.next_layer(layer) == want, f"{spec.v_srcs} at order {k}"
 
     @pytest.mark.parametrize("name,order", [
         ("ex_cd", 10), ("ex_bt", 4), ("ex_third", 5), ("ex_oscillators", 4), ("ex_scalar1", 9),

@@ -60,6 +60,7 @@ DOCUMENTED_API = {
     "renorm.polar_projection": "a real observable in multiple-angle form",
     "numeric.integrate_rg": "integrates the complex RG system",
     "poly.MultiPoly.substitute": "named substitution; the benchmark tracer wraps it",
+    "poly.MultiPoly.antidiff_t": "the t-antiderivative; the reference engine in the tests uses it",
 }
 
 
