@@ -20,12 +20,13 @@ from .poly import (
     HarmonicSeries,
     PolyContext,
     Substitution,
+    lie_derivative,
+    lie_derivative_series,
     monomial_text,
 )
 from .systems import ODESystemSpec, SpecError, parse_spec
 from .engine import (
     SecularTable,
-    lie_derivative,
     table_residuals,
     governing_residual,
 )
@@ -182,7 +183,7 @@ def renormalized_residuals(table: SecularTable, rg: RGSystem,
     """
 
     def ddt(hs):  # d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}
-        return hs.time_derivative() + hs.map_entries(lambda p: lie_derivative(p, rg.fields))
+        return hs.time_derivative() + lie_derivative_series(hs, rg.fields)
 
     comps = (ren or renormalized_expansion(table)).components
     return governing_residual(table.spec, comps, ddt)

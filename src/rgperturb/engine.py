@@ -37,13 +37,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .gaussrat import GaussianRational, ONE, ZERO
+from .gaussrat import GaussianRational
 from .poly import (
     PolyContext,
     MultiPoly,
     HarmonicSeries,
     hs_pow,
-    poly_sum_of_products,
+    lie_derivative_series,
     resolve_chain,
     sum_of_products,
 )
@@ -257,39 +257,30 @@ def _derivative_chain(hs: HarmonicSeries, n: int, ddt=HarmonicSeries.time_deriva
     return out
 
 
-def lie_derivative(p: MultiPoly, fields) -> MultiPoly:
-    """L p = sum_k dp/dA_k * F_k: d/dt of p(eps, A(t)) along the flow dA/dt = F(A).
+def lie_series(series, fields, sign: int = 1) -> list:
+    """exp(sign*t*L) of each series: sum_n (sign*t)^n/n! L^n hs, L = sum_k F_k d/dA_k.
 
-    `fields` is aligned with the amplitudes.  The products are summed in one
-    accumulator (`poly_sum_of_products`).
+    L acts entry by entry.  A series' sum stops at its first L^n hs that is
+    zero mod eps^(K+1); it is finite, as the eps^0 part of F is zero or a
+    chain shift, which is nilpotent on polynomials, and every other part
+    raises the eps-order.  The n-th term is (sign/n) L of the one before,
+    the factor carried by the fields, so t^n enters as a shift of the keys.
     """
-    return poly_sum_of_products(
-        p.ctx, [(p.diff(name), f) for name, f in zip(p.ctx.amplitudes, fields) if f.packed])
-
-
-def lie_series(hs: HarmonicSeries, fields, sign: int = 1) -> HarmonicSeries:
-    """exp(sign*t*L) hs = sum_n (sign*t)^n/n! L^n hs, with L = sum_k F_k d/dA_k entrywise.
-
-    The sum stops at the first L^n hs that is zero mod eps^(K+1).  It is
-    finite: the eps^0 part of F is zero or a chain shift, which is nilpotent
-    on polynomials, and every other part raises the eps-order.  Each L^n hs
-    is one sum of products over its harmonics.
-    """
-    ctx = hs.ctx
-    names = ctx.amplitudes
-    fields = [(names[i], HarmonicSeries.single(0, f)) for i, f in enumerate(fields) if f.packed]
-    out = dict(hs.entries)
+    out = [dict(hs.entries) for hs in series]
+    live = list(enumerate(series))
     n = 0
-    while True:
-        hs = sum_of_products(ctx, [(hs.map_entries(lambda p, a=a: p.diff(a)), f)
-                                   for a, f in fields])
-        if not hs.entries:
-            return HarmonicSeries(ctx, out)
+    while live:
         n += 1
-        tn = ctx.var("t", n).scale(Fraction(sign ** n, factorial(n)))
-        for m, p in hs.entries.items():
-            q = out.get(m)
-            out[m] = tn * p if q is None else q + tn * p
+        w = GaussianRational(Fraction(sign, n))
+        scaled = [f.scale(w) for f in fields]
+        live = [(j, d) for j, hs in live if (d := lie_derivative_series(hs, scaled)).entries]
+        for j, hs in live:
+            tn = hs.ctx.var("t", n)
+            acc = out[j]
+            for m, p in hs.entries.items():
+                q = acc.get(m)
+                acc[m] = tn * p if q is None else q + tn * p
+    return [HarmonicSeries(hs.ctx, d) for hs, d in zip(series, out)]
 
 
 def _mirror(hs: HarmonicSeries, sigma) -> HarmonicSeries:
@@ -428,7 +419,7 @@ def solve(spec: ODESystemSpec) -> RGSolution:
     fields = [sum((layer[i] for layer in F[1:]), F[0][i]) for i in range(len(names))]
     observed = 1 if spec.klass == "scalar" else len(partner)
     expansion = [_series_sum([layer[j] for layer in C]) for j in range(observed)]
-    return RGSolution(spec, ctx, expansion, fields, partner)
+    return RGSolution(spec, ctx, expansion, fields, partner[:observed])
 
 
 def _semisimple_step(spec, ctx):
@@ -496,12 +487,11 @@ def _scalar_step(spec, ctx):
         tops[m_r] = pos + n_r - 1
         y0[m_r] = ctx.var(names[pos])
         pos += n_r
-    c = [ONE]  # q(x), lowest coefficient first
+    q = [(1, 0)]  # q(x) = prod_r (x - i m_r)^{n_r}, Gaussian integers, lowest first
     for m_r, n_r in factors:
-        root = GaussianRational(0, m_r)
-        for _ in range(n_r):
-            c = [(c[l - 1] if l else ZERO) - (root * c[l] if l < len(c) else ZERO)
-                 for l in range(len(c) + 1)]
+        for _ in range(n_r):  # times x - i m_r
+            q = [(a + m_r * d, b - m_r * c0) for (a, b), (c0, d) in zip([(0, 0)] + q, q + [(0, 0)])]
+    c = [GaussianRational(a, b) for a, b in q]
 
     def x0(p, m):  # (L0 + im) p
         return _chain_shift(p, chain) + p.scale(GaussianRational(0, m)) if p.packed else p
@@ -554,15 +544,14 @@ def _lie_table(sol: RGSolution) -> list:
     its sigma image.  For the scalar class slot 0 is expanded and the other
     slots are its t-derivatives.
     """
-    fields, partner = sol.fields, sol.partner
+    partner = sol.partner
+    reps = [j for j, q in enumerate(partner) if j <= q]
     sigma = _swap_conj(sol.ctx.amplitudes, partner)
     comps = [None] * len(sol.expansion)
-    for j, y in enumerate(sol.expansion):
-        q = partner[j]
-        if j <= q:
-            comps[j] = lie_series(y, fields)
-            if q != j:
-                comps[q] = _mirror(comps[j], sigma)
+    for j, p in zip(reps, lie_series([sol.expansion[j] for j in reps], sol.fields)):
+        comps[j] = p
+        if partner[j] != j:
+            comps[partner[j]] = _mirror(p, sigma)
     if sol.spec.klass == "scalar":
         return _derivative_chain(comps[0], sol.spec.n_states)
     return comps

@@ -59,7 +59,7 @@ from math import gcd
 from operator import or_
 from types import MappingProxyType
 
-from .gaussrat import GaussianRational, ONE, _canonical
+from .gaussrat import GaussianRational, ONE, _canonical, _raw
 
 EPS = 0
 T = 1
@@ -351,6 +351,11 @@ class MultiPoly:
     # -- ring operations ------------------------------------------------------
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         _check_ctx(self, other)
+        # values are immutable: a zero summand gives the other one back
+        if not other.packed:
+            return self
+        if not self.packed and other.ctx is self.ctx:
+            return other
         out = dict(self.packed)
         _add_terms(out, other.packed)
         return MultiPoly(self.ctx, out)
@@ -366,6 +371,8 @@ class MultiPoly:
             c = GaussianRational(c)
         if c.is_zero():
             return self.ctx.zero()
+        if c.is_one():
+            return self
         return MultiPoly(self.ctx, {e: v * c for e, v in self.packed.items()})
 
     def mul(self, other: "MultiPoly", trunc: int | None = None) -> "MultiPoly":
@@ -675,6 +682,8 @@ def resolve_chain(c: GaussianRational, rhs: MultiPoly, links=()) -> MultiPoly:
     """
     if c.is_zero():
         raise PolyError("resolve_chain requires a nonzero shift")
+    if not links:
+        return rhs.scale(ONE / c)
     ctx = rhs.ctx
     moves = [(ctx.shifts[ctx.index(a)], ctx.shifts[ctx.index(b)]) for a, b in links]
     inv = ONE / c
@@ -826,6 +835,49 @@ def sum_of_products(ctx: PolyContext, pairs, trunc: int | None = None) -> Harmon
                     terms = out[m] = {}
                 acc.add_product(terms, p1.packed, p2)
     return HarmonicSeries(ctx, {m: acc.poly(terms) for m, terms in out.items()})
+
+
+def _lie_terms(acc: _Accumulator, p: MultiPoly, moves) -> dict:
+    """The unnormalised terms of L p = sum_k F_k dp/dA_k, summed in `acc`.
+
+    `moves` holds (unit key, shift, F_k) per amplitude with F_k != 0.  Each
+    derivative term is built on the fly, its coefficient times the
+    exponent left unnormalised, and multiplied into the one accumulator.
+    """
+    terms = {}
+    for one, sh, f in moves:
+        left = {}
+        for e, c in p.packed.items():
+            k = e >> sh & _MASK
+            if k:
+                left[e - one] = c if k == 1 else _raw(c.a * k, c.b * k, c.d)
+        if left:
+            acc.add_product(terms, left, f)
+    return terms
+
+
+def _lie_moves(ctx: PolyContext, fields) -> list:
+    shifts = ctx.shifts[S + 1:S + 1 + len(ctx.amplitudes)]
+    return [(1 << sh, sh, f) for sh, f in zip(shifts, fields) if f.packed]
+
+
+def lie_derivative(p: MultiPoly, fields) -> MultiPoly:
+    """L p = sum_k F_k dp/dA_k, with `fields` aligned with the amplitudes.
+
+    It is d/dt of p(eps, A(t)) along the flow dA/dt = F(A); the products
+    are summed in one accumulator.
+    """
+    acc = _Accumulator(p.ctx, p.ctx.order)
+    return acc.poly(_lie_terms(acc, p, _lie_moves(p.ctx, fields)))
+
+
+def lie_derivative_series(hs: HarmonicSeries, fields) -> HarmonicSeries:
+    """`lie_derivative` of every entry of a series, through one accumulator."""
+    ctx = hs.ctx
+    acc = _Accumulator(ctx, ctx.order)
+    moves = _lie_moves(ctx, fields)
+    return HarmonicSeries(ctx, {m: acc.poly(_lie_terms(acc, p, moves))
+                                for m, p in hs.entries.items()})
 
 
 def hs_pow(x: HarmonicSeries, n: int, trunc: int | None = None) -> HarmonicSeries:

@@ -116,8 +116,9 @@ def inversion_series(rg: RGSystem) -> dict:
     polynomials as `invert_amplitudes` of the table.
     """
     ctx = rg.ctx
-    return {name: lie_series(HarmonicSeries.single(0, ctx.var(name)), rg.fields, -1).get(0)
-            for name in ctx.amplitudes}
+    names = ctx.amplitudes
+    series = lie_series([HarmonicSeries.single(0, ctx.var(a)) for a in names], rg.fields, -1)
+    return {name: hs.get(0) for name, hs in zip(names, series)}
 
 
 def invert_amplitudes(table: SecularTable) -> dict:

@@ -2,23 +2,29 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rgperturb.checks import random_spec
-from rgperturb.demos import load_builtin
+from reference_engine import reference_table
+from rgperturb.checks import random_spec, run_all_checks
+from rgperturb.demos import builtin_document, load_builtin
 from rgperturb.poly import EPS, HarmonicSeries, from_expression, hs_pow
 from rgperturb.systems import parse_spec
 from rgperturb.expressions import render_forcing
 from rgperturb.engine import (
     ForcingLayers,
+    SecularTable,
     _shift_carrier,
+    conjugate_pairing,
     eval_vpoly_hs,
     expand_table,
     expand_semisimple,
     expand_nilpotent,
     expand_scalar,
     gauge_reduce_nilpotent,
+    solve,
     table_residuals,
 )
+from rgperturb.renorm import derive_rg, renormalized_expansion
 
 
 def make_spec(**doc):
@@ -420,3 +426,128 @@ class TestEvalVpoly:
         for seed in range(30):
             self.assert_matches_reference(random_spec(klass, seed, 4))
 
+
+
+# -- the t-free engine against the t-dependent recursion it replaced -----------
+
+def assert_matches_reference(spec):
+    """Table, RG field and renormalized expansion equal the reference engine's."""
+    ref = reference_table(spec)
+    table = expand_table(spec)
+    assert table.components == ref.components, spec.v_srcs
+    want = derive_rg(ref).fields
+    assert derive_rg(table).fields == want, spec.v_srcs
+    sol = solve(spec)
+    assert sol.fields == want, spec.v_srcs
+    assert sol.expansion == renormalized_expansion(ref).components, spec.v_srcs
+
+
+COEFFS = ["1", "(-1)", "2", "1/2", "(-3/2)", "i", "(-i/3)", "(1 + i)", "(2 - i/2)"]
+
+
+@st.composite
+def forcing_src(draw, states):
+    """A random V: one to three terms, each a coefficient, maybe eps, maybe
+    E^{+-1}, and a product of up to two states."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [draw(st.sampled_from(COEFFS))]
+        factors += draw(st.sampled_from([[], [], ["eps"]]))
+        factors += draw(st.sampled_from([[], ["E"], ["E^-1"]]))
+        factors += draw(st.lists(st.sampled_from(states), max_size=2))
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+@st.composite
+def spec_documents(draw):
+    """Specs of each class: repeated semisimple modes, nilpotent gauge modes
+    0 and +-1, a scalar double root, two simple roots or one."""
+    klass = draw(st.sampled_from(["semisimple", "nilpotent", "scalar"]))
+    order = draw(st.integers(1, 4))
+    if klass == "semisimple":
+        modes = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 1, -1]), min_size=1, max_size=3))
+        states = [f"y{j + 1}" for j in range(len(modes))]
+        linear = modes
+    elif klass == "nilpotent":
+        size = draw(st.integers(1, 3))
+        states = [f"y{j + 1}" for j in range(size)]
+        linear = {"mode": draw(st.sampled_from([0, 1, -1])), "size": size}
+    else:
+        linear = draw(st.sampled_from([
+            [[0, 2]], [[1, 2]], [[-1, 2]], [[0, 1]], [[1, 1]],
+            [[0, 1], [1, 1]], [[1, 1], [-1, 1]], [[-1, 1], [0, 1]],
+        ]))
+        states = ["y" + "'" * l for l in range(sum(n for _, n in linear))]
+    n_eq = 1 if klass == "scalar" else len(states)
+    V = [draw(forcing_src(states)) for _ in range(n_eq)]
+    return {"class": klass, "linear_part": linear, "V": V, "order": order}
+
+
+class TestReferenceEngine:
+    """`expand_table`, the RG field and the solve's Y and F against the
+    t-dependent recursion of `reference_engine`."""
+
+    @pytest.mark.parametrize("name,orders", [
+        ("ex_cd", range(8, 15)), ("ex_bt", range(3, 6)), ("ex_third", range(4, 8)),
+    ])
+    def test_builtins_at_depth(self, name, orders):
+        for order in orders:
+            assert_matches_reference(load_builtin(name, order))
+
+    @pytest.mark.parametrize("name", ["ex_oscillators", "ex_scalar1"])
+    def test_other_builtins(self, name):
+        for order in range(0, 6):
+            assert_matches_reference(load_builtin(name, order))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec_documents())
+    def test_random_specs(self, doc):
+        assert_matches_reference(parse_spec(json.dumps(doc)))
+
+    def test_the_drawn_specs_reach_every_case(self):
+        # the cases the strategy must reach, as specs it can draw
+        for doc in (
+            {"class": "semisimple", "linear_part": [1, 1, -1], "order": 3,
+             "V": ["y2*y3 + E^-1*y1", "i*y1*y3", "y1*y2 + eps*E"]},
+            {"class": "nilpotent", "linear_part": {"mode": -1, "size": 2}, "order": 3,
+             "V": ["y2*E + y1^2", "(1 + i)*y1*y2"]},
+            {"class": "scalar", "linear_part": [[1, 2]], "order": 3, "V": ["y*y' + E^-1*y"]},
+            {"class": "scalar", "linear_part": [[1, 1], [-1, 1]], "order": 3,
+             "V": ["y^2 + 1/2*E*y'"]},
+        ):
+            assert_matches_reference(parse_spec(json.dumps(doc)))
+
+
+class TestPairing:
+    """The half-per-pair path: taken only on a proved pairing, same table either way."""
+
+    def test_builtin_pairings(self):
+        assert conjugate_pairing(load_builtin("ex_cd")) == (1, 0)
+        assert conjugate_pairing(load_builtin("ex_oscillators")) == (1, 0, 3, 2)
+        assert conjugate_pairing(load_builtin("ex_bt")) == (0, 1)
+        assert conjugate_pairing(load_builtin("ex_third")) == (0, 1, 2)
+
+    def test_a_mode_zero_component_pairs_with_itself(self):
+        spec = make_spec(**{"class": "semisimple", "linear_part": [1, 0, -1], "order": 4,
+                            "V": ["y1*y2 + E^-1*y3", "y1*y3 + y2^2", "y3*y2 + E*y1"]})
+        assert conjugate_pairing(spec) == (2, 1, 0)
+        assert solve(spec).partner == (2, 1, 0)
+        assert_matches_reference(spec)
+
+    def test_a_changed_coefficient_is_not_paired(self):
+        doc = json.loads(builtin_document("ex_cd", 6))
+        doc["V"][1] = "y1*y2 + 2*E*y1"
+        spec = parse_spec(json.dumps(doc))
+        assert conjugate_pairing(spec) == (0, 1)
+        assert_matches_reference(spec)
+
+    def test_a_corrupted_mirror_half_fails_verify(self):
+        table = expand_table(load_builtin("ex_cd", 5))
+        assert all(r.ok for r in run_all_checks(table))
+        ctx = table.ctx
+        comps = list(table.components)
+        comps[1] = comps[1] + HarmonicSeries.single(-1, ctx.var("eps") * ctx.var("t"))
+        bad = SecularTable(table.spec, ctx, comps, table.resonant, label="mirror-corrupted")
+        failed = [r.name for r in run_all_checks(bad) if not r.ok]
+        assert "check_residual" in failed and "check_functional_relation" in failed

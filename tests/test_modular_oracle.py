@@ -16,7 +16,10 @@ The class's original equation, with V read term by term from the spec,
 
 must hold mod eps^(K+1); for the scalar class V's derivative states are
 taken here from slot 0, and each slot l+1 of the table must also be the
-t-derivative of slot l.  No engine arithmetic is shared: products,
+t-derivative of slot l.  The engine builds each table as the Lie series
+exp(tL) of its t-free part, L = sum_k F_k d/dA_k, so the same point also
+checks (F), dP/dt = L P for every entry, with the table's own RG field F
+read term by term.  No engine arithmetic is shared: products,
 derivatives and sums are plain `int` operations mod p.  A nonzero residual
 of degree D in the random values vanishes at the point with probability at
 most D/p (Schwartz, J. ACM 27 (1980); Zippel, EUROSAM 1979).  A p that
@@ -33,6 +36,7 @@ from rgperturb.checks import corrupt_table, random_spec
 from rgperturb.demos import load_builtin
 from rgperturb.engine import expand_table
 from rgperturb.gaussrat import GaussianRational
+from rgperturb.renorm import derive_rg
 
 P = 2 ** 62 - 87
 
@@ -232,12 +236,62 @@ def residuals(table, field, seed) -> list:
     raise AssertionError(f"no modular oracle for class {spec.klass!r}")
 
 
+def flow_residuals(table, fields, field, seed) -> list:
+    """(F): dP/dt - L P for every entry of every component, L = sum_k F_k d/dA_k.
+
+    dP/dt differentiates the coefficient polynomial in t alone.  A term
+    c eps^a t^n A^alpha of an entry gives n c eps^a t^(n-1) A^alpha to dP/dt
+    and alpha_k c eps^a t^n A^alpha / A_k times F_k to L P, each at the
+    point; F_k is read term by term and is free of t.
+    """
+    ctx, K, p = table.ctx, table.order, field.p
+    values = point(ctx, field, seed)
+    names = (*ctx.amplitudes, *ctx.params)
+    inverse = [pow(values[a], -1, p) for a in ctx.amplitudes]
+    fs = []
+    for f in fields:
+        layers = {}
+        for e, c in f.terms.items():
+            eps, t, s, amps, params = ctx.split(e)
+            assert t == 0 and s == 0, "an RG field has no t or s"
+            v = field.gaussian(c) * monomial_value(names, (*amps, *params), values, p)
+            layers[eps] = (layers.get(eps, 0) + v) % p
+        fs.append(layers)
+    out = []
+    for comp in table.components:
+        flat = {}  # (m, eps-order, t-degree) -> coefficient
+        for m, poly in comp.entries.items():
+            for e, c in poly.terms.items():
+                eps, t, s, amps, params = ctx.split(e)
+                v = field.gaussian(c) * monomial_value(names, (*amps, *params), values, p) % p
+                if t:
+                    key = (m, eps, t - 1)
+                    flat[key] = (flat.get(key, 0) + t * v) % p
+                for k, f in enumerate(fs):
+                    if amps[k]:
+                        w = v * amps[k] * inverse[k] % p
+                        for b, fb in f.items():
+                            if eps + b <= K:
+                                key = (m, eps + b, t)
+                                flat[key] = (flat.get(key, 0) - w * fb) % p
+        res = {}
+        for (m, eps, t), v in flat.items():
+            coeffs = [0] * (t + 1)
+            coeffs[t] = v
+            add_into(res, (m, eps), coeffs, p)
+        out.append(res)
+    return out
+
+
 FIELD = Field(P)
-# the built-ins at depth, ex_cd up to K=16, where the engine's sums of
-# products accumulate the most terms per key; three random specs at order 4
-# add a nilpotent gauge mode g != 0 and a scalar equation with two factors
-CASES = ["ex_cd-8", "ex_cd-12", "ex_cd-16", "ex_bt-4", "ex_third-4",
+# the built-ins at depth (ex_cd up to K=16, ex_bt K=6, ex_third K=8), where
+# the engine's sums of products accumulate the most terms per key; three
+# random specs at order 4 add a nilpotent gauge mode g != 0 and a scalar
+# equation with two factors
+CASES = ["ex_cd-8", "ex_cd-12", "ex_cd-16", "ex_bt-4", "ex_bt-6", "ex_third-4", "ex_third-8",
          "random-semisimple-1-4", "random-nilpotent-1-4", "random-scalar-6-4"]
+# (F) at the depths where the tables are Lie series of the t-free solve
+FLOW_CASES = ["ex_cd-16", "ex_bt-6", "ex_third-8", "random-nilpotent-1-4", "random-scalar-6-4"]
 
 
 @functools.cache
@@ -279,4 +333,19 @@ def test_table_solves_the_ode_mod_p(case, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_corrupted_table_fails_mod_p(case, seed):
     res = residuals(corrupt_table(table_of(case)), FIELD, seed)
+    assert sum(nonzero_count(r) for r in res) > 0
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_table_follows_its_rg_flow_mod_p(case, seed):
+    table = table_of(case)
+    res = flow_residuals(table, derive_rg(table).fields, FIELD, seed)
+    assert all(is_zero(r) for r in res), [nonzero_count(r) for r in res]
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_corrupted_table_leaves_its_flow_mod_p(case):
+    table = corrupt_table(table_of(case))
+    res = flow_residuals(table, derive_rg(table).fields, FIELD, 0)
     assert sum(nonzero_count(r) for r in res) > 0
