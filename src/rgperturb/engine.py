@@ -35,7 +35,6 @@ state-monomial product y^se once for all components of one residual.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .gaussrat import GaussianRational
 from .poly import (
