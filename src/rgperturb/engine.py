@@ -1,35 +1,71 @@
-"""Naive-perturbation engines for the three ODE classes.
+"""The engine for the three ODE classes: the RG field, the renormalized
+expansion and the secular table.
 
-Each engine builds, order by order in eps, the unique formal solution whose
-harmonic coefficients satisfy the class's normalization:
+The secular table P_{j,m}(eps, t, A) of a class is the unique formal
+solution y_j = sum_m P_{j,m} e^{imt} whose coefficients satisfy the class's
+normalization (the resonant coefficient of a semisimple component has no
+t-constant term at eps-order >= 1; the nilpotent harmonic-0 coefficients
+vanish at t = 0 for orders >= 1, after the e^{imt} gauge reduction of a
+nonzero block eigenvalue; the scalar resonant coefficient at m_r is
+divisible by t^{n_r} at every order >= 1).  The renormalized amplitudes are
+its resonant coefficients (their t-derivatives for the scalar class), and
+they are the flow of the RG field F: P(t, A) = Y(Phi_t(A)) = exp(tL) Y, with
+L = sum_k F_k d/dA_k and Y = P(0, A), the renormalized expansion
+(Groebner's Lie series; DeVille, Harkin, Holzer, Josic and Kaper, Physica
+D 237 (2008), for the normal-form side).  So the table is fixed by Y and F,
+and `solve` computes them directly, with no t anywhere.
 
-* semisimple -- the resonant coefficient (component j, harmonic m_j) carries
-  no t-constant term at eps-order >= 1;
-* nilpotent  -- the harmonic-0 coefficients all vanish at t=0 for orders >= 1
-  (after the internal e^{imt} gauge reduction when the block eigenvalue is
-  nonzero);
-* scalar     -- the resonant coefficient at harmonic m_r is divisible by
-  t^{n_r} at every order >= 1.
+Put y = sum_m Y_m(A) e^{imt} with dA/dt = F(A) into the equation: d/dt acts
+on harmonic m as L + im.  Order by order in eps, with Y^(0) and F^(0) the
+unperturbed solution and flow, the order-k unknowns Y^(k), F^(k) enter
+linearly.  The driver takes the residual E of each equation along the flow
+with the order-k unknowns set to 0: the Lie terms
+sum_{a=1}^{k-1} L_{F^(a)} Y^(k-a) against eps^k times the eps^(k-1) layer
+of V on Y, summed as one sum of products in `ForcingLayers`.  One linear
+step per class then solves for the unknowns (the homological equation of
+the normal-form theory):
 
-The result is a SecularTable: per component (or per derivative slot for the
-scalar class) a HarmonicSeries of secular coefficients, with resonance
-metadata.
+* semisimple, y_j' = i m_j y_j + eps V_j -- F^(0) = 0; F_j^(k) = -E_{j,m_j},
+  and Y_{j,m}^(k) = -E_{j,m} / (i(m - m_j)) for m != m_j.  Y_{j,m_j} = A_j
+  exactly, which is the normalization.
+* nilpotent, y_j' = y_{j+1} + eps V_j after the gauge reduction -- F^(0) is
+  the chain shift L0 = sum_j A_{j+1} d/dA_j; F_j^(k) = -E_{j,0}, and for
+  m != 0 the chain is solved from the top down,
+  Y_{j,m}^(k) = (L0 + im)^(-1) (Y_{j+1,m}^(k) - E_{j,m}), where
+  (L0 + im)^(-1) = sum_s (-1)^s (im)^(-s-1) L0^s is finite because L0 is
+  nilpotent on polynomials (`poly.resolve_chain`).
+* scalar, prod_r (d/dt - i m_r)^{n_r} y = eps V(y, y', ...) -- the
+  unknowns are the derivative slots C_l = y^(l) of its companion system.
+  F^(0) is the shift L0 along each factor's amplitudes A_{r,0}, A_{r,1},
+  ...; Y_{m_r} = A_{r,0} exactly, F_{(r,l)} = A_{r,l+1} for l < n_r - 1,
+  and only G_r = F_{(r,n_r-1)} gets corrections.  Eliminating the slots
+  gives q(L0 + im) Y_m^(k) = H_m, with q(x) = prod_r (x - i m_r)^{n_r} and
+  H the slot residuals combined by q's coefficients; the variation of
+  q(L + im) in F^(k), applied to Y_{m_r}^(0) = A_{r,0}, is
+  prod_{r' != r} (L0 + i(m_r - m_r'))^{n_r'} G_r^(k).  So
+  G_r^(k) = prod_{r' != r} (L0 + i(m_r - m_r'))^(-n_r') H_{m_r}, and every
+  other harmonic gets Y_m^(k) = prod_r (L0 + i(m - m_r))^(-n_r) H_m.
 
-The three engines share one order-by-order driver, `_expand`; each class
-supplies only its setup and a `solve` step built on `_invert`, which inverts
-the shifted time-derivative operator harmonic by harmonic: each
-non-resonant factor by `poly.resolve_shift`, the closed form
-P = sum_k (-1)^k c^(-k-1) d^k rhs/dt^k written term by term into one
-accumulator, and each resonant factor by `antidiff_t`.  The forcing layer
-each order needs comes from `ForcingLayers`, a relaxed cache of the
-eps-layers of the state powers that lives for one `_expand` call, so every
-layer is computed once; it hands the layer over already multiplied by
-eps^k, a shift of the packed keys of V's coefficient monomials.
+`expand_table` then builds the table as the Lie series
+sum_n t^n/n! L^n Y (`lie_series`), stopping at the first L^n Y that is zero
+mod eps^(K+1): a finite sum, since F^(0) is zero or a chain shift and every
+other part of F raises the eps-order.  The scalar class's derivative slots
+are the t-derivatives of slot 0 (`_derivative_chain`).
+
+A semisimple spec may prove a conjugate pairing (`conjugate_pairing`): an
+involution pi of the components with m_pi(j) = -m_j and V_pi(j) =
+sigma(V_j), sigma conjugating the coefficients, swapping the states by pi
+and sending E to E^-1 (parameters untouched).  The solution then has
+P[pi(j), -m] = sigma(P[j, m]) with the amplitudes swapped, so the driver
+solves and Lie-expands one component per pair and writes its partner as the
+sigma image; a component with pi(j) = j, or every component of an unpaired
+spec, is its own representative.
+
 `governing_residual` substitutes series back into the class's equation; its
 forcing goes through `eval_vpoly_hs`, the from-scratch evaluator on whole
 series that the engine does not use, so the residual check stays
-independent of `ForcingLayers`.  Its cache holds each
-state-monomial product y^se once for all components of one residual.
+independent of `ForcingLayers`.  Its cache holds each state-monomial
+product y^se once for all components of one residual.
 """
 
 from __future__ import annotations
@@ -172,9 +208,9 @@ def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
 class ForcingLayers:
     """The eps-layers of V on the table being built, each computed once.
 
-    One object serves one `_expand` call; at order k it is handed the table,
-    final through eps^(k-1), and returns eps^k times the eps^(k-1) layer of
-    V on it.  It keeps the eps-layers y_j[a] of every component and, per
+    One object serves one `solve`; at order k it is handed the eps^(k-1)
+    layer of every component and returns, per V, eps^k times the eps^(k-1)
+    layer of V on the components so far.  It keeps the eps-layers y_j[a] of every component and, per
     state monomial se, the layers L(se)[0], L(se)[1], ... of y^se computed
     so far.  A power is built by repeated squaring: with an odd exponent,
     one factor of the lowest state j with an odd exponent is peeled off,
@@ -350,13 +386,6 @@ class RGSolution:
         self.partner = partner
 
 
-def _series_sum(layers) -> HarmonicSeries:
-    out = layers[0]
-    for layer in layers[1:]:
-        out = out + layer
-    return out
-
-
 def solve(spec: ODESystemSpec) -> RGSolution:
     """Y and F order by order in eps, with no t anywhere (module docstring).
 
@@ -385,7 +414,7 @@ def solve(spec: ODESystemSpec) -> RGSolution:
     links = dict(chain)
     F = [[ctx.var(links[a]) if a in links else zero for a in names]]  # F[a][i]: eps^a layer of F_i
     C = [comps0]                                # C[b][j]: the eps^b layer of C_j
-    minus_f = [None]  # minus_f[a]: (i, -F^(a)_i at harmonic 0) for the nonzero F^(a)_i
+    minus_f = [None]  # minus_f[a]: (i, -F^(a)_i at harmonic 0) for each nonzero F^(a)_i, a >= 1
     dC = {}           # (b, j, i) -> dC^(b)_j/dA_i, built when first needed
     forcing = ForcingLayers([v_polys[j] for j in reps], ctx)
 
@@ -398,9 +427,6 @@ def solve(spec: ODESystemSpec) -> RGSolution:
         return x
 
     for k in range(1, ctx.order + 1):
-        if k > 1:
-            minus_f.append([(i, HarmonicSeries.single(0, -f))
-                            for i, f in enumerate(F[k - 1]) if f.packed])
         lie = [[(d(k - a, j, i), mf) for a in range(1, k) for i, mf in minus_f[a]]
                for j in reps]
         states = [c.eps_coeff(k - 1) for c in C[k - 1]]
@@ -415,9 +441,10 @@ def solve(spec: ODESystemSpec) -> RGSolution:
                 c_k[q] = _mirror(c_k[j], sigma)
         F.append(f_k)
         C.append(c_k)
+        minus_f.append([(i, HarmonicSeries.single(0, -f)) for i, f in enumerate(f_k) if f.packed])
     fields = [sum((layer[i] for layer in F[1:]), F[0][i]) for i in range(len(names))]
     observed = 1 if spec.klass == "scalar" else len(partner)
-    expansion = [_series_sum([layer[j] for layer in C]) for j in range(observed)]
+    expansion = [sum((layer[j] for layer in C[1:]), C[0][j]) for j in range(observed)]
     return RGSolution(spec, ctx, expansion, fields, partner[:observed])
 
 
