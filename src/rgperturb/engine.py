@@ -78,6 +78,7 @@ from .poly import (
     MultiPoly,
     HarmonicSeries,
     hs_pow,
+    lie_derivative,
     lie_derivative_series,
     resolve_chain,
     sum_of_products,
@@ -360,15 +361,6 @@ def conjugate_pairing(spec: ODESystemSpec) -> tuple:
     return tuple(partner)
 
 
-def _chain_shift(p: MultiPoly, links) -> MultiPoly:
-    """L0 p = sum A_b dp/dA_a over the (a, b) links of the chain."""
-    ctx = p.ctx
-    out = ctx.zero()
-    for a, b in links:
-        out = out + p.diff(a) * ctx.var(b)
-    return out
-
-
 class RGSolution:
     """The t-free solve of one spec: the renormalized expansion Y and the RG field F.
 
@@ -519,8 +511,11 @@ def _scalar_step(spec, ctx):
             q = [(a + m_r * d, b - m_r * c0) for (a, b), (c0, d) in zip([(0, 0)] + q, q + [(0, 0)])]
     c = [GaussianRational(a, b) for a, b in q]
 
+    links = dict(chain)
+    f0 = [ctx.var(links[a]) if a in links else ctx.zero() for a in names]  # L0's field
+
     def x0(p, m):  # (L0 + im) p
-        return _chain_shift(p, chain) + p.scale(GaussianRational(0, m)) if p.packed else p
+        return lie_derivative(p, f0) + p.scale(GaussianRational(0, m)) if p.packed else p
 
     def resolve(p, m, skip=None):  # prod_{r != skip} (L0 + i(m - m_r))^(-n_r) p
         for m_r, n_r in factors:

@@ -36,7 +36,9 @@ unnormalised triple per output key (per output harmonic, for series), two
 unequal denominators are combined over their lcm, and each key is
 normalised once at the end, so a sum of products costs one gcd per output
 term.  ``MultiPoly.mul`` and ``HarmonicSeries.mul`` are the sums of one
-product.  `resolve_shift` accumulates its closed form the same way.  The
+product.  `resolve_shift` and `resolve_chain` accumulate their closed
+forms the same way, and `lie_derivative` (L p = sum_k F_k dp/dA_k) builds
+each derivative term inside the kernel's loop.  The
 insertion order of a result's map is whatever the kernel leaves; nothing
 that reads a map for output depends on it (``sorted_terms`` and
 ``support`` give the canonical orders).
