@@ -541,17 +541,17 @@ def _scalar_step(spec, ctx):
                     if rows[p].packed:
                         g = g + rows[p].scale(c[p + 1 + i])
                 h = g + x0(h, m)
-            if m in tops:
-                g = f_k[tops[m]] = resolve(h, m, skip=m)
+            if m in tops:  # Y_{m_r} = A_{r,0} exactly; H_{m_r} fixes G_r
+                top = f_k[tops[m]] = resolve(h, m, skip=m)
                 h = ctx.zero()
             else:
                 h = resolve(h, m)
-            for l in range(N):
+            for l in range(N):  # C_{l+1} = X0 C_l - B_l
                 slots[l][m] = h
                 if l + 1 < N:
                     h = x0(h, m) - rows[l]
                     if m in tops:
-                        h = h + g * top_coeff[l][m]
+                        h = h + top * top_coeff[l][m]
         for l in range(N):
             c_k[l] = HarmonicSeries(ctx, slots[l])
 
