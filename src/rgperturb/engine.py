@@ -47,7 +47,7 @@ the normal-form theory):
   other harmonic gets Y_m^(k) = prod_r (L0 + i(m - m_r))^(-n_r) H_m.
 
 `expand_table` then builds the table as the Lie series
-sum_n t^n/n! L^n Y (`lie_series`), stopping at the first L^n Y that is zero
+sum_n t^n/n! L^n Y (`poly.lie_series`), stopping at the first L^n Y that is zero
 mod eps^(K+1): a finite sum, since F^(0) is zero or a chain shift and every
 other part of F raises the eps-order.  The scalar class's derivative slots
 are the t-derivatives of slot 0 (`_derivative_chain`).
@@ -70,8 +70,6 @@ product y^se once for all components of one residual.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .gaussrat import GaussianRational
 from .poly import (
     PolyContext,
@@ -79,7 +77,7 @@ from .poly import (
     HarmonicSeries,
     hs_pow,
     lie_derivative,
-    lie_derivative_series,
+    lie_series,
     resolve_chain,
     sum_of_products,
 )
@@ -293,32 +291,6 @@ def _derivative_chain(hs: HarmonicSeries, n: int, ddt=HarmonicSeries.time_deriva
     return out
 
 
-def lie_series(series, fields, sign: int = 1) -> list:
-    """exp(sign*t*L) of each series: sum_n (sign*t)^n/n! L^n hs, L = sum_k F_k d/dA_k.
-
-    L acts entry by entry.  A series' sum stops at its first L^n hs that is
-    zero mod eps^(K+1); it is finite, as the eps^0 part of F is zero or a
-    chain shift, which is nilpotent on polynomials, and every other part
-    raises the eps-order.  The n-th term is (sign/n) L of the one before,
-    the factor carried by the fields, so t^n enters as a shift of the keys.
-    """
-    out = [dict(hs.entries) for hs in series]
-    live = list(enumerate(series))
-    n = 0
-    while live:
-        n += 1
-        w = GaussianRational(Fraction(sign, n))
-        scaled = [f.scale(w) for f in fields]
-        live = [(j, d) for j, hs in live if (d := lie_derivative_series(hs, scaled)).entries]
-        for j, hs in live:
-            tn = hs.ctx.var("t", n)
-            acc = out[j]
-            for m, p in hs.entries.items():
-                q = acc.get(m)
-                acc[m] = tn * p if q is None else q + tn * p
-    return [HarmonicSeries(hs.ctx, d) for hs, d in zip(series, out)]
-
-
 def _mirror(hs: HarmonicSeries, sigma) -> HarmonicSeries:
     """sigma on a series: each entry mapped, harmonic m moved to -m."""
     return HarmonicSeries(hs.ctx, {-m: sigma(p) for m, p in hs.entries.items()})
@@ -515,7 +487,8 @@ def _scalar_step(spec, ctx):
     f0 = [ctx.var(links[a]) if a in links else ctx.zero() for a in names]  # L0's field
 
     def x0(p, m):  # (L0 + im) p
-        return lie_derivative(p, f0) + p.scale(GaussianRational(0, m)) if p.packed else p
+        q = p.scale(GaussianRational(0, m))
+        return lie_derivative(p, f0) + q if chain and p.packed else q
 
     def resolve(p, m, skip=None):  # prod_{r != skip} (L0 + i(m - m_r))^(-n_r) p
         for m_r, n_r in factors:
@@ -527,7 +500,8 @@ def _scalar_step(spec, ctx):
     comps0 = _derivative_chain(HarmonicSeries(ctx, y0), N,
                                lambda hs: HarmonicSeries(ctx, {m: x0(p, m) for m, p in hs.entries.items()}))
     # d C^(0)_l / dA_{top of the factor at m}: a constant, C^(0)_l being linear
-    top_coeff = [{m: comps0[l].get(m).diff(names[i]) for m, i in tops.items()} for l in range(N)]
+    top_coeff = [{m: comps0[l].get(m).diff(names[i]).packed.get(0) for m, i in tops.items()}
+                 for l in range(N)]
     v_polys = [HarmonicSeries.zero(spec.v_polys[0].ctx)] * (N - 1) + [spec.v_polys[0]]
 
     def step(rhs, f_k, c_k):
@@ -550,8 +524,8 @@ def _scalar_step(spec, ctx):
                 slots[l][m] = h
                 if l + 1 < N:
                     h = x0(h, m) - rows[l]
-                    if m in tops:
-                        h = h + top * top_coeff[l][m]
+                    if m in tops and top_coeff[l][m]:
+                        h = h + top.scale(top_coeff[l][m])
         for l in range(N):
             c_k[l] = HarmonicSeries(ctx, slots[l])
 

@@ -882,6 +882,48 @@ def lie_derivative_series(hs: HarmonicSeries, fields) -> HarmonicSeries:
                                 for m, p in hs.entries.items()})
 
 
+def lie_series(series, fields, sign: int = 1) -> list:
+    """exp(sign*t*L) of each series: sum_n (sign*t)^n/n! L^n hs, L = sum_k F_k d/dA_k.
+
+    The series must be t-free, and L acts entry by entry.  The n-th term is
+    L of the one before, with the factor sign*t/n carried on the keys and
+    coefficients of the fields, so it has t-degree exactly n and the terms
+    add as disjoint maps.  A series' sum stops at its first L^n hs that is
+    zero mod eps^(K+1), or where the eps-order of the fields' terms rules
+    out any more; it is finite when the eps^0 part of F is zero or a chain
+    shift, which is nilpotent on polynomials, as every other part raises
+    the eps-order.  All series share one accumulator per n.
+    """
+    if not series:
+        return []
+    ctx = series[0].ctx
+    tone = 1 << ctx.shifts[T]
+    sh = ctx.eps_shift
+    # L^n hs has eps-order >= n * low, so past K / low nothing is left
+    low = min((e >> sh for f in fields for e in f.packed), default=ctx.order + 1)
+    out = [{m: dict(p.packed) for m, p in hs.entries.items()} for hs in series]
+    live = [(sums, hs.entries) for sums, hs in zip(out, series)]
+    n = 0
+    while live and (n + 1) * low <= ctx.order:
+        n += 1
+        w = GaussianRational(Fraction(sign, n))
+        moves = _lie_moves(ctx, [MultiPoly(ctx, {e + tone: c * w for e, c in f.packed.items()})
+                                 for f in fields])
+        acc = _Accumulator(ctx, ctx.order)
+        nxt = []
+        for sums, entries in live:
+            terms = {}
+            for m, p in entries.items():
+                q = acc.poly(_lie_terms(acc, p, moves))
+                if q.packed:
+                    terms[m] = q
+                    sums.setdefault(m, {}).update(q.packed)
+            if terms:
+                nxt.append((sums, terms))
+        live = nxt
+    return [HarmonicSeries(ctx, {m: MultiPoly(ctx, d) for m, d in sums.items()}) for sums in out]
+
+
 def hs_pow(x: HarmonicSeries, n: int, trunc: int | None = None) -> HarmonicSeries:
     result = HarmonicSeries.single(0, x.ctx.one())
     base = x

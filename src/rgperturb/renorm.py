@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gaussrat import GaussianRational
-from .poly import PolyContext, MultiPoly, HarmonicSeries, join_signed, monomial_text
+from .poly import PolyContext, MultiPoly, HarmonicSeries, join_signed, lie_series, monomial_text
 from .systems import SpecError
-from .engine import SecularTable, lie_series, solve
+from .engine import SecularTable, solve
 
 
 class PolarPairingError(ValueError):
