@@ -100,11 +100,12 @@ def _json_into(v, nl: str, out: list) -> None:
 
 
 def _poly_into(p: MultiPoly, nl: str, out: list) -> None:
-    """Append the text of poly_to_data(p): each term is one %-format.
+    """Append the text of p as a list of terms, each one %-format.
 
-    A term [[e_1, ..., e_n], [re, im]] has n = ctx.nvars exponents and two
-    coefficient strings of digits, '-' and '/', which JSON writes as they
-    are; at one indentation its layout is fixed.
+    A term is [[e_1, ..., e_n], [re, im]] in `sorted_terms` order, with
+    n = ctx.nvars exponents and the real and imaginary parts as the strings
+    of their fractions (digits, '-' and '/', which JSON writes as they
+    are); at one indentation its layout is fixed.
     """
     terms = p.sorted_terms()
     if not terms:
@@ -123,8 +124,8 @@ def machine_json(doc) -> str:
     The standard encoder runs its pure-Python generators whenever an
     indent is set; this writer appends each value's text to one list, and
     a list of ints or of strings (an exponent vector, a coefficient pair)
-    as one join.  A MultiPoly is written as its `poly_to_data` value, each
-    term as one %-format (`_poly_into`).  Dict keys must be strings.
+    as one join.  A MultiPoly is written as its list of terms, each term
+    as one %-format (`_poly_into`).  Dict keys must be strings.
     """
     out = []
     _json_into(doc, "\n", out)
@@ -137,11 +138,6 @@ def _ratio_text(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def poly_to_data(p: MultiPoly):
-    return [[list(e), [_ratio_text(c.a, c.d), _ratio_text(c.b, c.d)]]
-            for e, c in p.sorted_terms()]
-
-
 def poly_from_data(ctx: PolyContext, data) -> MultiPoly:
     from fractions import Fraction
 
@@ -151,23 +147,15 @@ def poly_from_data(ctx: PolyContext, data) -> MultiPoly:
     return ctx.from_terms(terms)
 
 
-def _same(p):
-    return p
-
-
-def table_to_machine(table, poly=poly_to_data) -> dict:
-    """The machine document of a table; `poly` gives each entry's value.
-
-    `poly_to_data` gives plain JSON data; `machine_json` also takes the
-    MultiPoly itself (`_same`) and writes the same bytes.
-    """
+def table_to_machine(table) -> dict:
+    """The machine document of a table; its entries are written by `machine_json`."""
     return {
         "kind": "secular_table",
         "spec": table.spec.to_document(),
         "order": table.ctx.order,
         "resonant": [[j + 1, m] for j, m in table.resonant],
         "components": [
-            [[m, poly(p)] for m, p in sorted(comp.entries.items())]
+            [[m, p] for m, p in sorted(comp.entries.items())]
             for comp in table.components
         ],
     }
@@ -186,14 +174,14 @@ def table_from_machine(text: str):
     return spec, ctx, comps
 
 
-def rg_to_machine(spec, rg, poly=poly_to_data) -> dict:
-    """The machine document of an RG system; `poly` as in `table_to_machine`."""
+def rg_to_machine(spec, rg) -> dict:
+    """The machine document of an RG system; its fields are written by `machine_json`."""
     return {
         "kind": "rg_system",
         "spec": spec.to_document(),
         "order": rg.ctx.order,
         "amplitudes": "renormalized",
-        "fields": [[name, poly(f)] for name, f in zip(rg.ctx.amplitudes, rg.fields)],
+        "fields": [[name, f] for name, f in zip(rg.ctx.amplitudes, rg.fields)],
     }
 
 
@@ -276,7 +264,7 @@ def cmd_expand(args) -> int:
 
     table = expand_table(spec, label=label)
     if args.format == "machine":
-        print(machine_json(table_to_machine(table, _same)))
+        print(machine_json(table_to_machine(table)))
         return 0
     print(f"# {label}: class {spec.klass}, order {spec.order}")
     for note in _notes_for(label):
@@ -312,7 +300,7 @@ def cmd_rg(args) -> int:
         return 0
     rg, ren = solve_rg(spec)
     if args.format == "machine":
-        print(machine_json(rg_to_machine(spec, rg, _same)))
+        print(machine_json(rg_to_machine(spec, rg)))
         return 0
     # a bad --polar must fail before any of the RG equation is printed
     polar = polar_transform(rg, _parse_pairs(args.polar)) if args.polar else None

@@ -371,7 +371,7 @@ def solve(spec: ODESystemSpec) -> RGSolution:
         comps0, chain, v_polys, step = _scalar_step(spec, ctx)
     else:
         raise SpecError(f"no expansion engine for class {spec.klass!r}")
-    partner = conjugate_pairing(spec) if spec.klass == "semisimple" else tuple(range(len(comps0)))
+    partner = conjugate_pairing(spec)
     reps = [j for j, q in enumerate(partner) if j <= q]
     sigma = _swap_conj(names, partner)
     zero = ctx.zero()

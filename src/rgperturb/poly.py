@@ -38,7 +38,7 @@ normalised once at the end, so a sum of products costs one gcd per output
 term.  ``MultiPoly.mul`` and ``HarmonicSeries.mul`` are the sums of one
 product.  `resolve_shift` and `resolve_chain` accumulate their closed
 forms the same way, and `lie_derivative` (L p = sum_k F_k dp/dA_k) builds
-each derivative term inside the kernel's loop.  The
+each derivative term inside the kernel's loop, as does `lie_series`.  The
 insertion order of a result's map is whatever the kernel leaves; nothing
 that reads a map for output depends on it (``sorted_terms`` and
 ``support`` give the canonical orders).

@@ -368,7 +368,12 @@ class TestMachineRoundtrip:
         spec, ctx, comps = table_from_machine(out)
         resonant = [(j - 1, m) for j, m in json.loads(out)["resonant"]]
         table = SecularTable(spec, ctx, comps, resonant)
-        assert json.dumps(table_to_machine(table), indent=2) + "\n" == out
+        assert json.dumps(table_to_machine(table), indent=2, default=poly_data) + "\n" == out
+
+
+def poly_data(p):
+    """A polynomial's machine-format value: [[exponents], [re, im]] per term."""
+    return [[list(e), [str(c.re), str(c.im)]] for e, c in p.sorted_terms()]
 
 
 class TestEval:
