@@ -83,14 +83,18 @@ class Field:
     def __init__(self, p: int):
         self.p = p
         self.i = sqrt_minus_one(p)
-
-    def rational(self, q) -> int:
-        if q.denominator % self.p == 0:
-            raise DenominatorError(f"p = {self.p} divides the denominator of {q}")
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
+        self._inverses = {}  # d -> 1/d in F_p
 
     def gaussian(self, c: GaussianRational) -> int:
-        return (self.rational(c.re) + self.i * self.rational(c.im)) % self.p
+        """(a + b*i)/d in F_p; d is the lcm of the denominators of re and im."""
+        p, d = self.p, c.d
+        if d % p == 0:
+            q = c.re if c.re.denominator % p == 0 else c.im
+            raise DenominatorError(f"p = {p} divides the denominator of {q}")
+        inv = self._inverses.get(d)
+        if inv is None:
+            inv = self._inverses[d] = pow(d, -1, p)
+        return (c.a + self.i * c.b) * inv % p
 
 
 # -- series: {(m, a): [c_0, c_1, ...]}, the t-polynomial at harmonic m, eps^a --
