@@ -21,7 +21,6 @@ from .poly import (
     PolyContext,
     Substitution,
     lie_derivative,
-    lie_derivative_series,
     monomial_text,
 )
 from .systems import ODESystemSpec, SpecError, parse_spec
@@ -181,12 +180,8 @@ def renormalized_residuals(table: SecularTable, rg: RGSystem,
     `ren`, when given, is the table's renormalized expansion, so it is not
     built again.
     """
-
-    def ddt(hs):  # d/dt along the RG flow of sum_m X_m(eps, A_ren(t)) e^{imt}
-        return hs.time_derivative() + lie_derivative_series(hs, rg.fields)
-
     comps = (ren or renormalized_expansion(table)).components
-    return governing_residual(table.spec, comps, ddt)
+    return governing_residual(table.spec, comps, rg.fields)
 
 
 def check_residual(table: SecularTable) -> CheckReport:
@@ -307,11 +302,17 @@ def check_autonomous_reduction(table: SecularTable, rg: RGSystem | None = None) 
 
 
 def corrupt_table(table: SecularTable) -> SecularTable:
-    """Perturb one secular coefficient by eps*t (negative-control fixture)."""
+    """Perturb one secular coefficient by eps*t (negative-control fixture).
+
+    At order 0 the bump vanishes mod eps, so there is no control to run:
+    that raises SpecError.
+    """
     ctx = table.ctx
     comps = list(table.components)
     j, m = table.resonant[0]
     bump = ctx.var("eps") * ctx.var("t")
+    if bump.is_zero():
+        raise SpecError("--corrupt needs order >= 1: its eps*t bump vanishes at order 0")
     comps[j] = comps[j] + HarmonicSeries.single(m, bump)
     return SecularTable(table.spec, ctx, comps, table.resonant, label=table.label + "#corrupted")
 

@@ -61,11 +61,13 @@ solves and Lie-expands one component per pair and writes its partner as the
 sigma image; a component with pi(j) = j, or every component of an unpaired
 spec, is its own representative.
 
-`governing_residual` substitutes series back into the class's equation; its
-forcing goes through `eval_vpoly_hs`, the from-scratch evaluator on whole
-series that the engine does not use, so the residual check stays
-independent of `ForcingLayers`.  Its cache holds each state-monomial
-product y^se once for all components of one residual.
+`governing_residual` substitutes series back into the class's equation,
+with plain d/dt (the naive table) or d/dt along the RG flow (the
+renormalized expansion).  Each equation's residual is one `poly.SeriesSum`:
+the time-derivative terms, the linear part as products by constants, and
+-eps V from `eval_vpoly_hs`, the from-scratch evaluator on whole series, so
+the residual check stays independent of `ForcingLayers`; one cache holds
+each state product y^se for all equations of one residual.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .poly import (
     PolyContext,
     MultiPoly,
     HarmonicSeries,
+    SeriesSum,
     hs_pow,
     lie_derivative,
     lie_series,
@@ -156,33 +159,37 @@ def make_context(spec: ODESystemSpec) -> PolyContext:
     return PolyContext(spec.amplitude_names, spec.params, spec.order)
 
 
-def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
-                  cache=None) -> HarmonicSeries:
-    """Evaluate a forcing series with states bound to harmonic series.
+def eval_vpoly_hs(vp: HarmonicSeries, comps, total: SeriesSum, cache=None) -> None:
+    """Add -eps V into `total`, the states of V bound to harmonic series.
 
-    V's context has the states where `ctx` has the amplitudes, one for one,
-    so a term's exponent vector with the states zeroed is a monomial of
-    `ctx`.  Harmonics and terms are visited in insertion order.
+    V's context has the states where the total's context has the
+    amplitudes, one for one, so a term's exponent vector with the states
+    zeroed is a monomial there.  Each term of V, of eps-order a, adds its
+    monomial -- the negated coefficient, eps^(a+1) carried on its key --
+    times the state product y^se mod eps^cut, cut being the total's.
+    Harmonics and terms are visited in insertion order.
 
-    `cache` maps a state exponent tuple se to y^se truncated at `trunc`; one
-    cache may serve every component of one system of series at one `trunc`,
-    as in `governing_residual`.  y^se is built left to right from the
-    per-state powers y_j^k, themselves the cached tuples with one nonzero
-    entry, so each term of V costs one product by its coefficient monomial.
+    `cache` maps a state exponent tuple se to y^se mod eps^cut; one cache
+    may serve every component of one system of series at one cut, as in
+    `governing_residual`.  y^se is built left to right from the per-state
+    powers y_j^k, themselves the cached tuples with one nonzero entry.
     """
     if cache is None:
         cache = {}
+    ctx = total.ctx
+    trunc = total.cut - 1
     no_states = (0,) * len(ctx.amplitudes)
+    one = HarmonicSeries.single(0, ctx.one())
 
     def state_product(se):
-        p = None  # y^prefix, the states before j kept and the rest zeroed
+        p = one  # y^prefix, the states before j kept and the rest zeroed
         for j, k in enumerate(se):
             if not k:
                 continue
             prefix = se[:j + 1] + no_states[j + 1:]
             q = cache.get(prefix)
             if q is None:
-                if p is None:
+                if p is one:
                     q = hs_pow(comps[j], k, trunc)
                 else:
                     q = p.mul(state_product(no_states[:j] + (k,) + no_states[j + 1:]), trunc)
@@ -191,17 +198,13 @@ def eval_vpoly_hs(vp: HarmonicSeries, comps, ctx: PolyContext, trunc: int,
         return p
 
     split = vp.ctx.split
-    out = HarmonicSeries.zero(ctx)
     for l, poly in vp.entries.items():
         for e, c in poly.terms.items():
             eps, t, s, se, pe = split(e)
             if eps > trunc:
                 continue
-            hs = HarmonicSeries.single(l, ctx.monomial(c, (eps, t, s) + no_states + pe))
-            if any(se):
-                hs = hs.mul(state_product(se), trunc)
-            out = out + hs
-    return out
+            mono = ctx.monomial(-c, (eps + 1, t, s) + no_states + pe)
+            total.add_product(HarmonicSeries.single(l, mono), state_product(se))
 
 
 class ForcingLayers:
@@ -453,6 +456,15 @@ def _nilpotent_step(spec, ctx):
     return comps0, chain, v_polys, step
 
 
+def _char_poly(factors) -> list:
+    """The coefficients of q(x) = prod_r (x - i m_r)^{n_r}, lowest first."""
+    q = [(1, 0)]  # Gaussian integers
+    for m_r, n_r in factors:
+        for _ in range(n_r):  # times x - i m_r
+            q = [(a + m_r * d, b - m_r * c0) for (a, b), (c0, d) in zip([(0, 0)] + q, q + [(0, 0)])]
+    return [GaussianRational(a, b) for a, b in q]
+
+
 def _scalar_step(spec, ctx):
     """prod_r (d/dt - i m_r)^{n_r} y = eps V, as the slots C_l = y^(l) of its companion system.
 
@@ -477,11 +489,7 @@ def _scalar_step(spec, ctx):
         tops[m_r] = pos + n_r - 1
         y0[m_r] = ctx.var(names[pos])
         pos += n_r
-    q = [(1, 0)]  # q(x) = prod_r (x - i m_r)^{n_r}, Gaussian integers, lowest first
-    for m_r, n_r in factors:
-        for _ in range(n_r):  # times x - i m_r
-            q = [(a + m_r * d, b - m_r * c0) for (a, b), (c0, d) in zip([(0, 0)] + q, q + [(0, 0)])]
-    c = [GaussianRational(a, b) for a, b in q]
+    c = _char_poly(factors)
 
     links = dict(chain)
     f0 = [ctx.var(links[a]) if a in links else ctx.zero() for a in names]  # L0's field
@@ -613,47 +621,50 @@ def expand_table(spec: ODESystemSpec, label="") -> SecularTable:
 # Governing-equation residuals (used by the identity checks)
 # --------------------------------------------------------------------------
 
-def governing_residual(spec: ODESystemSpec, comps, ddt) -> list:
+def governing_residual(spec: ODESystemSpec, comps, fields=()) -> list:
     """Substitute harmonic series into the class's governing equation.
 
-    `ddt` is the time derivative of a HarmonicSeries: plain d/dt for the naive
-    table, d/dt along the RG flow for the renormalized expansion.  For the
+    d/dt is plain without `fields`, for the naive table, and along the flow
+    dA/dt = F(A) with the RG field, for the renormalized expansion.  For the
     scalar class `comps` holds either every derivative slot or slot 0 alone,
-    whose derivatives are then built with `ddt`.  Returns one HarmonicSeries
-    per equation; all are identically zero mod eps^(K+1) precisely when the
-    series solve the equation.
+    whose derivatives are then built with the same d/dt, and q(d/dt) y is
+    sum_l c_l d^l y/dt^l (`_char_poly`).  Each residual is one `SeriesSum`,
+    each key normalised once.  Returns one HarmonicSeries per equation; all
+    are identically zero mod eps^(K+1) precisely when the series solve the
+    equation.
     """
     ctx = comps[0].ctx
-    K = ctx.order
-    eps = ctx.var("eps")
     v_polys = spec.v_polys
     if spec.klass == "nilpotent":
         v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in v_polys]
-    if spec.klass == "scalar" and len(comps) == 1:
-        comps = _derivative_chain(comps[0], spec.n_states, ddt)
     cache = {}
 
-    def forcing(j):
-        if not K:
-            return HarmonicSeries.zero(ctx)
-        w = eval_vpoly_hs(v_polys[j], comps, ctx, K - 1, cache)
-        return w.map_entries(lambda p: p * eps)
+    def ddt(hs):
+        total = SeriesSum(ctx)
+        total.add_time_derivative(hs, fields)
+        return total.series()
 
-    def shifted(hs, m):  # (ddt - i*m) hs
-        c = GaussianRational(0, m)
-        return ddt(hs) - hs.map_entries(lambda p: p.scale(c))
+    def residual(j, top, shift=0, linear=()):
+        """(d/dt - i*shift) top + sum of c*x over the (x, c) of `linear`, - eps V_j."""
+        total = SeriesSum(ctx)
+        total.add_time_derivative(top, fields, shift)
+        for x, c in linear:
+            total.add_scaled(x, c)
+        if ctx.order:
+            eval_vpoly_hs(v_polys[j], comps, total, cache)
+        return total.series()
 
     if spec.klass == "semisimple":
-        return [shifted(comps[j], m) - forcing(j) for j, m in enumerate(spec.modes)]
+        return [residual(j, comps[j], m) for j, m in enumerate(spec.modes)]
     if spec.klass == "nilpotent":
-        above = comps[1:] + [HarmonicSeries.zero(ctx)]
-        return [ddt(comps[j]) - above[j] - forcing(j) for j in range(spec.block_size)]
+        minus_one = GaussianRational(-1)  # y_j' = y_{j+1} + eps V_j
+        return [residual(j, comps[j], linear=[(x, minus_one) for x in comps[j + 1:j + 2]])
+                for j in range(spec.block_size)]
     if spec.klass == "scalar":
-        op = comps[0]
-        for m_r, n_r in spec.factors:
-            for _ in range(n_r):
-                op = shifted(op, m_r)
-        return [op - forcing(0)]
+        derivatives = _derivative_chain(comps[0], spec.n_states, ddt)
+        if len(comps) == 1:
+            comps = derivatives
+        return [residual(0, derivatives[-1], linear=zip(derivatives, _char_poly(spec.factors)))]
     raise SpecError(f"no governing equation for class {spec.klass!r}")
 
 
@@ -664,5 +675,5 @@ def table_residuals(table: SecularTable) -> list:
     class, one per derivative-slot consistency relation); all are identically
     zero mod eps^(K+1) precisely when the table solves the equation.
     """
-    residuals = governing_residual(table.spec, table.components, HarmonicSeries.time_derivative)
+    residuals = governing_residual(table.spec, table.components)
     return residuals + table.slot_residuals()

@@ -25,7 +25,10 @@ no zero coefficients are kept, so equality of the term maps is structural
 equality of the polynomials.  ``MultiPoly.terms`` is a read-only view of
 the same map keyed by exponent tuples, in the same order, built on first
 use; it is for readers at the boundary (rendering, serialization, numeric
-compilation), not for the ring operations.  A HarmonicSeries is a
+compilation), not for the ring operations.  A key is decoded in C: its
+big-endian bytes are one uint32 per field (``PolyContext.unpack``).
+`Evaluator` gives the floating-point values of a list of polynomials at
+numeric points, each term read once for every point.  A HarmonicSeries is a
 finite-support map from the harmonic index m to a MultiPoly, representing
 sum_m P_m(eps,t,A) e^{imt}.
 
@@ -36,7 +39,8 @@ unnormalised triple per output key (per output harmonic, for series), two
 unequal denominators are combined over their lcm, and each key is
 normalised once at the end, so a sum of products costs one gcd per output
 term.  ``MultiPoly.mul`` and ``HarmonicSeries.mul`` are the sums of one
-product.  `resolve_shift` and `resolve_chain` accumulate their closed
+product; a `SeriesSum` also takes series times constants and time
+derivatives along a flow into the same sum.  `resolve_shift` and `resolve_chain` accumulate their closed
 forms the same way, and `lie_derivative` (L p = sum_k F_k dp/dA_k) builds
 each derivative term inside the kernel's loop, as does `lie_series`.  The
 insertion order of a result's map is whatever the kernel leaves; nothing
@@ -58,7 +62,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import or_
+from operator import add, mul, or_
+from struct import Struct
 from types import MappingProxyType
 
 from .gaussrat import GaussianRational, ONE, _canonical, _raw
@@ -85,7 +90,7 @@ class PolyContext:
     """Shared symbol table, eps-truncation order and packed-key layout."""
 
     __slots__ = ("amplitudes", "params", "order", "symbols", "_index", "nvars",
-                 "shifts", "eps_shift", "guard")
+                 "shifts", "eps_shift", "guard", "_fields", "_width")
 
     def __init__(self, amplitudes, params=(), order=0):
         amplitudes = tuple(amplitudes)
@@ -107,6 +112,9 @@ class PolyContext:
         self.shifts = tuple(FIELD * (self.nvars - 1 - i) for i in range(self.nvars))
         self.eps_shift = self.shifts[EPS]
         self.guard = sum(1 << (sh + FIELD - 1) for sh in self.shifts)
+        # FIELD is 32, so each field of a key's big-endian bytes is one uint32
+        self._fields = Struct(f">{self.nvars}I").unpack
+        self._width = 4 * self.nvars
 
     def index(self, name: str) -> int:
         try:
@@ -135,8 +143,8 @@ class PolyContext:
         return key
 
     def unpack(self, key: int) -> tuple:
-        """The exponent vector of a packed key."""
-        return tuple(key >> sh & _MASK for sh in self.shifts)
+        """The exponent vector of a packed key, decoded in C."""
+        return self._fields(key.to_bytes(self._width, "big"))
 
     def split(self, e) -> tuple:
         """(eps, t, s, amplitude exponents, parameter exponents) of an exponent tuple."""
@@ -329,9 +337,9 @@ class MultiPoly:
         """Read-only {exponent tuple: coefficient} view, in the packed map's order."""
         view = self._view
         if view is None:
-            unpack = self.ctx.unpack
+            fields, width = self.ctx._fields, self.ctx._width
             view = self._view = MappingProxyType(
-                {unpack(k): c for k, c in self.packed.items()})
+                {fields(k.to_bytes(width, "big")): c for k, c in self.packed.items()})
         return view
 
     # -- basic queries --------------------------------------------------------
@@ -512,28 +520,6 @@ class MultiPoly:
         """Simultaneous substitution name -> MultiPoly, expanded and truncated."""
         return Substitution(self.ctx, bindings)(self)
 
-    # -- numeric evaluation ----------------------------------------------------
-    def eval_complex(self, values: dict) -> complex:
-        """Evaluate at a numeric point; every symbol actually present must be bound.
-
-        The terms are summed in the order of their packed keys, which is the
-        lexicographic order of the exponent tuples.
-        """
-        ctx = self.ctx
-        bound = [None] * ctx.nvars
-        for name, v in values.items():
-            bound[ctx.index(name)] = complex(v)
-        total = 0j
-        for e, c in sorted(self.terms.items()):
-            v = complex(c)
-            for i, k in enumerate(e):
-                if k:
-                    if bound[i] is None:
-                        raise PolyError(f"unbound symbol {ctx.symbols[i]!r}")
-                    v *= bound[i] ** k
-            total += v
-        return total
-
     # -- rendering ---------------------------------------------------------------
     def sorted_terms(self) -> list:
         """(exponent tuple, coefficient) pairs in the canonical order.
@@ -563,6 +549,60 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<MultiPoly {self.render()}>"
+
+
+class Evaluator:
+    """Floating-point values of a list of polynomials of one context at numeric points.
+
+    Built once per list: each term is read once, in packed-key order (the
+    lexicographic order of the exponent tuples), into its complex
+    coefficient and the slots of its nonzero exponents in symbol order, one
+    slot per distinct (symbol, exponent) pair of the list; the fields below
+    eps are decoded once per distinct value.  At a point each slot gets one
+    power; a term's value is its coefficient times its slots' powers in
+    turn, and a polynomial's value is the sum of its terms' values in turn
+    from 0j.  Every symbol a term has must be bound at the point.
+    """
+
+    __slots__ = ("ctx", "_pairs", "_polys")
+
+    def __init__(self, ctx: PolyContext, polys):
+        slot = {}  # (symbol index, exponent) -> slot, in order of first use
+        below = {}  # the fields of a key below eps -> their slots
+        fields, width, sh = ctx._fields, ctx._width, ctx.eps_shift
+        low = (1 << sh) - 1
+        self._polys = []
+        for p in polys:
+            if not ctx.compatible(p.ctx):
+                raise PolyError("context mismatch")
+            terms = []
+            for key, c in sorted(p.packed.items()):
+                a, rest = key >> sh, key & low
+                head = (slot.setdefault((EPS, a), len(slot)),) if a else ()
+                tail = below.get(rest)
+                if tail is None:
+                    tail = below[rest] = tuple(
+                        slot.setdefault(ik, len(slot))
+                        for ik in enumerate(fields(rest.to_bytes(width, "big"))) if ik[1])
+                terms.append((complex(c), head + tail))
+            self._polys.append(terms)
+        self.ctx = ctx
+        self._pairs = list(slot)
+
+    def __call__(self, values: dict) -> list:
+        """The value of each polynomial at the point {symbol name: number}."""
+        ctx = self.ctx
+        bound = [None] * ctx.nvars
+        for name, v in values.items():
+            bound[ctx.index(name)] = complex(v)
+        try:
+            powers = [bound[i] ** k for i, k in self._pairs]
+        except TypeError:  # None ** k: the first unbound symbol a term uses
+            i = next(i for i, _ in self._pairs if bound[i] is None)
+            raise PolyError(f"unbound symbol {ctx.symbols[i]!r}") from None
+        power = powers.__getitem__
+        return [reduce(add, [reduce(mul, map(power, slots), c) for c, slots in terms], 0j)
+                for terms in self._polys]
 
 
 class Substitution:
@@ -818,35 +858,106 @@ def sum_of_products(ctx: PolyContext, pairs, trunc: int | None = None) -> Harmon
 
     Every term pair of every product lands in one unnormalised accumulator
     per output harmonic m1 + m2, and each output key is normalised once at
-    the end (`_Accumulator`): a sum of n products costs one normalisation
+    the end (`SeriesSum`): a sum of n products costs one normalisation
     per output term, not one per term of each of the n products and again
     per addition.  This is the sparse multiply-accumulate kernel of
     Monagan and Pearce, "Parallel sparse polynomial multiplication using
     heaps", ISSAC 2009, with a dict in place of the heap.
     """
-    acc = _Accumulator(ctx, ctx.order if trunc is None else min(trunc, ctx.order))
-    out = {}
+    total = SeriesSum(ctx, trunc)
     for x, y in pairs:
-        if not (ctx.compatible(x.ctx) and ctx.compatible(y.ctx)):
+        total.add_product(x, y)
+    return total.series()
+
+
+class SeriesSum:
+    """One sum of harmonic series built in one accumulator (`_Accumulator`).
+
+    Each summand -- a product of two series, a series times a constant, or
+    the time derivative of a series along a flow -- adds its terms
+    unnormalised into one triple per output harmonic and key, dropping
+    eps-orders above the cut; `series` normalises each key once.
+    """
+
+    __slots__ = ("ctx", "cut", "_acc", "_out")
+
+    def __init__(self, ctx: PolyContext, cut: int | None = None):
+        self.ctx = ctx
+        self.cut = ctx.order if cut is None else min(cut, ctx.order)
+        self._acc = _Accumulator(ctx, self.cut)
+        self._out = {}  # harmonic -> {key: unnormalised triple}
+
+    def _check(self, hs: HarmonicSeries) -> None:
+        if not self.ctx.compatible(hs.ctx):
             raise PolyError("context mismatch")
+
+    def add_product(self, x: HarmonicSeries, y: HarmonicSeries) -> None:
+        """Add x * y, harmonic m1 of x times harmonic m2 of y landing at m1 + m2."""
+        self._check(x)
+        self._check(y)
+        add = self._acc.add_product
+        out = self._out
         for m1, p1 in x.entries.items():
             for m2, p2 in y.entries.items():
                 m = m1 + m2
                 terms = out.get(m)
                 if terms is None:
                     terms = out[m] = {}
-                acc.add_product(terms, p1.packed, p2)
-    return HarmonicSeries(ctx, {m: acc.poly(terms) for m, terms in out.items()})
+                add(terms, p1.packed, p2)
+
+    def add_scaled(self, x: HarmonicSeries, c: GaussianRational) -> None:
+        """Add c * x."""
+        if c.is_zero():
+            return
+        self._check(x)
+        const = self.ctx.const(c)
+        add = self._acc.add_product
+        out = self._out
+        for m, p in x.entries.items():
+            add(out.setdefault(m, {}), p.packed, const)
+
+    def add_time_derivative(self, x: HarmonicSeries, fields=(), shift: int = 0) -> None:
+        """Add (d/dt - i*shift) x along the flow dA/dt = F(A), `fields` aligned with
+        the amplitudes (none: plain d/dt).
+
+        Entry m of x adds dP/dt + i(m - shift) P + sum_k F_k dP/dA_k at
+        harmonic m: the first two in one pass over P's terms, L P through
+        the kernel (`_lie_terms`).
+        """
+        ctx = self.ctx
+        tsh = ctx.shifts[T]
+        tone = 1 << tsh
+        lim = (self.cut + 1) << ctx.eps_shift
+        self._check(x)
+        moves = _lie_moves(ctx, fields)
+        out = self._out
+        for m, p in x.entries.items():
+            terms = out.setdefault(m, {})
+            w = m - shift
+            for e, c in p.packed.items():
+                if e >= lim:
+                    continue
+                a, b, d = c.a, c.b, c.d
+                if w:
+                    _add_triple(terms, e, -w * b, w * a, d)
+                k = e >> tsh & _MASK
+                if k:
+                    _add_triple(terms, e - tone, a * k, b * k, d)
+            _lie_terms(self._acc, terms, p, moves)
+
+    def series(self) -> HarmonicSeries:
+        """The sum, each key normalised once."""
+        poly = self._acc.poly
+        return HarmonicSeries(self.ctx, {m: poly(terms) for m, terms in self._out.items()})
 
 
-def _lie_terms(acc: _Accumulator, p: MultiPoly, moves) -> dict:
-    """The unnormalised terms of L p = sum_k F_k dp/dA_k, summed in `acc`.
+def _lie_terms(acc: _Accumulator, terms: dict, p: MultiPoly, moves) -> dict:
+    """Add the unnormalised terms of L p = sum_k F_k dp/dA_k into `terms`, through `acc`.
 
     `moves` holds (unit key, shift, F_k) per amplitude with F_k != 0.  Each
     derivative term is built on the fly, its coefficient times the
     exponent left unnormalised, and multiplied into the one accumulator.
     """
-    terms = {}
     for one, sh, f in moves:
         left = {}
         for e, c in p.packed.items():
@@ -870,16 +981,7 @@ def lie_derivative(p: MultiPoly, fields) -> MultiPoly:
     are summed in one accumulator.
     """
     acc = _Accumulator(p.ctx, p.ctx.order)
-    return acc.poly(_lie_terms(acc, p, _lie_moves(p.ctx, fields)))
-
-
-def lie_derivative_series(hs: HarmonicSeries, fields) -> HarmonicSeries:
-    """`lie_derivative` of every entry of a series, through one accumulator."""
-    ctx = hs.ctx
-    acc = _Accumulator(ctx, ctx.order)
-    moves = _lie_moves(ctx, fields)
-    return HarmonicSeries(ctx, {m: acc.poly(_lie_terms(acc, p, moves))
-                                for m, p in hs.entries.items()})
+    return acc.poly(_lie_terms(acc, {}, p, _lie_moves(p.ctx, fields)))
 
 
 def lie_series(series, fields, sign: int = 1) -> list:
@@ -914,7 +1016,7 @@ def lie_series(series, fields, sign: int = 1) -> list:
         for sums, entries in live:
             terms = {}
             for m, p in entries.items():
-                q = acc.poly(_lie_terms(acc, p, moves))
+                q = acc.poly(_lie_terms(acc, {}, p, moves))
                 if q.packed:
                     terms[m] = q
                     sums.setdefault(m, {}).update(q.packed)

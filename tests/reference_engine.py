@@ -18,6 +18,11 @@ P = sum_k (-1)^k c^(-k-1) d^k rhs/dt^k, and each resonant factor by
 It shares `ForcingLayers` with the engine and nothing of the t-free solve, so
 tables, RG fields and renormalized expansions can be compared with the
 engine's.
+
+`reference_eval_vpoly_hs` (V on whole series, each term's state powers
+multiplied in turn) and `reference_governing_residual` (the residual as a
+composition of separately normalised series) are the references of the
+engine's residual.
 """
 
 from fractions import Fraction
@@ -31,7 +36,8 @@ from rgperturb.engine import (
     make_context,
 )
 from rgperturb.gaussrat import GaussianRational
-from rgperturb.poly import HarmonicSeries, resolve_shift
+from rgperturb.poly import EPS, HarmonicSeries, hs_pow, resolve_shift
+from rgperturb.systems import SpecError
 
 
 def _invert(rhs, m, factors):
@@ -121,3 +127,71 @@ def reference_table(spec, label=""):
     """The secular table of `spec` by the t-dependent recursion."""
     build = {"semisimple": _semisimple, "nilpotent": _nilpotent, "scalar": _scalar}
     return build[spec.klass](spec, label)
+
+
+def reference_eval_vpoly_hs(vp, comps, ctx, trunc):
+    """The per-term evaluator: each term's monomial times each of its state powers in turn."""
+    cache = {}
+
+    def state_pow(j, e):
+        key = (j, e)
+        p = cache.get(key)
+        if p is None:
+            p = cache[key] = hs_pow(comps[j], e, trunc)
+        return p
+
+    n = len(ctx.amplitudes)
+    no_states = (0,) * n
+    out = HarmonicSeries.zero(ctx)
+    for l, poly in vp.entries.items():
+        for e, c in poly.terms.items():
+            if e[EPS] > trunc:
+                continue
+            hs = HarmonicSeries.single(l, ctx.monomial(c, e[:3] + no_states + e[3 + n:]))
+            for j, k in enumerate(e[3:3 + n]):
+                if k:
+                    hs = hs.mul(state_pow(j, k), trunc)
+            out = out + hs
+    return out
+
+
+def reference_governing_residual(spec, comps, ddt):
+    """The class's governing equation on harmonic series, each step its own series.
+
+    `ddt` is the time derivative of a series (plain, or along the RG flow);
+    for the scalar class `comps` holds every derivative slot or slot 0 alone,
+    whose derivatives are then built with `ddt`.  The forcing is
+    eps * `reference_eval_vpoly_hs` mod eps^K, and the scalar operator is N
+    chained shifts (ddt - i m_r).
+    """
+    ctx = comps[0].ctx
+    K = ctx.order
+    eps = ctx.var("eps")
+    v_polys = spec.v_polys
+    if spec.klass == "nilpotent":
+        v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in v_polys]
+    if spec.klass == "scalar" and len(comps) == 1:
+        comps = _derivative_chain(comps[0], spec.n_states, ddt)
+
+    def forcing(j):
+        if not K:
+            return HarmonicSeries.zero(ctx)
+        w = reference_eval_vpoly_hs(v_polys[j], comps, ctx, K - 1)
+        return w.map_entries(lambda p: p * eps)
+
+    def shifted(hs, m):  # (ddt - i*m) hs
+        c = GaussianRational(0, m)
+        return ddt(hs) - hs.map_entries(lambda p: p.scale(c))
+
+    if spec.klass == "semisimple":
+        return [shifted(comps[j], m) - forcing(j) for j, m in enumerate(spec.modes)]
+    if spec.klass == "nilpotent":
+        above = comps[1:] + [HarmonicSeries.zero(ctx)]
+        return [ddt(comps[j]) - above[j] - forcing(j) for j in range(spec.block_size)]
+    if spec.klass == "scalar":
+        op = comps[0]
+        for m_r, n_r in spec.factors:
+            for _ in range(n_r):
+                op = shifted(op, m_r)
+        return [op - forcing(0)]
+    raise SpecError(f"no governing equation for class {spec.klass!r}")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import resource
 import subprocess
@@ -15,6 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rgperturb import cli
+from rgperturb.checks import random_spec
 from rgperturb.cli import _ratio_text, machine_json, main, table_from_machine
 from rgperturb.engine import expand_table
 from rgperturb.demos import load_builtin, builtin_names
@@ -418,6 +421,82 @@ class TestVerify:
         assert lines[-1] == ("SKIP numeric_smoke [random-semisimple-8#corrupted K=2] "
                              ":: exact checks failed")
         assert sum(" numeric_smoke " in ln for ln in lines) == 1
+
+    @pytest.mark.parametrize("argv,reason", [
+        (("--builtin", "ex_difference"), "--corrupt has no negative control for the difference class"),
+        (("--builtin", "ex_cd", "--order", "0"),
+         "--corrupt needs order >= 1: its eps*t bump vanishes at order 0"),
+        (("--random", "scalar", "--seed", "7", "--order", "0"),
+         "--corrupt needs order >= 1: its eps*t bump vanishes at order 0"),
+    ])
+    def test_corrupt_that_cannot_corrupt_exit_2(self, capsys, argv, reason):
+        # a negative control that changes nothing used to print PASS lines and exit 0
+        code, out, err = run(capsys, "verify", *argv, "--corrupt")
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+    # the numeric_smoke lines at the parent of the single-pass evaluator
+    # (`poly.Evaluator`): the six built-ins at their default orders (ex_difference
+    # has none), the two pinned pre-asymptotic specs, and per random class the
+    # SHA-256 of the lines of seeds 0-199 at order 3 joined by newlines
+    SMOKE_LINES = {
+        ("--builtin", "ex_cd"): "PASS numeric_smoke [ex_cd K=5] d(0.2)/d(0.1)=64.92 bar=38.4",
+        ("--builtin", "ex_bt"): "PASS numeric_smoke [ex_bt K=3] d(0.2)/d(0.1)=15.85 bar=9.6",
+        ("--builtin", "ex_third"): "PASS numeric_smoke [ex_third K=4] d(0.2)/d(0.1)=29.14 bar=19.2",
+        ("--builtin", "ex_oscillators"):
+            "PASS numeric_smoke [ex_oscillators K=4] d(0.2)/d(0.1)=32.19 bar=19.2",
+        ("--builtin", "ex_scalar1"):
+            "PASS numeric_smoke [ex_scalar1 K=6] d(0.2)/d(0.1)=131.7 bar=76.8",
+        ("--builtin", "ex_difference"): "",
+        ("--random", "nilpotent", "--seed", "35", "--order", "3"):
+            "PASS numeric_smoke [random-nilpotent-35 K=3] d(0.2)/d(0.1)=7.415 "
+            "d(0.1)/d(0.05)=13.56 bar=9.6",
+        ("--random", "nilpotent", "--seed", "28", "--order", "4"):
+            "PASS numeric_smoke [random-nilpotent-28 K=4] d(0.2)/d(0.1)=8.668 "
+            "d(0.1)/d(0.05)=20.93 bar=19.2",
+    }
+    SMOKE_DIGESTS = {
+        "semisimple": "1a43c05dbe082a50dff7c6ca3d0a3fef053cf6eb042f709965e690cd4fe7a49f",
+        "nilpotent": "9e93ace2d95c226e4cb4bb2a9d2745c98c165e08d9b9897e140bcf48b4d45eb0",
+        "scalar": "98a40bbb3b7445cb05bbf69f55658cbe57d491fbce5396c07cc01ad36cacaa84",
+    }
+
+    @staticmethod
+    def smoke_line(capsys, *argv):
+        main(["verify", *argv])
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if " numeric_smoke " in ln]
+        return lines[0] if lines else ""
+
+    def test_numeric_smoke_lines_unchanged(self, capsys):
+        for argv, line in self.SMOKE_LINES.items():
+            assert self.smoke_line(capsys, *argv) == line
+        for klass, digest in self.SMOKE_DIGESTS.items():
+            lines = [self.smoke_line(capsys, "--random", klass, "--seed", str(seed), "--order", "3")
+                     for seed in range(200)]
+            assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, klass
+
+    def test_numeric_smoke_builds_one_evaluator_per_list(self, monkeypatch):
+        # the amplitudes and the table entries are each decoded once, and
+        # evaluated at three points per eps (here eps = 0.2, 0.1 and 0.05)
+        built, calls = [], []
+
+        class Counting(cli.Evaluator):
+            __slots__ = ()
+
+            def __init__(self, ctx, polys):
+                built.append(len(polys))
+                super().__init__(ctx, polys)
+
+            def __call__(self, values):
+                calls.append(self)
+                return super().__call__(values)
+
+        monkeypatch.setattr(cli, "Evaluator", Counting)
+        table = expand_table(random_spec("nilpotent", 35, 3))
+        ok, detail = cli._numeric_smoke(table, random.Random(35))
+        assert ok and "d(0.1)/d(0.05)" in detail
+        entries = sum(len(comp.entries) for comp in table.observed_components())
+        assert built == [len(table.ctx.amplitudes), entries]
+        assert len(calls) == 9
 
     def test_difference_odd_u_skips(self, capsys, tmp_path):
         path = tmp_path / "odd.json"

@@ -4,10 +4,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_engine import reference_table
-from rgperturb.checks import random_spec, run_all_checks
+from reference_engine import (
+    reference_eval_vpoly_hs,
+    reference_governing_residual,
+    reference_table,
+)
+from rgperturb.checks import corrupt_table, random_spec, run_all_checks
 from rgperturb.demos import builtin_document, load_builtin
-from rgperturb.poly import EPS, HarmonicSeries, from_expression, hs_pow
+from rgperturb.poly import HarmonicSeries, SeriesSum, from_expression, lie_derivative
 from rgperturb.systems import parse_spec
 from rgperturb.expressions import render_forcing
 from rgperturb.engine import (
@@ -21,6 +25,7 @@ from rgperturb.engine import (
     expand_nilpotent,
     expand_scalar,
     gauge_reduce_nilpotent,
+    governing_residual,
     solve,
     table_residuals,
 )
@@ -342,7 +347,7 @@ class TestForcingLayers:
         for k in range(1, table.order + 1):
             comps = [c.map_entries(lambda p: p.trunc(k - 1)) for c in table.components]
             epsk = ctx.var("eps", k)
-            want = [eval_vpoly_hs(vp, comps, ctx, k - 1).eps_coeff(k - 1)
+            want = [reference_eval_vpoly_hs(vp, comps, ctx, k - 1).eps_coeff(k - 1)
                     .map_entries(lambda p: p * epsk) for vp in v_polys]
             layer = [c.eps_coeff(k - 1) for c in comps]
             assert forcing.next_layer(layer) == want, f"{spec.v_srcs} at order {k}"
@@ -368,43 +373,18 @@ class TestForcingLayers:
         }))
 
 
-def reference_eval_vpoly_hs(vp, comps, ctx, trunc):
-    """The per-term evaluator: each term's monomial times each of its state powers in turn."""
-    cache = {}
-
-    def state_pow(j, e):
-        key = (j, e)
-        p = cache.get(key)
-        if p is None:
-            p = cache[key] = hs_pow(comps[j], e, trunc)
-        return p
-
-    n = len(ctx.amplitudes)
-    no_states = (0,) * n
-    out = HarmonicSeries.zero(ctx)
-    for l, poly in vp.entries.items():
-        for e, c in poly.terms.items():
-            if e[EPS] > trunc:
-                continue
-            hs = HarmonicSeries.single(l, ctx.monomial(c, e[:3] + no_states + e[3 + n:]))
-            for j, k in enumerate(e[3:3 + n]):
-                if k:
-                    hs = hs.mul(state_pow(j, k), trunc)
-            out = out + hs
-    return out
-
-
 class TestEvalVpoly:
     """`eval_vpoly_hs` with its shared state products against the per-term evaluator.
 
     One cache serves every component at one truncation, as in
-    `governing_residual`.
+    `governing_residual`; the total it adds -eps V into has cut trunc + 1.
     """
 
     @staticmethod
     def assert_matches_reference(spec):
         table = expand_table(spec)
         ctx, K = table.ctx, table.order
+        minus_eps = -ctx.var("eps")
         v_polys = spec.v_polys
         if spec.klass == "nilpotent":
             v_polys = [gauge_reduce_nilpotent(vp, spec.block_mode) for vp in v_polys]
@@ -412,8 +392,11 @@ class TestEvalVpoly:
             cache = {}
             for vp in v_polys:
                 want = reference_eval_vpoly_hs(vp, table.components, ctx, trunc)
-                got = eval_vpoly_hs(vp, table.components, ctx, trunc, cache)
-                assert got == want, f"{spec.v_srcs} at trunc {trunc}"
+                total = SeriesSum(ctx, trunc + 1)
+                eval_vpoly_hs(vp, table.components, total, cache)
+                got = total.series()
+                assert got == want.map_entries(lambda p: p * minus_eps), \
+                    f"{spec.v_srcs} at trunc {trunc}"
 
     @pytest.mark.parametrize("name,order", [
         ("ex_cd", 8), ("ex_bt", 4), ("ex_third", 5), ("ex_oscillators", 4), ("ex_scalar1", 8),
@@ -517,6 +500,41 @@ class TestReferenceEngine:
              "V": ["y^2 + 1/2*E*y'"]},
         ):
             assert_matches_reference(parse_spec(json.dumps(doc)))
+
+
+def assert_residuals_match_reference(table):
+    """Naive and renormalized residuals equal the composition the accumulator replaced."""
+    spec = table.spec
+    rg, ren = derive_rg(table), renormalized_expansion(table)
+
+    def along_flow(hs):
+        return hs.time_derivative() + hs.map_entries(lambda p: lie_derivative(p, rg.fields))
+
+    assert governing_residual(spec, table.components) == reference_governing_residual(
+        spec, table.components, HarmonicSeries.time_derivative), spec.v_srcs
+    assert governing_residual(spec, ren.components, rg.fields) == reference_governing_residual(
+        spec, ren.components, along_flow), spec.v_srcs
+
+
+class TestGoverningResidual:
+    """`governing_residual`, one accumulator per equation, against the composition
+    of separately normalised series (`reference_governing_residual`), on
+    passing tables and on their `corrupt_table`, whose residuals are nonzero."""
+
+    @pytest.mark.parametrize("name", ["ex_cd", "ex_bt", "ex_third", "ex_oscillators", "ex_scalar1"])
+    def test_builtins(self, name):
+        table = expand_table(load_builtin(name))
+        bad = corrupt_table(table)
+        assert_residuals_match_reference(table)
+        assert_residuals_match_reference(bad)
+        assert any(not r.is_zero() for r in table_residuals(bad))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec_documents())
+    def test_random_specs(self, doc):
+        table = expand_table(parse_spec(json.dumps(doc)))
+        assert_residuals_match_reference(table)
+        assert_residuals_match_reference(corrupt_table(table))
 
 
 class TestPairing:

@@ -81,7 +81,8 @@ GOLDEN = {
     ("ex_cd", "polar"): (0, "f272bfc5a4453fc2013c40669ae9be8e795768bed8ff806b68ede2483e275025"),
     ("ex_difference", "expand"): (0, "e1f601cf35201a53bd1e11c4376b33ada2633119cdd12a163f0023cce110ac4a"),
     ("ex_difference", "rg"): (0, "0929a1010cab84e221896ca5d1fa8b881bbf8f7b152b2ef739dfdce3f92295d3"),
-    ("ex_difference", "corrupt"): (0, "f7d650e89a1d6c2268908bb5ac190b70dea9b1e6ee9e2bed81e3c41a5bb07feb"),
+    # the difference class has no negative control: exit 2, nothing on stdout
+    ("ex_difference", "corrupt"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("ex_oscillators", "expand"): (0, "bbdd097ac47ef2e3da0d5ccda8638309a933522b9c7c19a64a49c363d4a8bfb0"),
     ("ex_oscillators", "rg"): (0, "1b10c25c040172e35c5a48a4b756a84eeb35f61084ecc3ae04913f444ccddeac"),
     ("ex_oscillators", "corrupt"): (1, "ca283b90ca2ff17026417cb9f167d80a1dcb35658b9a32ad0d29b25c5aaafe57"),

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import struct
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from rgperturb.gaussrat import gq, ONE
 from rgperturb.poly import (
+    FIELD,
     MAX_EXP,
+    Evaluator,
     PolyContext,
     MultiPoly,
     HarmonicSeries,
@@ -376,17 +379,98 @@ def poly_data(p):
     return [[list(e), [str(c.re), str(c.im)]] for e, c in p.sorted_terms()]
 
 
+def reference_eval_complex(p: MultiPoly, values: dict) -> complex:
+    """The per-term evaluation `Evaluator` replaced: terms in packed-key order,
+    each coefficient times its bound powers in symbol order, summed from 0j."""
+    ctx = p.ctx
+    bound = [None] * ctx.nvars
+    for name, v in values.items():
+        bound[ctx.index(name)] = complex(v)
+    total = 0j
+    for e, c in sorted(p.terms.items()):
+        v = complex(c)
+        for i, k in enumerate(e):
+            if k:
+                if bound[i] is None:
+                    raise PolyError(f"unbound symbol {ctx.symbols[i]!r}")
+                v *= bound[i] ** k
+        total += v
+    return total
+
+
+def bits(z: complex) -> bytes:
+    """The IEEE bits of both parts, so -0.0 differs from 0.0 and NaN equals itself."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
 class TestEval:
     def test_eval_values(self, ctx):
-        p = P(ctx, "i*A1*A2*eps")
-        v = p.eval_complex({"A1": 1, "A2": 1, "eps": 0.25})
-        assert abs(v - 0.25j) < 1e-15
-        assert ctx.var("t", 2).eval_complex({"t": 3}) == 9
-        assert P(ctx, "A1^2 - 1").eval_complex({"A1": 1}) == 0
+        for evaluate in (lambda p, v: Evaluator(ctx, [p])(v)[0], reference_eval_complex):
+            p = P(ctx, "i*A1*A2*eps")
+            v = evaluate(p, {"A1": 1, "A2": 1, "eps": 0.25})
+            assert abs(v - 0.25j) < 1e-15
+            assert evaluate(ctx.var("t", 2), {"t": 3}) == 9
+            assert evaluate(P(ctx, "A1^2 - 1"), {"A1": 1}) == 0
 
     def test_unbound(self, ctx):
-        with pytest.raises(PolyError):
-            ctx.var("A1").eval_complex({"A2": 1})
+        for evaluate in (lambda p, v: Evaluator(ctx, [p])(v), reference_eval_complex):
+            with pytest.raises(PolyError, match="unbound symbol 'A1'"):
+                evaluate(ctx.var("A1"), {"A2": 1})
+
+    def test_one_list_many_points(self, ctx):
+        polys = [P(ctx, "A1^2*t - 2*eps*A2"), ctx.zero(), P(ctx, "(1/3 + i)*A1^2 + A2^3*s")]
+        values = Evaluator(ctx, polys)
+        for point in ({"A1": 0.5j, "A2": -1, "t": 2, "s": 0.25, "eps": 0.1},
+                      {"A1": -0.0, "A2": 3 - 1j, "t": -0.0, "s": 1, "eps": 0.2}):
+            assert list(map(bits, values(point))) == [
+                bits(reference_eval_complex(p, point)) for p in polys]
+
+    def test_out_of_range_coefficient(self, ctx):
+        huge = ctx.const(gq(Fraction(10 ** 400, 3)))
+        with pytest.raises(OverflowError):
+            Evaluator(ctx, [huge])({})
+        with pytest.raises(OverflowError):
+            reference_eval_complex(huge, {})
+
+    # big numerators and denominators; parts of +-0.0 and of mixed sign and size
+    BIG = st.integers(-(1 << 900), 1 << 900)
+    PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                     st.floats(-3, 3, allow_nan=False, allow_infinity=False))
+
+    @staticmethod
+    @st.composite
+    def lists_and_points(draw):
+        ctx = draw(TestPackedKeys.contexts())
+        coeff = st.builds(lambda a, b, d: gq(Fraction(a, d), Fraction(b, d)),
+                          TestEval.BIG, TestEval.BIG, st.integers(1, 1 << 900))
+        polys = []
+        for _ in range(draw(st.integers(1, 3))):
+            terms = {}
+            for _ in range(draw(st.integers(0, 6))):
+                e = tuple(draw(st.integers(0, ctx.order if i == 0 else 4))
+                          for i in range(ctx.nvars))
+                terms[e] = draw(coeff)
+            polys.append(ctx.from_terms(terms))
+        point = st.builds(complex, TestEval.PART, TestEval.PART)
+        unbound = draw(st.sets(st.sampled_from(ctx.symbols), max_size=1))
+        points = [{name: draw(point) for name in ctx.symbols if name not in unbound}
+                  for _ in range(2)]
+        return ctx, polys, points
+
+    @settings(max_examples=300, deadline=None)
+    @given(lists_and_points())
+    def test_bit_identical_to_the_per_term_reference(self, case):
+        ctx, polys, points = case
+        values = Evaluator(ctx, polys)
+        for point in points:
+            try:
+                want = [bits(reference_eval_complex(p, point)) for p in polys]
+            except PolyError as exc:
+                with pytest.raises(PolyError) as got:
+                    values(point)
+                assert str(got.value) == str(exc)
+                continue
+            assert [bits(v) for v in values(point)] == want
 
 
 class TestRendering:
@@ -634,6 +718,29 @@ class TestPackedKeys:
         assert ctx.unpack(ctx.pack(e)) == e
         assert (ctx.pack(e) < ctx.pack(f)) == (e < f)
         assert ctx.pack(e) >> ctx.eps_shift == e[0]
+
+    # fields up to MAX_EXP, at it, and past it (the guard bit set)
+    FIELDS = st.one_of(st.integers(0, MAX_EXP), st.just(MAX_EXP),
+                       st.integers(MAX_EXP + 1, (1 << FIELD) - 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 10), st.data())
+    def test_unpack_matches_shift_and_mask(self, nvars, data):
+        ctx = PolyContext([f"A{k + 1}" for k in range(nvars - 3)], order=2)
+        keys = [sum(k << sh for k, sh in zip(data.draw(st.tuples(*[self.FIELDS] * nvars)),
+                                              ctx.shifts))
+                for _ in range(data.draw(st.integers(1, 4)))]
+        want = [tuple(key >> sh & ((1 << FIELD) - 1) for sh in ctx.shifts) for key in keys]
+        assert [ctx.unpack(key) for key in keys] == want
+        assert list(MultiPoly(ctx, dict.fromkeys(keys, ONE)).terms) == list(dict.fromkeys(want))
+        over = [key for key in keys if key & ctx.guard]
+        if over:
+            top = max(max(e) for e, key in zip(want, keys) if key & ctx.guard)
+            with pytest.raises(PolyError) as exc:
+                ctx._check_keys(keys)
+            assert str(exc.value) == f"exponent {top} exceeds the limit {MAX_EXP}"
+        else:
+            ctx._check_keys(keys)
 
     @settings(max_examples=200, deadline=None)
     @given(pairs())
