@@ -40,9 +40,10 @@ unequal denominators are combined over their lcm, and each key is
 normalised once at the end, so a sum of products costs one gcd per output
 term.  ``MultiPoly.mul`` and ``HarmonicSeries.mul`` are the sums of one
 product; a `SeriesSum` also takes series times constants and time
-derivatives along a flow into the same sum.  `resolve_shift` and `resolve_chain` accumulate their closed
-forms the same way, and `lie_derivative` (L p = sum_k F_k dp/dA_k) builds
-each derivative term inside the kernel's loop, as does `lie_series`.  The
+derivatives along a flow into the same sum.  `resolve_shift` and
+`resolve_chain` accumulate their closed forms the same way, and
+`lie_derivative` (L p = sum_k F_k dp/dA_k) builds each derivative term
+inside the kernel's loop, as does `lie_series`.  The
 insertion order of a result's map is whatever the kernel leaves; nothing
 that reads a map for output depends on it (``sorted_terms`` and
 ``support`` give the canonical orders).
@@ -62,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import add, mul, or_
+from operator import or_
 from struct import Struct
 from types import MappingProxyType
 
@@ -600,9 +601,15 @@ class Evaluator:
         except TypeError:  # None ** k: the first unbound symbol a term uses
             i = next(i for i, _ in self._pairs if bound[i] is None)
             raise PolyError(f"unbound symbol {ctx.symbols[i]!r}") from None
-        power = powers.__getitem__
-        return [reduce(add, [reduce(mul, map(power, slots), c) for c, slots in terms], 0j)
-                for terms in self._polys]
+        out = []
+        for terms in self._polys:
+            total = 0j
+            for v, slots in terms:
+                for i in slots:
+                    v *= powers[i]
+                total += v
+            out.append(total)
+        return out
 
 
 class Substitution:
@@ -917,10 +924,10 @@ class SeriesSum:
             add(out.setdefault(m, {}), p.packed, const)
 
     def add_time_derivative(self, x: HarmonicSeries, fields=(), shift: int = 0) -> None:
-        """Add (d/dt - i*shift) x along the flow dA/dt = F(A), `fields` aligned with
-        the amplitudes (none: plain d/dt).
+        """Add (d/dt - i*shift) x along the flow dA/dt = F(A).
 
-        Entry m of x adds dP/dt + i(m - shift) P + sum_k F_k dP/dA_k at
+        `fields` is F, aligned with the amplitudes; without it d/dt is
+        plain.  Entry m of x adds dP/dt + i(m - shift) P + sum_k F_k dP/dA_k at
         harmonic m: the first two in one pass over P's terms, L P through
         the kernel (`_lie_terms`).
         """
