@@ -434,10 +434,11 @@ class TestVerify:
         code, out, err = run(capsys, "verify", *argv, "--corrupt")
         assert (code, out, err) == (2, "", f"error: {reason}\n")
 
-    # the numeric_smoke lines at the parent of the single-pass evaluator
-    # (`poly.Evaluator`): the six built-ins at their default orders (ex_difference
-    # has none), the two pinned pre-asymptotic specs, and per random class the
-    # SHA-256 of the lines of seeds 0-199 at order 3 joined by newlines
+    # the numeric_smoke lines as the per-term evaluation that `poly.Evaluator`
+    # replaced printed them: the six built-ins at their default orders
+    # (ex_difference has none), the two pinned pre-asymptotic specs, and per
+    # random class the SHA-256 of the lines of seeds 0-199 at order 3 joined
+    # by newlines
     SMOKE_LINES = {
         ("--builtin", "ex_cd"): "PASS numeric_smoke [ex_cd K=5] d(0.2)/d(0.1)=64.92 bar=38.4",
         ("--builtin", "ex_bt"): "PASS numeric_smoke [ex_bt K=3] d(0.2)/d(0.1)=15.85 bar=9.6",
