@@ -20,7 +20,7 @@ from .poly import (
     HarmonicSeries,
     PolyContext,
     Substitution,
-    lie_derivative,
+    lie_derivatives,
     monomial_text,
 )
 from .systems import ODESystemSpec, SpecError, parse_spec
@@ -169,8 +169,10 @@ def follows_rg_flow(table: SecularTable, rg: RGSystem, diff_t=None) -> bool:
         return False
     if diff_t is None:
         diff_t = t_derivatives(table)
-    return all(d[m] == lie_derivative(p, rg.fields)
-               for comp, d in zip(table.components, diff_t) for m, p in comp.entries.items())
+    pairs = [(d[m], p) for comp, d in zip(table.components, diff_t)
+             for m, p in comp.entries.items()]
+    flows = lie_derivatives(ctx, (p for _, p in pairs), rg.fields)
+    return all(d == lp for (d, _), lp in zip(pairs, flows))
 
 
 def renormalized_residuals(table: SecularTable, rg: RGSystem,

@@ -987,8 +987,19 @@ def lie_derivative(p: MultiPoly, fields) -> MultiPoly:
     It is d/dt of p(eps, A(t)) along the flow dA/dt = F(A); the products
     are summed in one accumulator.
     """
-    acc = _Accumulator(p.ctx, p.ctx.order)
-    return acc.poly(_lie_terms(acc, {}, p, _lie_moves(p.ctx, fields)))
+    return next(lie_derivatives(p.ctx, (p,), fields))
+
+
+def lie_derivatives(ctx: PolyContext, polys, fields):
+    """L p for each p of `polys`, lazily and in order (see `lie_derivative`).
+
+    All of them share one accumulator and one list of moves, so each
+    field's rows are listed once, not once per polynomial.
+    """
+    acc = _Accumulator(ctx, ctx.order)
+    moves = _lie_moves(ctx, fields)
+    for p in polys:
+        yield acc.poly(_lie_terms(acc, {}, p, moves))
 
 
 def lie_series(series, fields, sign: int = 1) -> list:

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from rgperturb.checks import functional_relation
 from rgperturb.gaussrat import gq, ONE
-from rgperturb.poly import HarmonicSeries
+from rgperturb.poly import HarmonicSeries, Substitution
 from rgperturb.difference import (
     LaurentPoly,
     gk_poly,
@@ -18,10 +20,13 @@ from rgperturb.difference import (
     closed_form_amplitude,
     check_difference_identities,
     stability_flag,
+    _advance_difference,
     _closed_family,
+    _compare_series,
     _eps_u,
     _exp_series,
     _flip_odd,
+    window_band,
     WindowError,
 )
 
@@ -54,6 +59,61 @@ def bmk_direct(u2: LaurentPoly, m: int, k: int) -> dict:
         for n, v in bmk_direct(u2, m - l, k - 1).items():
             out[n] = out[n] + c * v if n in out else c * v
     return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+def resummed_solution(ctx, theta, W: int) -> HarmonicSeries:
+    """Y = exp(Theta tau) mu_even + exp(-Theta tau) mu_odd, as identity (ii) builds it."""
+    y = HarmonicSeries.zero(ctx)
+    for odd in (False, True):
+        mu = HarmonicSeries(
+            ctx, {m: ctx.var(amp_name(m)) for m in range(-W, W + 1) if (m % 2 != 0) == odd}
+        )
+        y = y + theta.kernel(odd).mul(mu)
+    return y
+
+
+def substitution_shift(hs: HarmonicSeries, delta: int) -> HarmonicSeries:
+    """t -> t + delta*pi by substitution: tau -> tau + delta, and e^{imt} gains (-1)^m."""
+    ctx = hs.ctx
+    advance = Substitution(ctx, {"t": ctx.var("t") + ctx.const(delta)})
+    return _flip_odd(hs.map_entries(advance))
+
+
+def reference_reports(u2: LaurentPoly, K: int, W: int, label="difference") -> list:
+    """The three identities with no fast path: (i) always by substitution and
+    the +-pi shift of (ii) as a `Substitution` t -> t +- 1."""
+    band = window_band(u2, K, W)
+    ctx = make_context(K, W)
+    theta = theta_series(u2, K, ctx)
+    closed = _closed_family(u2, K, W, ctx, theta)
+    amplitudes = {amp_name(n): closed[n] for n in range(-W, W + 1)}
+    entries = ((f"harmonic {m}", closed[m]) for m in range(-band, band + 1))
+    y = resummed_solution(ctx, theta, W)
+    gen = HarmonicSeries(ctx, closed)
+    return [
+        functional_relation(ctx, amplitudes, entries, label),
+        _compare_series(
+            substitution_shift(y, 1) - substitution_shift(y, -1), _eps_u(ctx, u2).mul(y + y),
+            "harmonic", "check_difference_equation", label, K,
+        ),
+        _compare_series(
+            gen.map_entries(lambda p: p.diff_t()), theta.series.mul(_flip_odd(gen)),
+            "zeta-power", "check_rg_flow", label, K,
+        ),
+    ]
+
+
+def lines(reports) -> list:
+    return [r.line() for r in reports]
+
+
+# 2U with Q(i) coefficients on the even powers 0, +-2, +-4
+gaussian = st.builds(
+    gq,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+even_u2 = st.dictionaries(st.sampled_from([-4, -2, 0, 2, 4]), gaussian, min_size=1).map(LaurentPoly)
 
 
 def sinh_residual(theta, u2: LaurentPoly) -> HarmonicSeries:
@@ -340,9 +400,8 @@ class TestIdentities:
         assert not relation.passed
         assert relation.line().startswith("FAIL check_functional_relation")
         # the shared comparison names the first differing monomial, both sides
-        assert relation.detail.startswith("harmonic ")
-        assert "; monomial " in relation.detail
-        assert "lhs=" in relation.detail and "rhs=" in relation.detail
+        assert relation.detail == "harmonic -2; monomial eps^3*s^3: lhs=0, rhs=1/8"
+        assert lines(reports) == lines(reference_reports(u2_cosine(), 3, 8))
 
     def test_bumped_harmonic_fails_rg_flow(self, monkeypatch):
         # negative control of identity (iii): the bumped amplitude no longer
@@ -356,9 +415,11 @@ class TestIdentities:
             return p + ctx.var("eps") * ctx.var("t") if m == 2 else p
 
         monkeypatch.setattr(difference, "_closed_windowed", bumped)
-        flow = check_difference_identities(u2_cosine(), 3, 8)[2]
+        reports = check_difference_identities(u2_cosine(), 3, 8)
+        flow = reports[2]
         assert flow.line().startswith("FAIL check_rg_flow")
         assert flow.detail == "zeta-power 0; monomial eps^2*t: lhs=0, rhs=1/2"
+        assert lines(reports) == lines(reference_reports(u2_cosine(), 3, 8))
 
     def test_bumped_kernel_fails_difference_equation(self, monkeypatch):
         # negative control of identity (ii): eps*t added to the even kernel
@@ -373,9 +434,104 @@ class TestIdentities:
             return k + HarmonicSeries.single(0, self.ctx.var("eps") * self.ctx.var("t"))
 
         monkeypatch.setattr(difference.ThetaSeries, "kernel", bumped)
-        equation = check_difference_identities(u2_cosine(), 3, 8)[1]
+        reports = check_difference_identities(u2_cosine(), 3, 8)
+        equation = reports[1]
         assert equation.line().startswith("FAIL check_difference_equation")
         assert equation.detail == "harmonic -10; monomial eps^2*t*A[-8]: lhs=0, rhs=1"
+        assert lines(reports) == lines(reference_reports(u2_cosine(), 3, 8))
+
+    def test_scaled_family_fails_functional_relation(self, monkeypatch):
+        # control of (IC): twice the family still follows the Theta flow, so
+        # (iii) passes, but it starts at 2*A; the substitution must run
+        from rgperturb import difference
+
+        closed = difference._closed_windowed
+
+        def doubled(u2, m, K, W, ctx, theta):
+            return closed(u2, m, K, W, ctx, theta).scale(2)
+
+        monkeypatch.setattr(difference, "_closed_windowed", doubled)
+        reports = check_difference_identities(u2_cosine(), 3, 8)
+        assert lines(reports) == [
+            "FAIL check_functional_relation [difference K=3] :: "
+            "harmonic -2; monomial A[-2]: lhs=2, rhs=4",
+            "PASS check_difference_equation [difference K=3]",
+            "PASS check_rg_flow [difference K=3]",
+        ]
+        assert lines(reports) == lines(reference_reports(u2_cosine(), 3, 8))
+
+    def test_family_off_the_window_at_zero_takes_the_reference(self, monkeypatch):
+        # control of (IC) beyond the window: eps^K*A[0] added past |m| = W
+        # leaves (iii) intact (its flow is O(eps^(K+1))), so only (IC) sees it;
+        # the substitution runs and, as that harmonic is never bound, passes
+        from rgperturb import difference
+
+        closed = difference._closed_windowed
+        calls = []
+
+        def off_window(u2, m, K, W, ctx, theta):
+            p = closed(u2, m, K, W, ctx, theta)
+            return p + ctx.var("eps", K) * ctx.var(amp_name(0)) if m == W + 1 else p
+
+        def counted(*args):
+            calls.append(args)
+            return functional_relation(*args)
+
+        monkeypatch.setattr(difference, "_closed_windowed", off_window)
+        monkeypatch.setattr(difference, "functional_relation", counted)
+        reports = check_difference_identities(u2_cosine(), 3, 8)
+        assert all(r.passed for r in reports)
+        assert len(calls) == 1
+
+    def test_a_passing_verify_takes_the_fast_path(self, capsys, monkeypatch):
+        # a silent fallback to the substitution would keep every line and
+        # lose the gain
+        from rgperturb import difference, poly
+        from rgperturb.cli import main
+
+        relations, built = [], []
+        substitution_init = poly.Substitution.__init__
+
+        def counting_relation(*args):
+            relations.append(args)
+            return functional_relation(*args)
+
+        def counting_init(self, *args):
+            built.append(args)
+            substitution_init(self, *args)
+
+        monkeypatch.setattr(difference, "functional_relation", counting_relation)
+        monkeypatch.setattr(poly.Substitution, "__init__", counting_init)
+        assert main(["verify", "--builtin", "ex_difference"]) == 0
+        assert "PASS check_functional_relation" in capsys.readouterr().out
+        assert relations == [] and built == []
+
+    @settings(max_examples=30, deadline=None)
+    @example(u2=u2_cosine(), K=3, extra=0)
+    @example(u2=LaurentPoly({0: gq(0, 1), 4: gq("1/2"), -2: gq(-1, 2)}), K=2, extra=1)
+    @given(u2=even_u2, K=st.integers(1, 5), extra=st.integers(0, 2))
+    def test_lines_agree_with_the_reference(self, u2, K, extra):
+        W = K * u2.support_bound() + extra
+        got = check_difference_identities(u2, K, W)
+        assert lines(got) == lines(reference_reports(u2, K, W))
+
+    def test_deep_case_agrees_with_the_reference(self):
+        got = check_difference_identities(u2_cosine(), 8, 20)
+        assert all(r.passed for r in got)
+        assert lines(got) == lines(reference_reports(u2_cosine(), 8, 20))
+
+    @settings(max_examples=20, deadline=None)
+    @given(u2=even_u2, K=st.integers(1, 5))
+    def test_two_sinh_d_is_the_substitution_shift(self, u2, K):
+        # 2 sinh(d/dtau) p = p(tau+1) - p(tau-1) on the resummed solution of
+        # (ii) and on the family's generating series
+        W = K * u2.support_bound()
+        ctx = make_context(K, W)
+        theta = theta_series(u2, K, ctx)
+        for hs in (resummed_solution(ctx, theta, W),
+                   HarmonicSeries(ctx, _closed_family(u2, K, W, ctx, theta))):
+            expect = substitution_shift(hs, 1) - substitution_shift(hs, -1)
+            assert _flip_odd(hs.map_entries(_advance_difference)) == expect
 
     def test_window_too_small(self):
         with pytest.raises(WindowError):
