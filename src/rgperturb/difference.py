@@ -348,16 +348,17 @@ def check_difference_identities(u2: LaurentPoly, K: int, W: int, label="differen
     its own symbol A_m for |m| <= W and 0 beyond the window.  Then the
     family is exp(tau M) P_W A, with M = Theta(zeta) o (zeta -> -zeta)
     free of tau and P_W the window: (iii) fixes each eps-order's
-    tau-derivative from the orders below it, and (IC) its value at 0
-    (past |m| = W + K*S, where the family stops, exp(tau M) P_W A is zero
-    mod eps^(K+1)).  The eps^p terms of Theta reach at most p*S harmonics (S the support bound
-    of 2U), so M^n moves a harmonic by more than K*S only at eps-order
-    above K.  Substituting A_j -> A_j(s) for |j| <= W drops from
-    exp((t-s)M) exp(sM) P_W A only the routes through some |j| > W, which
-    reach a harmonic |m| <= W - K*S (the band) at eps-order above K; so on
-    the band the windowed substitution equals exp(tM) P_W A mod eps^(K+1),
-    which is (i).  Where (IC) or (iii) fails, `checks.functional_relation`
-    runs and gives the verdict and the FAIL detail.
+    tau-derivative from the orders below it, and (IC) its value at 0.
+    The eps^p terms of Theta reach at most p*S harmonics (S the support
+    bound of 2U), so M^n moves a harmonic by more than K*S only at
+    eps-order above K; past |m| = W + K*S, where the family stops,
+    exp(tau M) P_W A is zero mod eps^(K+1).  Substituting A_j -> A_j(s)
+    for |j| <= W drops from exp((t-s)M) exp(sM) P_W A only the routes
+    through some |j| > W, which reach a harmonic |m| <= W - K*S (the
+    band) at eps-order above K; so on the band the windowed substitution
+    equals exp(tM) P_W A mod eps^(K+1), which is (i).  Where (IC) or
+    (iii) fails, `checks.functional_relation` runs and gives the verdict
+    and the FAIL detail.
 
     The left side of (ii) is the +-pi shift as 2 sinh(d/dtau) on each
     entry, exact on polynomials in tau; zeta -> e^{it} keeps the harmonic

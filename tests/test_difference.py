@@ -113,7 +113,9 @@ gaussian = st.builds(
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
-even_u2 = st.dictionaries(st.sampled_from([-4, -2, 0, 2, 4]), gaussian, min_size=1).map(LaurentPoly)
+even_u2 = st.dictionaries(
+    st.sampled_from([-4, -2, 0, 2, 4]), gaussian, min_size=1
+).map(LaurentPoly)
 
 
 def sinh_residual(theta, u2: LaurentPoly) -> HarmonicSeries:
